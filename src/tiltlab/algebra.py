@@ -200,10 +200,6 @@ class BoundQuiverAlgebra:
     def is_hereditary(self) -> bool:
         return not self.ideal.walks and self.quiver.is_acyclic()
 
-    def radical_power_zero(self) -> int:
-        """Smallest N with rad^N = 0 (one more than the longest path)."""
-        return max((len(w) for w in self.paths), default=0) + 1
-
     def __repr__(self):
         return (f"BoundQuiverAlgebra(n={self.n}, arrows={len(self.quiver.arrows)}, "
                 f"relations={len(self.ideal.walks)}, dim={self.dim}, p={self.p})")

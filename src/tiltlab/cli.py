@@ -7,9 +7,7 @@ configurations (including the seed) produce byte-identical JSON reports.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 from .errors import (BudgetExceeded, ResolutionDepthExceeded, SpecError,
@@ -42,7 +40,6 @@ class RunConfig:
     universe_dim_bound: int = 3
     format: str = "json"
     out: str | None = None
-    threads: int = 1
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -100,7 +97,9 @@ def _universe(cfg: RunConfig, alg, d: int):
 
 
 def _emit(cfg: RunConfig, title: str, report: dict) -> None:
-    payload = {"config": asdict(cfg), "report": jsonable(report)}
+    # reports keep the retired "threads" key so their bytes do not change
+    payload = {"config": {**asdict(cfg), "threads": 1},
+               "report": jsonable(report)}
     if cfg.format == "json":
         text = dump_json(payload)
     else:
@@ -110,13 +109,6 @@ def _emit(cfg: RunConfig, title: str, report: dict) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _pmap(threads: int, fn, items: list) -> list:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
 
 
 def cmd_enumerate(cfg: RunConfig) -> tuple[int, dict]:
@@ -208,7 +200,7 @@ def cmd_verify(cfg: RunConfig, theorem: str) -> tuple[int, dict]:
                     "orthogonality_failures": tr.orthogonality_failures,
                     "perp_mismatches": tr.perp_mismatches,
                     "eproj_mismatches": tr.eproj_mismatches}
-        rows = _pmap(cfg.threads, one, enum.clusters)
+        rows = [one(rec) for rec in enum.clusters]
         report = {**base, "clusters": rows}
         return (EXIT_PASS if all(r["ok"] for r in rows) else EXIT_FAIL,
                 report)
@@ -230,7 +222,7 @@ def cmd_verify(cfg: RunConfig, theorem: str) -> tuple[int, dict]:
                     for name, k in trials.kinds.items()}
                 row["ok"] = bool(q) and trials.ok
             return row
-        rows = _pmap(cfg.threads, one, enum.clusters)
+        rows = [one(rec) for rec in enum.clusters]
         report = {**base, "classes": rows}
         return (EXIT_PASS if all(r["ok"] for r in rows) else EXIT_FAIL,
                 report)
@@ -250,7 +242,7 @@ def cmd_verify(cfg: RunConfig, theorem: str) -> tuple[int, dict]:
                                sample_budget=40)
         return {"object": label, "consistent": er.consistent,
                 "legs": er.legs, "witnesses": er.witnesses}
-    rows = _pmap(cfg.threads, one, objects)
+    rows = [one(pair) for pair in objects]
     report = {**base, "objects": rows}
     return (EXIT_PASS if all(r["consistent"] for r in rows) else EXIT_FAIL,
             report)
@@ -261,7 +253,7 @@ def main(argv=None) -> int:
     cfg = RunConfig(
         spec=ns.spec, d=ns.d, method=ns.method, seed=ns.seed, depth=ns.depth,
         universe_dim_bound=ns.universe_dim_bound, format=ns.format,
-        out=ns.out, threads=int(os.environ.get("TILTLAB_THREADS", "1") or 1))
+        out=ns.out)
     try:
         if ns.command == "enumerate":
             code, report = cmd_enumerate(cfg)
@@ -275,9 +267,6 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SPEC
     except TiltlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC

@@ -16,6 +16,7 @@ from .errors import HomologyOutsideWindow, ResolutionDepthExceeded, \
 from .homotopy import ProjComplex, decompose_complex, hom_k, hom_package, \
     minimize, proj_zero
 from .linalg import inv, rank, solve_right, zeros
+from .memo import memo
 from .repcat import (ModuleMap, ProjSum, Representation, alg_matrix_of_map,
                      kernel, minimal_resolution, module_iso, projective_cover)
 from .repcomplex import (ComplexMap, RepComplex, complex_cone,
@@ -174,19 +175,13 @@ def resolution_of_complex(c: RepComplex, depth: int):
     return minimize(s), complete
 
 
-def is_exact(c: RepComplex) -> bool:
-    return not homology_dims(c)
-
-
 # -- extension groups in the heart ------------------------------------------
 
 def _resolution_cached(x: RepComplex, depth: int):
-    store = getattr(x, "_res_cache", None)
-    if store is None:
-        store = x._res_cache = {}
-    if depth not in store:
-        store[depth] = resolution_of_complex(x, depth)
-    return store[depth]
+    store, key = memo(x), ("resolution", depth)
+    if key not in store:
+        store[key] = resolution_of_complex(x, depth)
+    return store[key]
 
 
 def e_ext(x: RepComplex, y: RepComplex, i: int, d: int,
@@ -249,13 +244,10 @@ def generator_models(gens, d: int,
 
 
 def _resolution_cached_proj(s: ProjComplex, d: int, depth: int):
-    store = getattr(s, "_heart_res_cache", None)
-    if store is None:
-        store = s._heart_res_cache = {}
-    if (d, depth) not in store:
-        w = truncate_window(s, d)
-        store[(d, depth)] = resolution_of_complex(w, depth)
-    return store[(d, depth)]
+    store, key = memo(s), ("window_resolution", d, depth)
+    if key not in store:
+        store[key] = resolution_of_complex(truncate_window(s, d), depth)
+    return store[key]
 
 
 def fac_membership(gens, x: RepComplex, d: int, s: int | None = None,

@@ -17,6 +17,7 @@ from .endsplit import primitive_idempotents
 from .errors import FieldTooSmall, NoSolution, WindowViolation
 from .linalg import (column_space, in_span, inv, null_space, rank,
                      solve_right, span_union, zeros)
+from .memo import memo
 from .repcat import (
     ModuleMap,
     ProjSum,
@@ -573,11 +574,9 @@ def _scatter_vertex(ps: ProjSum, r: int, v: int, coeffs: np.ndarray):
 
 def hom_package(x: ProjComplex, target, i: int = 0,
                 cache: bool = True) -> HomPackage:
-    key = (id(target), i)
+    key = ("hom_package", id(target), i)
     if cache:
-        store = getattr(x, "_pkg_cache", None)
-        if store is None:
-            store = x._pkg_cache = {}
+        store = memo(x)
         if key in store:
             return store[key]
     if isinstance(target, ProjComplex):
@@ -597,18 +596,19 @@ def hom_k(x: ProjComplex, target, i: int = 0) -> int:
 
 # -- minimization (Gaussian elimination on invertible entries) --------------
 
-def _find_unit(x: ProjComplex):
-    alg = x.alg
-    for k, m in enumerate(x.dmats):
-        for r, vr in enumerate(x.summands[k + 1]):
-            for c, vc in enumerate(x.summands[k]):
+def _find_unit(alg: BoundQuiverAlgebra, summands: list[list[int]],
+               dmats: list[np.ndarray]):
+    """(k, r, c) of the first invertible entry of dmats[k], or None."""
+    for k, m in enumerate(dmats):
+        for r, vr in enumerate(summands[k + 1]):
+            for c, vc in enumerate(summands[k]):
                 if vr == vc and m[r, c, alg.e_index[vr]] % alg.p:
                     return k, r, c
     return None
 
 
 def is_minimal(x: ProjComplex) -> bool:
-    return _find_unit(x) is None
+    return _find_unit(x.alg, x.summands, x.dmats) is None
 
 
 def minimize(x: ProjComplex) -> ProjComplex:
@@ -621,33 +621,17 @@ def minimize(x: ProjComplex) -> ProjComplex:
     alg = x.alg
     summands = [list(s) for s in x.summands]
     dmats = [m.copy() for m in x.dmats]
-    while True:
-        found = None
-        for k, m in enumerate(dmats):
-            for r, vr in enumerate(summands[k + 1]):
-                for c, vc in enumerate(summands[k]):
-                    if vr == vc and m[r, c, alg.e_index[vr]] % alg.p:
-                        found = (k, r, c)
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found is None:
-            break
+    while (found := _find_unit(alg, summands, dmats)) is not None:
         k, r, c = found
         m = dmats[k]
         v = summands[k][c]
         a_inv = elem_inverse(alg, m[r, c], v)
         keep_r = [i for i in range(m.shape[0]) if i != r]
         keep_c = [j for j in range(m.shape[1]) if j != c]
-        beta = m[r][keep_c]          # remaining sources -> P(v)
-        gamma = m[keep_r][:, c]      # P(v) -> remaining targets
-        # correction gamma o a_inv o beta, with algebra products in
-        # application order: beta first, then a_inv, then gamma
-        t = alg.mult_tensor
-        m1 = np.einsum("ca,b,abe->ce", beta, a_inv, t) % alg.p
-        corr = np.einsum("ca,rb,abe->rce", m1, gamma, t) % alg.p
+        beta = m[[r]][:, keep_c]     # remaining sources -> P(v)
+        gamma = m[keep_r][:, [c]]    # P(v) -> remaining targets
+        # correction gamma o a_inv o beta: beta first, then a_inv, then gamma
+        corr = amul(alg, gamma, amul(alg, a_inv[None, None], beta))
         dmats[k] = (m[np.ix_(keep_r, keep_c)] - corr) % alg.p
         if k > 0:
             dmats[k - 1] = dmats[k - 1][keep_c]
@@ -678,6 +662,16 @@ def chain_endos(x: ProjComplex) -> list[ChainMap]:
     pkg = hom_package(x, x, 0)
     return [pkg.chainmap_of(pkg.chain_space[:, k])
             for k in range(pkg.chain_space.shape[1])]
+
+
+def _combination(coeffs, maps: list[ChainMap], p: int):
+    """sum coeffs[k] * maps[k], or None when every coefficient is zero."""
+    out = None
+    for c, f in zip(coeffs, maps):
+        if c % p:
+            piece = f.scale(int(c))
+            out = piece if out is None else out.add(piece)
+    return out
 
 
 def _total_matrix(f: ChainMap) -> np.ndarray:
@@ -715,11 +709,7 @@ def decompose_complex(x: ProjComplex, seed: int = 0):
     parts = []
     for e_mat in idems:
         coords = solve_right(flat, e_mat.reshape(-1, 1), alg.p)[:, 0]
-        e = None
-        for c, f in zip(coords, endos):
-            if c % alg.p:
-                e = f.scale(int(c)) if e is None else e.add(f.scale(int(c)))
-        parts.append(_split_off(xm, e))
+        parts.append(_split_off(xm, _combination(coords, endos, alg.p)))
     groups: list[list] = []
     for part in parts:
         for g in groups:
@@ -771,9 +761,9 @@ def _end_radical(pkg: HomPackage):
     columns and left_mult maps a class vector to its regular-representation
     matrix.
     """
-    cached = getattr(pkg, "_rad_cache", None)
-    if cached is not None:
-        return cached
+    store, key = memo(pkg), ("end_radical",)
+    if key in store:
+        return store[key]
     alg = pkg.x.alg
     reps = pkg.chain_reps()
     m = len(reps)
@@ -796,7 +786,7 @@ def _end_radical(pkg: HomPackage):
                 out = (out + int(vec[i]) * lmats[i]) % alg.p
         return out
 
-    pkg._rad_cache = (rad, left_mult)
+    store[key] = (rad, left_mult)
     return rad, left_mult
 
 
@@ -826,12 +816,7 @@ def _indec_iso_k(x: ProjComplex, y: ProjComplex, want_witness: bool = False):
             ident = pe.class_coords(chain_identity(x))
             uinv = solve_right(left_mult(u), ident.reshape(-1, 1),
                                alg.p)[:, 0]
-            reps = pe.chain_reps()
-            w = None
-            for cval, h in zip(uinv, reps):
-                if cval % alg.p:
-                    piece = h.scale(int(cval))
-                    w = piece if w is None else w.add(piece)
+            w = _combination(uinv, pe.chain_reps(), alg.p)
             gc = (w.compose(g) if w is not None
                   else chain_zero(y, x))
             assert pe.is_nullhomotopic(
@@ -899,33 +884,69 @@ def iso_k(x: ProjComplex, y: ProjComplex, seed: int = 0,
 
 # -- minimal approximations -------------------------------------------------
 
-def _rad_pair_classes(parts, j, packages, end_pkgs, end_rads):
-    """Coordinate spans of the radical composites landing at parts[j]."""
-    alg = parts[j].alg
-    pj = packages[j]
-    total = []
-    for l in range(len(parts)):
-        if l == j:
-            rad, _ = end_rads[j]
-            for k in range(rad.shape[1]):
-                coords = rad[:, k]
-                u = None
-                for cval, h in zip(coords, end_pkgs[j].chain_reps()):
-                    if cval % alg.p:
-                        piece = h.scale(int(cval))
-                        u = piece if u is None else u.add(piece)
-                if u is None:
+def _approximation(parts: list[ProjComplex], z: ProjComplex, minimal: bool,
+                  right: bool):
+    """The add(parts)-approximation of z on the given side.
+
+    A right approximation is E -> Z, built from maps parts[j] -> Z, and a
+    map u between parts acts on them by precomposition.  A left one is
+    Z -> E, built from maps Z -> parts[j], with u acting by composition
+    afterwards.  The two sides differ in nothing else.
+    """
+    alg = z.alg
+
+    def hom(a, b):      # Hom(a, b) on the right side, Hom(b, a) on the left
+        return hom_package(a, b, 0) if right else hom_package(b, a, 0)
+
+    def act(u, f):      # f o u on the right side, u o f on the left
+        return f.compose(u) if right else u.compose(f)
+
+    packages = [hom(t, z) for t in parts]
+    chosen: list[tuple[int, ChainMap]] = []
+    if minimal:
+        end_pkgs = [hom(t, t) for t in parts]
+        end_rads = [_end_radical(pkg) for pkg in end_pkgs]
+        for j, pj in enumerate(packages):
+            if pj.dim == 0:
+                continue
+            # classes of composites through a radical map between parts
+            w_cols = []
+            for l in range(len(parts)):
+                if l == j:
+                    rad, _ = end_rads[j]
+                    reps = end_pkgs[j].chain_reps()
+                    us = [_combination(rad[:, k], reps, alg.p)
+                          for k in range(rad.shape[1])]
+                else:
+                    us = hom(parts[j], parts[l]).chain_reps()
+                fs = packages[l].chain_reps()
+                w_cols += [pj.class_coords(act(u, f)) for u in us for f in fs]
+            w = (column_space(np.column_stack(w_cols), alg.p)
+                 if w_cols else zeros(pj.dim, 0))
+            for f in pj.chain_reps():
+                coords = pj.class_coords(f)
+                if in_span(coords, w, alg.p):
                     continue
-                for f in packages[j].chain_reps():
-                    total.append(pj.class_coords(f.compose(u)))
-        else:
-            cross = hom_package(parts[j], parts[l], 0)
-            for umap in cross.chain_reps():
-                for f in packages[l].chain_reps():
-                    total.append(pj.class_coords(f.compose(umap)))
-    if not total:
-        return zeros(pj.dim, 0)
-    return column_space(np.column_stack(total), alg.p)
+                chosen.append((j, f))
+                orbit = [coords]
+                for u in end_pkgs[j].chain_reps():
+                    orbit.append(pj.class_coords(act(u, f)))
+                w = span_union(w, np.column_stack(orbit), p=alg.p)
+    else:
+        for j, pkg in enumerate(packages):
+            for f in pkg.chain_reps():
+                chosen.append((j, f))
+    e = proj_direct_sum([parts[j] for j, _ in chosen], alg)
+    mats: dict[int, np.ndarray] = {}
+    lo = min([z.lo] + [parts[j].lo for j, _ in chosen])
+    hi = max([z.hi] + [parts[j].hi for j, _ in chosen])
+    for q in range(lo, hi + 1):
+        if z.count(q) == 0 or e.count(q) == 0:
+            continue
+        mats[q] = np.concatenate([f.map_at(q) for _, f in chosen],
+                                 axis=1 if right else 0)
+    g = ChainMap(e, z, mats) if right else ChainMap(z, e, mats)
+    return e, g, chosen
 
 
 def right_approximation(parts: list[ProjComplex], z: ProjComplex,
@@ -936,100 +957,13 @@ def right_approximation(parts: list[ProjComplex], z: ProjComplex,
     map).  With minimal=True the approximation covers Hom(-, Z) modulo
     radical composites, summand by summand.
     """
-    alg = z.alg
-    packages = [hom_package(t, z, 0) for t in parts]
-    chosen: list[tuple[int, ChainMap]] = []
-    if minimal:
-        end_pkgs = [hom_package(t, t, 0) for t in parts]
-        end_rads = [_end_radical(pkg) for pkg in end_pkgs]
-        for j, t in enumerate(parts):
-            pj = packages[j]
-            if pj.dim == 0:
-                continue
-            w = _rad_pair_classes(parts, j, packages, end_pkgs, end_rads)
-            for f in pj.chain_reps():
-                coords = pj.class_coords(f)
-                if in_span(coords, w, alg.p):
-                    continue
-                chosen.append((j, f))
-                orbit = [coords]
-                for u in end_pkgs[j].chain_reps():
-                    orbit.append(pj.class_coords(f.compose(u)))
-                w = span_union(w, np.column_stack(orbit), p=alg.p)
-    else:
-        for j, t in enumerate(parts):
-            for f in packages[j].chain_reps():
-                chosen.append((j, f))
-    e = proj_direct_sum([parts[j] for j, _ in chosen], alg)
-    mats: dict[int, np.ndarray] = {}
-    lo = min([z.lo] + [parts[j].lo for j, _ in chosen])
-    hi = max([z.hi] + [parts[j].hi for j, _ in chosen])
-    for q in range(lo, hi + 1):
-        if z.count(q) == 0 or e.count(q) == 0:
-            continue
-        mats[q] = np.concatenate([f.map_at(q) for _, f in chosen], axis=1)
-    g = ChainMap(e, z, mats)
-    return e, g, chosen
+    return _approximation(parts, z, minimal, right=True)
 
 
 def left_approximation(parts: list[ProjComplex], z: ProjComplex,
                        minimal: bool = True):
-    """A left add(parts)-approximation g: Z -> E; mirror of the right case."""
-    alg = z.alg
-    packages = [hom_package(z, t, 0) for t in parts]
-    chosen: list[tuple[int, ChainMap]] = []
-    if minimal:
-        end_pkgs = [hom_package(t, t, 0) for t in parts]
-        end_rads = [_end_radical(pkg) for pkg in end_pkgs]
-        for j, t in enumerate(parts):
-            pj = packages[j]
-            if pj.dim == 0:
-                continue
-            w_cols = []
-            for l in range(len(parts)):
-                if l == j:
-                    rad, _ = end_rads[j]
-                    for k in range(rad.shape[1]):
-                        coords = rad[:, k]
-                        u = None
-                        for cval, h in zip(coords, end_pkgs[j].chain_reps()):
-                            if cval % alg.p:
-                                piece = h.scale(int(cval))
-                                u = piece if u is None else u.add(piece)
-                        if u is None:
-                            continue
-                        for f in packages[j].chain_reps():
-                            w_cols.append(pj.class_coords(u.compose(f)))
-                else:
-                    cross = hom_package(parts[l], parts[j], 0)
-                    for umap in cross.chain_reps():
-                        for f in packages[l].chain_reps():
-                            w_cols.append(pj.class_coords(umap.compose(f)))
-            w = (column_space(np.column_stack(w_cols), alg.p)
-                 if w_cols else zeros(pj.dim, 0))
-            for f in pj.chain_reps():
-                coords = pj.class_coords(f)
-                if in_span(coords, w, alg.p):
-                    continue
-                chosen.append((j, f))
-                orbit = [coords]
-                for u in end_pkgs[j].chain_reps():
-                    orbit.append(pj.class_coords(u.compose(f)))
-                w = span_union(w, np.column_stack(orbit), p=alg.p)
-    else:
-        for j, t in enumerate(parts):
-            for f in packages[j].chain_reps():
-                chosen.append((j, f))
-    e = proj_direct_sum([parts[j] for j, _ in chosen], alg)
-    mats: dict[int, np.ndarray] = {}
-    lo = min([z.lo] + [parts[j].lo for j, _ in chosen])
-    hi = max([z.hi] + [parts[j].hi for j, _ in chosen])
-    for q in range(lo, hi + 1):
-        if z.count(q) == 0 or e.count(q) == 0:
-            continue
-        mats[q] = np.concatenate([f.map_at(q) for _, f in chosen], axis=0)
-    g = ChainMap(z, e, mats)
-    return e, g, chosen
+    """A left add(parts)-approximation g: Z -> E; dual of the right case."""
+    return _approximation(parts, z, minimal, right=False)
 
 
 # -- silting mutation -------------------------------------------------------

@@ -15,6 +15,7 @@ from .errors import ResolutionDepthExceeded
 from .linalg import (column_space, eye, in_span, is_invertible, modmat,
                      null_space, rank, rref, solve_right, span_union, zeros)
 from .linalg import inv as linalg_inv
+from .memo import memo
 
 RESOLUTION_SIZE_BUDGET = 4096
 
@@ -159,12 +160,6 @@ def direct_sum(reps: list[Representation], alg=None) -> Representation:
 
 # -- projectives, injectives, simples --------------------------------------
 
-def _proj_cache(alg):
-    if not hasattr(alg, "_tiltlab_proj"):
-        alg._tiltlab_proj = {}
-    return alg._tiltlab_proj
-
-
 def proj_basis(alg: BoundQuiverAlgebra, v: int) -> list[list[int]]:
     """Per-vertex lists of global path indices forming the basis of P(v)."""
     return [alg.path_indices(v, w) for w in range(alg.n)]
@@ -172,9 +167,9 @@ def proj_basis(alg: BoundQuiverAlgebra, v: int) -> list[list[int]]:
 
 def projective(alg: BoundQuiverAlgebra, v: int) -> Representation:
     """P(v) = A e_v, basis the surviving paths out of v."""
-    cache = _proj_cache(alg)
-    if v in cache:
-        return cache[v]
+    store, key = memo(alg), ("projective", v)
+    if key in store:
+        return store[key]
     basis = proj_basis(alg, v)
     pos = [{b: k for k, b in enumerate(bs)} for bs in basis]
     dims = [len(bs) for bs in basis]
@@ -186,9 +181,8 @@ def projective(alg: BoundQuiverAlgebra, v: int) -> Representation:
             if idx is not None:
                 m[pos[a.tgt][idx], col] = 1
         mats.append(m)
-    rep = Representation(alg, dims, mats)
-    cache[v] = rep
-    return rep
+    store[key] = Representation(alg, dims, mats)
+    return store[key]
 
 
 def injective(alg: BoundQuiverAlgebra, v: int) -> Representation:

@@ -103,10 +103,6 @@ class RepComplex:
         return RepComplex(self.alg, self.lo + k0,
                           self.terms[k0:k1], self.diffs[k0:k1 - 1])
 
-    def graded_dims(self) -> dict[int, tuple[int, ...]]:
-        return {q: self.term_at(q).dims for q in self.degrees()
-                if not self.term_at(q).is_zero()}
-
 
 def stalk_complex(m: Representation, degree: int = 0) -> RepComplex:
     return RepComplex(m.alg, degree, [m], [])
@@ -185,10 +181,6 @@ def complex_cone(f: ComplexMap) -> RepComplex:
             vmaps.append(blk)
         diffs.append(ModuleMap(src, tgt, vmaps))
     return RepComplex(alg, lo, terms, diffs)
-
-
-def complex_cocone(f: ComplexMap) -> RepComplex:
-    return complex_cone(f).shift(-1)
 
 
 @dataclass
@@ -281,13 +273,3 @@ def truncate_below(c: RepComplex, qmin: int) -> RepComplex:
         diffs.append(ModuleMap(q0, terms[1], vmaps))
         diffs.extend(c.diff_at(q) for q in range(qmin + 1, c.hi))
     return RepComplex(alg, qmin, terms, diffs)
-
-
-def brutal_below(c: RepComplex, qmin: int) -> RepComplex:
-    """Throw away all terms in degrees < qmin."""
-    if qmin <= c.lo:
-        return c
-    if qmin > c.hi:
-        return RepComplex(c.alg, qmin, [zero_rep(c.alg)], [])
-    k = qmin - c.lo
-    return RepComplex(c.alg, qmin, c.terms[k:], c.diffs[k:])

@@ -121,17 +121,6 @@ def generators_from_spec(alg: BoundQuiverAlgebra, data) -> list[Representation]:
     return out
 
 
-def load_generators(alg: BoundQuiverAlgebra, path) -> list[Representation]:
-    p = Path(path)
-    if not p.is_file():
-        raise SpecError(f"object file not found: {path}")
-    try:
-        data = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-    return generators_from_spec(alg, data)
-
-
 def objects_from_spec(alg: BoundQuiverAlgebra, data, d: int) -> list[RepComplex]:
     """Generators as heart objects, honoring per-entry "shift" fields.
 

@@ -130,16 +130,6 @@ def test_same_config_byte_identical(tmp_path, ka2_spec):
     assert out.read_bytes() == first
 
 
-def test_threads_do_not_change_the_report(tmp_path, ka2_spec, monkeypatch):
-    out = tmp_path / "r.json"
-    main(["verify", "--spec", ka2_spec, "torsion", "--out", str(out)])
-    solo = json.loads(out.read_text())["report"]
-    monkeypatch.setenv("TILTLAB_THREADS", "4")
-    main(["verify", "--spec", ka2_spec, "torsion", "--out", str(out)])
-    pooled = json.loads(out.read_text())["report"]
-    assert solo == pooled
-
-
 def test_markdown_format(tmp_path, ka2_spec):
     out = tmp_path / "r.md"
     assert main(["enumerate", "--spec", ka2_spec, "--format", "markdown",

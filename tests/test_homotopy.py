@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from tiltlab.catalog import linear_an, nakayama_rad_square_zero
+from tiltlab.heart import generator_models
 from tiltlab.homotopy import (
     ChainMap,
     ProjComplex,
@@ -152,6 +153,19 @@ def test_hom_package_representatives_are_chain_maps(ka2):
         assert not pkg.is_nullhomotopic(f)
 
 
+def test_memo_keeps_caches_apart(ka2):
+    # a ProjComplex memoizes hom packages and heart resolutions side by side
+    x = simple_presentation(ka2, 0)
+    y = proj_stalk(ka2, 1)
+    pkg = hom_package(x, y, 0)
+    assert hom_package(x, y, 0) is pkg
+    assert hom_package(x, y, 1) is not pkg
+    assert hom_package(x, y, 0, cache=False) is not pkg
+    [model] = generator_models([x], 1)
+    assert generator_models([x], 1)[0] is model
+    assert hom_package(x, y, 0) is pkg
+
+
 def test_nullhomotopic_detection(ka2):
     # the composite P(1) -> X of the inclusion with a projection is
     # null-homotopic when it factors through the contractible part
@@ -268,27 +282,37 @@ def test_left_approximation_factoring(ka3):
     z = proj_stalk(ka3, 2)
     parts = [proj_stalk(ka3, 0), simple_presentation(ka3, 1)]
     alg = z.alg
-    e, g, chosen = left_approximation(parts, z, minimal=True)
-    for t in parts:
-        pkg = hom_package(z, t, 0)
-        through = hom_package(e, t, 0)
-        cols = [pkg.class_coords(h.compose(g)) for h in through.chain_reps()]
-        span = (np.column_stack(cols) if cols
-                else np.zeros((max(pkg.f_layout.total, 1), 0), dtype=np.int64))
-        for f in pkg.chain_reps():
-            assert in_span(pkg.class_coords(f), span, alg.p)
+    for minimal in (True, False):
+        e, g, chosen = left_approximation(parts, z, minimal=minimal)
+        for t in parts:
+            pkg = hom_package(z, t, 0)
+            through = hom_package(e, t, 0)
+            cols = [pkg.class_coords(h.compose(g))
+                    for h in through.chain_reps()]
+            span = (np.column_stack(cols) if cols
+                    else np.zeros((max(pkg.f_layout.total, 1), 0),
+                                  dtype=np.int64))
+            for f in pkg.chain_reps():
+                assert in_span(pkg.class_coords(f), span, alg.p)
 
 
 def test_minimal_approximation_is_smaller(ka2):
-    # Hom(P0, X) is 1-dimensional; the universal approximation by
-    # {P0, P0} would duplicate it, the minimal one does not
-    x = simple_presentation(ka2, 0)
     stalks = [proj_stalk(ka2, 0), proj_stalk(ka2, 1)]
-    e_min, _, chosen_min = right_approximation(stalks, x, minimal=True)
-    e_all, _, chosen_all = right_approximation(stalks, x, minimal=False)
-    assert len(chosen_min) == 1
-    assert e_min.graded_mults() == {0: (1, 0)}
-    assert len(chosen_all) >= len(chosen_min)
+    cases = [
+        # Hom(P0, X) is 1-dimensional; the universal approximation by
+        # {P0, P0} would duplicate it, the minimal one does not
+        (right_approximation, simple_presentation(ka2, 0),
+         [0], {0: (1, 0)}, [0]),
+        # Z = P1 is one of the parts: its identity covers every map out
+        # of Z, so the map to P0 is a radical composite and is dropped
+        (left_approximation, proj_stalk(ka2, 1), [1], {0: (0, 1)}, [0, 1]),
+    ]
+    for approx, z, want_min, mults, want_all in cases:
+        e_min, _, chosen_min = approx(stalks, z, minimal=True)
+        e_all, _, chosen_all = approx(stalks, z, minimal=False)
+        assert [j for j, _ in chosen_min] == want_min
+        assert e_min.graded_mults() == mults
+        assert [j for j, _ in chosen_all] == want_all
 
 
 # -- mutation ---------------------------------------------------------------
