@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from sympy import isprime
 
 from .errors import NotAdmissible, SpecError
 from .linalg import DEFAULT_P
@@ -88,6 +89,8 @@ class BoundQuiverAlgebra:
 
     def __init__(self, quiver: Quiver, ideal: MonomialIdeal, p: int = DEFAULT_P,
                  max_path_len: int = MAX_PATH_LEN):
+        if not isprime(p):
+            raise SpecError(f"p = {p} is not prime; F_p must be a field")
         ideal.validate(quiver)
         self.quiver = quiver
         self.ideal = ideal

@@ -14,7 +14,7 @@ import numpy as np
 from sympy import GF, Poly, symbols
 
 from .errors import FieldTooSmall, NoSolution, RandomBudgetExhausted
-from .linalg import modinv, modmat, null_space, rref, solve_right
+from .linalg import modinv, null_space, rref, solve_right
 
 _T = symbols("t")
 

@@ -37,10 +37,6 @@ class HomologyOutsideWindow(TiltlabError):
         super().__init__(message or f"nonzero homology in degree {degree}")
 
 
-class NotPresilting(TiltlabError):
-    """An operation that requires a presilting input received something else."""
-
-
 class PoolConstructionUnsupported(TiltlabError):
     """The clique-method candidate pool is only built for hereditary input."""
 

@@ -15,14 +15,14 @@ from .errors import HomologyOutsideWindow, ResolutionDepthExceeded, \
     SpecError, WindowViolation
 from .homotopy import ProjComplex, decompose_complex, hom_k, hom_package, \
     minimize, proj_zero
-from .linalg import inv, rank, solve_right, zeros
+from .linalg import rank, solve_right, zeros
 from .memo import memo
 from .repcat import (ModuleMap, ProjSum, Representation, alg_matrix_of_map,
-                     kernel, minimal_resolution, module_iso, projective_cover)
+                     cokernel, kernel, minimal_resolution, module_iso,
+                     projective_cover, zero_rep)
 from .repcomplex import (ComplexMap, RepComplex, complex_cone,
-                         complex_direct_sum, homology_at, homology_data,
-                         homology_dims, stalk_complex, truncate_above,
-                         truncate_below)
+                         complex_direct_sum, homology_at, homology_dims,
+                         stalk_complex, truncate_above, truncate_below)
 
 
 def module_stalk(m: Representation) -> RepComplex:
@@ -62,14 +62,7 @@ def p_presentation(m, d: int) -> ProjComplex:
     verified degreewise before returning.
     """
     if isinstance(m, Representation):
-        sums, diffs = minimal_resolution(m, depth=d)
-        if not sums:
-            return proj_zero(m.alg)
-        keep = min(len(sums), d + 1)
-        sums, diffs = sums[:keep], diffs[:keep - 1]
-        lo = -(len(sums) - 1)
-        out = ProjComplex(m.alg, lo, [s.summands for s in reversed(sums)],
-                          list(reversed(diffs)))
+        out = resolution_of_module(m, d)
         target = stalk_complex(m, 0)
     else:
         target = to_window(m, d)
@@ -150,10 +143,10 @@ def resolution_of_complex(c: RepComplex, depth: int):
         if not homology_dims(cur):
             complete = True
             break
-        hd = homology_data(cur, 0)
-        psum, cover = projective_cover(hd.homology)
-        # at the top degree the cycles are the whole term
-        pi0 = ModuleMap(cur.term_at(0), hd.homology, hd.proj)
+        # cur.hi == 0, so every element of C^0 is a cycle and H^0 is the
+        # cokernel of the incoming differential
+        h0, pi0 = cokernel(cur.diff_at(-1))
+        psum, cover = projective_cover(h0)
         q0 = _lift_cover(cover, pi0, psum)
         if prev_psum is not None:
             comp = prev_to_cover.after(q0)
@@ -304,37 +297,31 @@ def fac_membership(gens, x: RepComplex, d: int, s: int | None = None,
 
 
 def _h0_surjective(comps, cur: RepComplex) -> bool:
+    """Do the degree-0 components of comps map onto H^0(cur)?
+
+    The models live in degrees <= 0, so every f^0 lands in the cycles.
+    The maps are onto H^0 exactly when, at each vertex, the boundaries
+    and their images together span the cycles.
+    """
     alg = cur.alg
-    hd = homology_data(cur, 0)
-    target = hd.homology
-    if target.is_zero():
-        return True
-    got = [zeros(target.dims[v], 0) for v in range(alg.n)]
-    for _, cm in comps:
-        f0 = cm.map_at(0)
-        for v in range(alg.n):
-            if target.dims[v] == 0 or f0.vmaps[v].shape[1] == 0:
-                continue
-            cyc = _cycle_coords(hd, f0.vmaps[v], v, alg.p)
-            push = (hd.proj[v] @ cyc) % alg.p
-            got[v] = np.concatenate([got[v], push], axis=1)
-    return all(rank(got[v], alg.p) == target.dims[v] for v in range(alg.n))
-
-
-def _cycle_coords(hd, mat: np.ndarray, v: int, p: int) -> np.ndarray:
-    """Rewrite a map into the degree-0 term through the cycle inclusion."""
-    incl = hd.cycles_incl.vmaps[v]
-    if incl.shape[0] == incl.shape[1]:
-        return (inv(incl, p) @ mat % p) if incl.size else mat
-    return solve_right(incl, mat, p)
+    d_in, d_out = cur.diff_at(-1), cur.diff_at(0)
+    f0s = [cm.map_at(0) for _, cm in comps]
+    for v in range(alg.n):
+        cycles = cur.term_at(0).dims[v] - rank(d_out.vmaps[v], alg.p)
+        if cycles == 0:
+            continue
+        span = np.concatenate([d_in.vmaps[v]] + [f.vmaps[v] for f in f0s],
+                              axis=1)
+        if rank(span, alg.p) != cycles:
+            return False
+    return True
 
 
 def _assemble_sum_map(maps: list[ComplexMap], tgt: RepComplex) -> ComplexMap:
     """Combine maps with common target into one map from the direct sum."""
     alg = tgt.alg
     if not maps:
-        z = RepComplex(alg, 0, [Representation(
-            alg, [0] * alg.n, [zeros(0, 0) for _ in alg.quiver.arrows])], [])
+        z = RepComplex(alg, 0, [zero_rep(alg)], [])
         return ComplexMap(z, tgt, {})
     src = maps[0].src
     for m in maps[1:]:

@@ -21,7 +21,6 @@ from .memo import memo
 from .repcat import (
     ModuleMap,
     ProjSum,
-    Representation,
     alg_matrix_of_map,
     projective_cover,
     sub_from_subspaces,
@@ -330,34 +329,18 @@ def proj_cone(f: ChainMap) -> ProjComplex:
     return ProjComplex(alg, lo, summands, dmats)
 
 
-def cone_with_maps(f: ChainMap):
-    """(cone, inclusion of the target, projection to the shifted source)."""
-    c = proj_cone(f)
-    x, y = f.src, f.tgt
-    incl = ChainMap(y, c, {
-        q: np.concatenate([azeros(f.alg, x.count(q + 1), y.count(q)),
-                           aidentity(f.alg, y.summands_at(q))], axis=0)
-        for q in y.degrees()})
-    xs = x.shift(1)
-    proj = ChainMap(c, xs, {
-        q: np.concatenate([aidentity(f.alg, x.summands_at(q + 1)),
-                           azeros(f.alg, x.count(q + 1), y.count(q))], axis=1)
-        for q in c.degrees() if x.count(q + 1)})
-    return c, incl, proj
-
-
 def cocone_with_maps(g: ChainMap):
-    """(cocone V, projection V -> source of g, connecting map target -> V[1])."""
-    c, incl, _ = cone_with_maps(g)
-    v = c.shift(-1)
-    e = g.src
-    pr = ChainMap(v, e, {
-        q: np.concatenate([aidentity(g.alg, e.summands_at(q)),
-                           azeros(g.alg, e.count(q), g.tgt.count(q - 1))],
-                          axis=1)
-        for q in v.degrees() if e.count(q)})
-    # conn: Z -> V[1] = cone(g) is the canonical inclusion
-    return v, pr, ChainMap(g.tgt, c, incl.mats)
+    """(cocone V, connecting map target -> V[1]).
+
+    V[1] = cone(g), and the connecting map is the inclusion of the target.
+    """
+    c = proj_cone(g)
+    x, y = g.src, g.tgt
+    conn = ChainMap(y, c, {
+        q: np.concatenate([azeros(g.alg, x.count(q + 1), y.count(q)),
+                           aidentity(g.alg, y.summands_at(q))], axis=0)
+        for q in y.degrees()})
+    return c.shift(-1), conn
 
 
 # -- hom spaces in the homotopy category -----------------------------------
@@ -485,30 +468,21 @@ class HomPackage:
     def class_coords(self, f) -> np.ndarray:
         return self.reduce(self.coords_of(f))
 
-    def coords_of(self, f) -> np.ndarray:
-        """Generator-image coordinates of a ChainMap or ComplexMap."""
+    def coords_of(self, f: ChainMap) -> np.ndarray:
+        """Generator-image coordinates of a chain map into the target."""
+        p = self.x.alg.p
         out = np.zeros(self.f_layout.total, dtype=np.int64)
-        if isinstance(f, ChainMap):
-            for (q, c, v, size, start) in self.f_layout.blocks:
-                if size == 0:
-                    continue
-                mat = f.map_at(q)
-                ps = self.target.psum_at(q + self.i) if hasattr(
-                    self.target, "psum_at") else None
-                vec = np.zeros(size, dtype=np.int64)
-                for r in range(mat.shape[0]):
-                    coeffs = mat[r, c]
-                    if np.any(coeffs):
-                        vec = (vec + _scatter_vertex(ps, r, v, coeffs)) % \
-                            self.x.alg.p
-                out[start:start + size] = vec
-        else:
-            for (q, c, v, size, start) in self.f_layout.blocks:
-                if size == 0:
-                    continue
-                ps = self.x.psum_at(q)
-                _, col = ps.gen_column(c)
-                out[start:start + size] = f.map_at(q).vmaps[v][:, col]
+        for (q, c, v, size, start) in self.f_layout.blocks:
+            if size == 0:
+                continue
+            mat = f.map_at(q)
+            ps = self.target.psum_at(q + self.i)
+            vec = np.zeros(size, dtype=np.int64)
+            for r in range(mat.shape[0]):
+                coeffs = mat[r, c]
+                if np.any(coeffs):
+                    vec = (vec + ps.scatter(r, coeffs)[v]) % p
+            out[start:start + size] = vec
         return out
 
     def chainmap_of(self, coords: np.ndarray) -> ChainMap:
@@ -564,12 +538,6 @@ class HomPackage:
         except NoSolution:
             return None
         return sol[:, 0]
-
-
-def _scatter_vertex(ps: ProjSum, r: int, v: int, coeffs: np.ndarray):
-    """The vertex-v block of summand r's element with the given coefficients."""
-    vecs = ps.scatter(r, coeffs)
-    return vecs[v]
 
 
 def hom_package(x: ProjComplex, target, i: int = 0,

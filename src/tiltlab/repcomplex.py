@@ -6,18 +6,12 @@ representations; the projective / homotopy-category layer builds on top.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from .algebra import BoundQuiverAlgebra
-from .linalg import column_space, solve_right, zeros
+from .linalg import column_space, rank, solve_right, zeros
 from .repcat import (
     ModuleMap,
     Representation,
     direct_sum,
-    identity_map,
-    image,
     kernel,
     quotient_by_subspaces,
     zero_map,
@@ -183,34 +177,6 @@ def complex_cone(f: ComplexMap) -> RepComplex:
     return RepComplex(alg, lo, terms, diffs)
 
 
-@dataclass
-class HomologyData:
-    homology: Representation
-    cycles: Representation
-    cycles_incl: ModuleMap      # cycles -> C^q
-    proj: list[np.ndarray]      # vertexwise projection cycles -> homology
-    secs: list[np.ndarray]      # vertexwise sections homology -> cycles
-
-
-def homology_data(c: RepComplex, q: int) -> HomologyData:
-    alg = c.alg
-    term = c.term_at(q)
-    if c.lo <= q < c.hi:
-        cyc, incl = kernel(c.diff_at(q))
-    else:
-        cyc, incl = term, identity_map(term)
-    if c.lo < q <= c.hi:
-        img, img_incl = image(c.diff_at(q - 1))
-        # factor the image through the cycles
-        gmaps = [solve_right(incl.vmaps[v], img_incl.vmaps[v], alg.p)
-                 for v in range(alg.n)]
-        g = ModuleMap(img, cyc, gmaps)
-        h, pi, secs = _coker_of(g)
-    else:
-        h, pi, secs = _coker_of(zero_map(zero_rep(alg), cyc))
-    return HomologyData(h, cyc, incl, pi.vmaps, secs)
-
-
 def _coker_of(g: ModuleMap):
     alg = g.src.alg
     subs = [column_space(g.vmaps[v], alg.p) for v in range(alg.n)]
@@ -218,15 +184,40 @@ def _coker_of(g: ModuleMap):
 
 
 def homology_at(c: RepComplex, q: int) -> Representation:
-    return homology_data(c, q).homology
+    """H^q(c) as a representation: the cycles modulo the boundaries."""
+    alg, p = c.alg, c.alg.p
+    term = c.term_at(q)
+    if c.lo < q <= c.hi:
+        bounds = [column_space(m, p) for m in c.diff_at(q - 1).vmaps]
+    else:
+        bounds = [zeros(term.dims[v], 0) for v in range(alg.n)]
+    if not c.lo <= q < c.hi:
+        # no differential leaves degree q: every element is a cycle
+        return quotient_by_subspaces(term, bounds)[0]
+    cyc, incl = kernel(c.diff_at(q))
+    return quotient_by_subspaces(
+        cyc, [solve_right(incl.vmaps[v], bounds[v], p)
+              for v in range(alg.n)])[0]
 
 
 def homology_dims(c: RepComplex) -> dict[int, tuple[int, ...]]:
+    """Nonzero homology dimension vectors, read off vertexwise ranks.
+
+    dim H^q_v = dim C^q_v - rk d^q_v - rk d^(q-1)_v.
+    """
+    alg = c.alg
     out = {}
-    for q in range(c.lo, c.hi + 1):
-        h = homology_at(c, q)
-        if not h.is_zero():
-            out[q] = h.dims
+    entering = [0] * alg.n
+    for k, term in enumerate(c.terms):
+        leaving = [0] * alg.n
+        if k < len(c.diffs):
+            leaving = [rank(m, alg.p) if m.size else 0
+                       for m in c.diffs[k].vmaps]
+        dims = tuple(term.dims[v] - leaving[v] - entering[v]
+                     for v in range(alg.n))
+        if any(dims):
+            out[c.lo + k] = dims
+        entering = leaving
     return out
 
 

@@ -128,7 +128,7 @@ def _tower_for_vertex(parts: list[ProjComplex], v: int, d: int):
             else:
                 counts.append((pi, 1))
         stages.append(TowerStage(counts, z.shape_key()))
-        vt, _, conn = cocone_with_maps(g)
+        vt, conn = cocone_with_maps(g)
         step = conn.shift(t)           # Z_t[t] -> V_t[t+1]
         phi = step if phi is None else step.compose(phi)
         z = vt

@@ -25,10 +25,9 @@ from .homotopy import (ProjComplex, decompose_complex, hom_k, hom_package,
                        proj_direct_sum, proj_stalk, right_approximation)
 from .linalg import zeros
 from .repcat import (ModuleMap, ProjSum, Representation, alg_matrix_of_map,
-                     decompose, hom_basis, injective, kernel,
-                     projective_cover, simple)
-from .repcomplex import (RepComplex, homology_at, homology_dims,
-                         truncate_above, truncate_below)
+                     decompose, hom_basis, injective, kernel, simple)
+from .repcomplex import (RepComplex, homology_dims, truncate_above,
+                         truncate_below)
 from .silting import (ComplexRegistry, SiltingResult, _k0_is_basis,
                       _random_rep, enumerate_silting, is_presilting,
                       is_silting)
@@ -404,7 +403,7 @@ def _pd_within(p: ProjComplex, d: int) -> bool:
     t = p.trim()
     if t.is_zero() or t.lo == t.hi:
         return True
-    return sum(homology_at(t.expansion(), t.lo).dims) == 0
+    return t.lo not in homology_dims(t.expansion())
 
 
 def _in_add(x: ProjComplex, pool: list[ProjComplex], seed: int) -> bool:
@@ -842,8 +841,8 @@ def verify_torsion_reports(s_parts: list[ProjComplex], universe: Universe,
         fr = fac_membership(gens, jobj, d)
         inj_verdicts.append({"vertex": v, "fac": fr.verdict,
                              "detail": fr.detail})
-    tilting_case = all(
-        sum(homology_at(part.expansion(), -d).dims) == 0 for part in s_parts)
+    tilting_case = all(-d not in homology_dims(part.expansion())
+                       for part in s_parts)
     return TorsionReport(image_ids, [int(m.key) for m in t_members],
                          [int(m.key) for m in f_members], orth, perp, eproj,
                          inj_verdicts, tilting_case)

@@ -70,6 +70,12 @@ def test_relation_in_rad_square():
         build_algebra(2, [(1, 1, 2)], [[1]])
 
 
+@pytest.mark.parametrize("p", [1, 4, 1000])
+def test_non_prime_p_rejected(p):
+    with pytest.raises(SpecError, match=f"p = {p} is not prime"):
+        build_algebra(2, [(1, 1, 2)], p=p)
+
+
 def test_hereditary_detection():
     assert linear_an(3).is_hereditary()
     assert not nakayama_rad_square_zero(3).is_hereditary()

@@ -49,6 +49,14 @@ def test_missing_d_is_a_spec_error(tmp_path):
     assert main(["enumerate", "--spec", str(path)]) == 3
 
 
+def test_non_prime_p_is_a_spec_error(tmp_path, capsys):
+    path = tmp_path / "p4.json"
+    path.write_text(json.dumps({"catalog": "linear_an", "n": 2, "d": 1,
+                                "p": 4}))
+    assert main(["enumerate", "--spec", str(path)]) == 3
+    assert "p = 4" in capsys.readouterr().err
+
+
 def test_check_tilting_pass_and_fail(tmp_path, ka2_spec):
     free = write_objects(tmp_path, "free.json",
                          [{"kind": "projective", "vertex": 1},

@@ -1,6 +1,8 @@
 """Complexes of projectives: homs, minimization, decomposition, mutation."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiltlab.catalog import linear_an, nakayama_rad_square_zero
 from tiltlab.heart import generator_models
@@ -28,6 +30,7 @@ from tiltlab.repcat import (ext_dim, hom_dim, minimal_resolution, projective,
                             simple)
 from tiltlab.repcomplex import (complex_cone, homology_at, homology_dims,
                                 stalk_complex, truncate_above, truncate_below)
+from tiltlab.tiltcheck import _random_proj_3step
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +95,19 @@ def test_truncations(nak):
     below = truncate_below(x, 0)
     below.validate()
     assert homology_dims(below) == {0: (1, 0, 0)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.booleans(), st.integers(0, 2**32 - 1))
+def test_homology_dims_match_homology_modules(ka3, nak, use_nak, seed):
+    """Ranks and homology modules give the same dimension vectors."""
+    alg = nak if use_nak else ka3
+    e = _random_proj_3step(alg, np.random.default_rng(seed)).expansion()
+    for c in (e, truncate_above(e, -1), truncate_below(e, -1),
+              e.shift(1), e.shift(-2)):
+        modules = {q: homology_at(c, q) for q in c.degrees()}
+        assert homology_dims(c) == {q: h.dims for q, h in modules.items()
+                                    if not h.is_zero()}
 
 
 def test_complex_cone_long_exact(ka2):
