@@ -10,8 +10,8 @@ import argparse
 import sys
 from dataclasses import asdict, dataclass
 
-from .errors import (BudgetExceeded, ResolutionDepthExceeded, SpecError,
-                     TiltlabError)
+from .errors import (BudgetExceeded, Mismatch, ResolutionDepthExceeded,
+                     SpecError, TiltlabError)
 from .heart import p_presentation
 from .homotopy import minimize
 from .repcat import simple
@@ -162,10 +162,7 @@ def cmd_check(cfg: RunConfig, target: str, object_path: str) -> tuple[int, dict]
 def _cluster_images(rec, d: int, seed: int):
     """The heart generators of one enumerated class, with local ids."""
     store = HeartStore(d, seed)
-    image: set[int] = set()
-    for part in rec.parts:
-        image.update(store.window_class(part))
-    return [store.reps[i] for i in sorted(image)]
+    return [store.reps[i] for i in store.image(rec.parts)]
 
 
 def cmd_verify(cfg: RunConfig, theorem: str) -> tuple[int, dict]:
@@ -267,6 +264,9 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except Mismatch as exc:
+        print(f"hard mismatch: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     except TiltlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC

@@ -214,6 +214,24 @@ def _corner_of(corner: _Corner, e_coords):
 
 # -- main entry -------------------------------------------------------------
 
+def trace_radical(mats: list[np.ndarray], p: int) -> np.ndarray:
+    """Radical of the trace form on span(mats), as coordinate columns.
+
+    This is the Jacobson radical of the algebra the matrices span, provided
+    p exceeds its dimension; FieldTooSmall otherwise.
+    """
+    m = len(mats)
+    if p <= m:
+        raise FieldTooSmall(f"p = {p} must exceed dim End = {m}")
+    gram = np.zeros((m, m), dtype=np.int64)
+    for i in range(m):
+        for j in range(i, m):
+            tr = int(np.trace(mats[i] @ mats[j] % p)) % p
+            gram[i, j] = tr
+            gram[j, i] = tr
+    return null_space(gram, p)
+
+
 def primitive_idempotents(basis_mats: list[np.ndarray], p: int, rng,
                           budget: int = DEFAULT_SPLIT_BUDGET) -> list[np.ndarray]:
     """Primitive orthogonal idempotents summing to 1 in span(basis_mats).
@@ -226,8 +244,8 @@ def primitive_idempotents(basis_mats: list[np.ndarray], p: int, rng,
     nv = basis_mats[0].shape[0]
     if m == 0:
         raise ValueError("empty algebra basis")
-    if p <= m:
-        raise FieldTooSmall(f"p = {p} must exceed dim End = {m}")
+    rad = trace_radical(basis_mats, p)  # columns: radical elements, in coords
+    rad_dim = rad.shape[1]
     flat = np.stack([b.reshape(-1) for b in basis_mats], axis=1) % p
 
     def coord(mat):
@@ -241,15 +259,6 @@ def primitive_idempotents(basis_mats: list[np.ndarray], p: int, rng,
 
     unit = coord(np.eye(nv, dtype=np.int64))
     amb = CoordAlgebra(p, m, mult, unit)
-
-    gram = np.zeros((m, m), dtype=np.int64)
-    for i in range(m):
-        for j in range(i, m):
-            tr = int(np.trace(basis_mats[i] @ basis_mats[j] % p)) % p
-            gram[i, j] = tr
-            gram[j, i] = tr
-    rad = null_space(gram, p)  # columns: radical elements, in coords
-    rad_dim = rad.shape[1]
 
     # semisimple quotient: complement of the radical inside the coord space
     if rad_dim:

@@ -51,3 +51,7 @@ class UndecidedIso(TiltlabError):
 
 class SpecError(TiltlabError):
     """An input description (JSON algebra spec, CLI arguments) is invalid."""
+
+
+class Mismatch(TiltlabError):
+    """Two independent computations of the same answer disagree: a bug."""

@@ -18,7 +18,7 @@ from .homotopy import ProjComplex, decompose_complex, hom_k, hom_package, \
 from .linalg import rank, solve_right, zeros
 from .memo import memo
 from .repcat import (ModuleMap, ProjSum, Representation, alg_matrix_of_map,
-                     cokernel, kernel, minimal_resolution, module_iso,
+                     cokernel, is_isomorphic, kernel, minimal_resolution,
                      projective_cover, zero_rep)
 from .repcomplex import (ComplexMap, RepComplex, complex_cone,
                          complex_direct_sum, homology_at, homology_dims,
@@ -73,7 +73,7 @@ def p_presentation(m, d: int) -> ProjComplex:
         out = _proj_truncate_at(r, -d)
     got = truncate_window(out, d)
     for q in range(-d + 1, 1):
-        if module_iso(homology_at(got, q), homology_at(target, q)) is None:
+        if not is_isomorphic(homology_at(got, q), homology_at(target, q)):
             raise SpecError(
                 f"presentation round trip failed in degree {q}")
     return out
@@ -155,7 +155,7 @@ def resolution_of_complex(c: RepComplex, depth: int):
         g = ComplexMap(stalk_complex(psum.rep, 0), cur, {0: q0})
         k = complex_cone(g).shift(-1)
         z, z_incl = kernel(k.diff_at(0))
-        nxt = truncate_above(k, 0)
+        nxt = truncate_above(k, 0, (z, z_incl))
         prev_psum = psum
         # degree-0 term of nxt is z; its inclusion's first block is the cover
         prev_to_cover = ModuleMap(

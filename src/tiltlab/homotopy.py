@@ -13,8 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import BoundQuiverAlgebra
-from .endsplit import primitive_idempotents
-from .errors import FieldTooSmall, NoSolution, WindowViolation
+from .endsplit import primitive_idempotents, trace_radical
+from .errors import (FieldTooSmall, NoSolution, RandomBudgetExhausted,
+                     WindowViolation)
 from .linalg import (column_space, in_span, inv, null_space, rank,
                      solve_right, span_union, zeros)
 from .memo import memo
@@ -735,17 +736,11 @@ def _end_radical(pkg: HomPackage):
     alg = pkg.x.alg
     reps = pkg.chain_reps()
     m = len(reps)
-    if alg.p <= m:
-        raise FieldTooSmall(f"need p > dim End = {m}")
     lmats = []
     for f in reps:
         cols = [pkg.class_coords(f.compose(g)) for g in reps]
         lmats.append(np.column_stack(cols) if cols else zeros(0, 0))
-    gram = zeros(m, m)
-    for i in range(m):
-        for j in range(m):
-            gram[i, j] = int(np.trace(lmats[i] @ lmats[j] % alg.p)) % alg.p
-    rad = null_space(gram, alg.p)
+    rad = trace_radical(lmats, alg.p)
 
     def left_mult(vec: np.ndarray) -> np.ndarray:
         out = zeros(m, m)
@@ -827,7 +822,8 @@ def iso_k(x: ProjComplex, y: ProjComplex, seed: int = 0,
     try:
         dx = decompose_complex(xm, seed=seed)
         dy = decompose_complex(ym, seed=seed)
-    except Exception as exc:  # endomorphism splitting is randomized
+    except (RandomBudgetExhausted, FieldTooSmall) as exc:
+        # endomorphism splitting is randomized and needs p > dim End
         return IsoResult("unknown", f"decomposition failed: {exc}")
     if len(dx) == 1 and dx[0][1] == 1 and len(dy) == 1 and dy[0][1] == 1:
         ok, fwd, bwd = _indec_iso_k(dx[0][0], dy[0][0], want_witness)

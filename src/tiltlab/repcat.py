@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import BoundQuiverAlgebra
-from .endsplit import DEFAULT_SPLIT_BUDGET, primitive_idempotents
+from .endsplit import (DEFAULT_SPLIT_BUDGET, primitive_idempotents,
+                       trace_radical)
 from .errors import ResolutionDepthExceeded
 from .linalg import (column_space, eye, in_span, is_invertible, modmat,
                      null_space, rank, rref, solve_right, span_union, zeros)
@@ -607,16 +608,7 @@ def module_iso(m: Representation, n: Representation):
         if f.is_iso():
             return f
     ends = end_algebra_mats(m)
-    if p <= len(ends):
-        from .errors import FieldTooSmall
-        raise FieldTooSmall(f"p = {p} must exceed dim End = {len(ends)}")
-    gram = np.zeros((len(ends), len(ends)), dtype=np.int64)
-    for i in range(len(ends)):
-        for j in range(i, len(ends)):
-            tr = int(np.trace(ends[i] @ ends[j] % p)) % p
-            gram[i, j] = tr
-            gram[j, i] = tr
-    radc = null_space(gram, p)
+    radc = trace_radical(ends, p)
     flat = np.stack([b.reshape(-1) for b in ends], axis=1) % p
     rad_flat = (flat @ radc) % p
     for f in fs:
@@ -629,3 +621,24 @@ def module_iso(m: Representation, n: Representation):
                 assert f.is_iso()
                 return f
     return None
+
+
+def is_isomorphic(m: Representation, n: Representation,
+                  seed: int = 0) -> bool:
+    """M and N are isomorphic: equal multisets of indecomposable summands.
+
+    A hom basis element that is already invertible settles it at once;
+    otherwise both sides are decomposed and matched with ``module_iso``.
+    """
+    if m.dims != n.dims:
+        return False
+    if any(f.is_iso() for f in hom_basis(m, n)):
+        return True
+    rest = decompose(n, seed=seed)
+    for a, k in decompose(m, seed=seed):
+        hit = next((i for i, (b, _) in enumerate(rest)
+                    if module_iso(a, b) is not None), None)
+        if hit is None or rest[hit][1] != k:
+            return False
+        rest.pop(hit)
+    return not rest

@@ -221,18 +221,20 @@ def homology_dims(c: RepComplex) -> dict[int, tuple[int, ...]]:
     return out
 
 
-def truncate_above(c: RepComplex, qmax: int) -> RepComplex:
+def truncate_above(c: RepComplex, qmax: int,
+                   ker: tuple | None = None) -> RepComplex:
     """Smart truncation keeping homology in degrees <= qmax.
 
     The degree-qmax term is replaced by the kernel of the outgoing
-    differential.
+    differential; a caller that already has it passes it as ``ker``, the
+    pair (z, incl) returned by ``kernel``.
     """
     alg = c.alg
     if qmax >= c.hi:
         return c
     if qmax < c.lo:
         return RepComplex(alg, qmax, [zero_rep(alg)], [])
-    z, incl = kernel(c.diff_at(qmax))
+    z, incl = ker if ker is not None else kernel(c.diff_at(qmax))
     terms = [c.term_at(q) for q in range(c.lo, qmax)] + [z]
     diffs = [c.diff_at(q) for q in range(c.lo, qmax - 1)]
     if qmax > c.lo:

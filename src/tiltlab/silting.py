@@ -20,7 +20,7 @@ import numpy as np
 import sympy
 
 from .algebra import BoundQuiverAlgebra
-from .errors import (BudgetExceeded, PoolConstructionUnsupported,
+from .errors import (BudgetExceeded, Mismatch, PoolConstructionUnsupported,
                      RandomBudgetExhausted, SpecError, UndecidedIso,
                      WindowViolation)
 from .homotopy import (ChainMap, ProjComplex, cocone_with_maps, hom_k,
@@ -142,22 +142,6 @@ def _tower_for_vertex(parts: list[ProjComplex], v: int, d: int):
     return tower, False
 
 
-def basic_parts(parts: list[ProjComplex], seed: int = 0):
-    """Representatives of the pairwise non-isomorphic summands."""
-    out: list[ProjComplex] = []
-    for x in parts:
-        xm = minimize(x)
-        for y in out:
-            r = iso_k(y, xm, seed=seed)
-            if r.verdict == "unknown":
-                raise UndecidedIso(r.reason)
-            if r:
-                break
-        else:
-            out.append(xm)
-    return out
-
-
 def is_silting(parts: list[ProjComplex], d: int) -> SiltingResult:
     """Certify or refute the silting property for a window candidate.
 
@@ -182,15 +166,17 @@ def is_silting(parts: list[ProjComplex], d: int) -> SiltingResult:
             "no", f"Hom(X{i}, X{j}[{s}]) has dimension {dim}",
             refutation={"kind": "presilting", "pair": (i, j),
                         "shift": s, "dim": dim})
-    basic = basic_parts(parts)
-    ok, refut = _k0_is_basis(basic, alg.n)
+    basic = ComplexRegistry()
+    for x in parts:
+        basic.intern(x)
+    ok, refut = _k0_is_basis(basic.items, alg.n)
     if not ok:
         return SiltingResult(
             "no", "summand classes are not a Z-basis of K0",
             refutation={"kind": "k0", **refut})
     towers = []
     for v in range(alg.n):
-        tower, certified = _tower_for_vertex(basic, v, d)
+        tower, certified = _tower_for_vertex(basic.items, v, d)
         towers.append(tower)
         if not certified:
             return SiltingResult(
@@ -214,19 +200,28 @@ class ComplexRegistry:
         hdd = tuple(sorted(homology_dims(xm.expansion()).items()))
         return (xm.shape_key(), hdd)
 
-    def intern(self, x: ProjComplex) -> int:
+    def _scan(self, x: ProjComplex):
+        """(minimized x, its fingerprint, id of its class or None)."""
         xm = minimize(x)
         fp = self.fingerprint(xm)
-        bucket = self._by_fp.setdefault(fp, [])
-        for idx in bucket:
+        for idx in self._by_fp.get(fp, ()):
             r = iso_k(self.items[idx], xm, seed=self.seed)
             if r.verdict == "unknown":
                 raise UndecidedIso(r.reason)
             if r:
-                return idx
-        idx = len(self.items)
-        self.items.append(xm)
-        bucket.append(idx)
+                return xm, fp, idx
+        return xm, fp, None
+
+    def find(self, x: ProjComplex) -> int | None:
+        """The id of x's class, or None when it has not been interned."""
+        return self._scan(x)[2]
+
+    def intern(self, x: ProjComplex) -> int:
+        xm, fp, idx = self._scan(x)
+        if idx is None:
+            idx = len(self.items)
+            self.items.append(xm)
+            self._by_fp.setdefault(fp, []).append(idx)
         return idx
 
     def state(self, parts: list[ProjComplex]) -> tuple[int, ...]:
@@ -258,6 +253,24 @@ class EnumerationResult:
         return len(self.clusters)
 
 
+def _new_class(parts: list[ProjComplex], d: int, registry: ComplexRegistry,
+               seen: set, stats: dict) -> ClusterRecord | None:
+    """Certify a candidate and return its record when its class is new.
+
+    Refuted candidates (counted as "not_silting") and classes already in
+    ``seen`` give None; a new class is added to ``seen``.
+    """
+    res = is_silting(parts, d)
+    if res.verdict == "no":
+        stats["not_silting"] += 1
+        return None
+    state = registry.state(parts)
+    if state in seen:
+        return None
+    seen.add(state)
+    return ClusterRecord(state, [registry.items[i] for i in state], res)
+
+
 def _seed_clusters(alg: BoundQuiverAlgebra, d: int):
     projs = [proj_stalk(alg, v) for v in range(alg.n)]
     for mask in range(2 ** alg.n):
@@ -277,21 +290,12 @@ def enumerate_mutation(alg: BoundQuiverAlgebra, d: int, seed: int = 0,
              "seeds_accepted": 0}
 
     def admit(parts) -> None:
-        res = is_silting(parts, d)
-        if res.verdict == "no":
-            stats["not_silting"] += 1
-            return
-        state = registry.state(parts)
-        if state in visited:
-            return
-        visited.add(state)
-        canonical = [registry.items[i] for i in state]
-        rec = ClusterRecord(state, canonical, res)
-        if res.verdict == "unknown":
+        rec = _new_class(parts, d, registry, visited, stats)
+        if rec is not None and rec.result.verdict == "unknown":
             unknowns.append(rec)
-            return
-        records.append(rec)
-        queue.append(rec)
+        elif rec is not None:
+            records.append(rec)
+            queue.append(rec)
 
     for cluster in _seed_clusters(alg, d):
         before = len(records)
@@ -422,18 +426,10 @@ def enumerate_clique(alg: BoundQuiverAlgebra, d: int, seed: int = 0,
         if len(clique) < alg.n:
             stats["undersized"] += 1
             continue
-        parts = [pool[i] for i in clique]
-        res = is_silting(parts, d)
-        if res.verdict == "no":
-            stats["not_silting"] += 1
-            continue
-        state = registry.state(parts)
-        if state in seen:
-            continue
-        seen.add(state)
-        canonical = [registry.items[i] for i in state]
-        rec = ClusterRecord(state, canonical, res)
-        (unknowns if res.verdict == "unknown" else records).append(rec)
+        rec = _new_class([pool[i] for i in clique], d, registry, seen, stats)
+        if rec is not None:
+            (unknowns if rec.result.verdict == "unknown"
+             else records).append(rec)
     records.sort(key=lambda r: r.ids)
     return EnumerationResult("clique", d, records, unknowns, len(seen), False,
                              registry, stats)
@@ -442,9 +438,7 @@ def enumerate_clique(alg: BoundQuiverAlgebra, d: int, seed: int = 0,
 def _states_match(a: EnumerationResult, b: EnumerationResult):
     """Match b's clusters against a's registry; returns (ok, missing, extra)."""
     states_a = {rec.ids for rec in a.clusters}
-    states_b = set()
-    for rec in b.clusters:
-        states_b.add(tuple(sorted(a.registry.intern(x) for x in rec.parts)))
+    states_b = {a.registry.state(rec.parts) for rec in b.clusters}
     return states_a == states_b, sorted(states_a - states_b), \
         sorted(states_b - states_a)
 
@@ -467,7 +461,7 @@ def enumerate_silting(alg: BoundQuiverAlgebra, d: int,
         b = enumerate_clique(alg, d, seed=seed, dim_bound=dim_bound)
         ok, missing, extra = _states_match(a, b)
         if not ok:
-            raise SpecError(
+            raise Mismatch(
                 "enumeration methods disagree: "
                 f"mutation-only={missing}, clique-only={extra}")
         out = EnumerationResult(

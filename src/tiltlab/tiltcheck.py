@@ -14,7 +14,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .errors import (HomologyOutsideWindow, ResolutionDepthExceeded,
+from .errors import (HomologyOutsideWindow, Mismatch, ResolutionDepthExceeded,
                      SpecError, UndecidedIso)
 from .heart import (_resolution_cached, decompose_window, e_ext,
                     f_class_membership, fac_membership, generator_models,
@@ -116,7 +116,6 @@ def build_universe(alg, d: int, seed: int = 0, dim_bound: int = 3,
     rng = np.random.default_rng(seed)
     registry = ComplexRegistry(seed)
     uni = Universe(alg, d, seed, [], registry)
-    seen: set[int] = set()
     if depth is None:
         depth = 2 * d + 3
 
@@ -127,10 +126,10 @@ def build_universe(alg, d: int, seed: int = 0, dim_bound: int = 3,
         r, complete = _resolution_cached(t, depth)
         if not complete:
             return None
+        known = len(registry.items)
         key = registry.intern(r)
-        if key in seen:
+        if key < known:
             return None
-        seen.add(key)
         member = UniverseMember(key, t, registry.items[key], tag)
         uni.members.append(member)
         return member
@@ -163,7 +162,8 @@ class HeartStore:
 
     ``class_of`` returns the sorted ids of an object's indecomposable
     summands; ``window_class`` does the same for the window truncation of
-    a silting summand, cached by object identity.
+    a silting summand, cached by object identity; ``image`` joins the
+    window classes of several summands.
     """
 
     def __init__(self, d: int, seed: int = 0):
@@ -205,6 +205,11 @@ class HeartStore:
         self._by_obj[key] = out
         return out
 
+    def image(self, parts: list[ProjComplex]) -> tuple[int, ...]:
+        """Sorted ids of the heart summands of all the parts' truncations."""
+        return tuple(sorted({i for part in parts
+                             for i in self.window_class(part)}))
+
 
 # -- AIR tilting -------------------------------------------------------------
 
@@ -235,13 +240,9 @@ def check_air_tilting(m_gens, s_parts: list[ProjComplex], universe: Universe,
     gens = [_as_heart(g) for g in m_gens]
     if store is None:
         store = HeartStore(d, universe.seed)
-    image: set[int] = set()
-    for part in s_parts:
-        image.update(store.window_class(part))
-    given: set[int] = set()
-    for g in gens:
-        given.update(store.class_of(g))
-    if image != given:
+    image = store.image(s_parts)
+    given = {i for g in gens for i in store.class_of(g)}
+    if set(image) != given:
         raise SpecError("the candidate presentation does not generate the "
                         "same additive class as the generators")
     res = silting_result if silting_result is not None \
@@ -260,8 +261,7 @@ def check_air_tilting(m_gens, s_parts: list[ProjComplex], universe: Universe,
         verdict = res.verdict
     else:
         verdict = "yes" if not mismatches else "mismatch"
-    return AirTiltingReport(verdict, res, table, mismatches,
-                            tuple(sorted(image)))
+    return AirTiltingReport(verdict, res, table, mismatches, image)
 
 
 # -- quasi-tilting -----------------------------------------------------------
@@ -311,8 +311,8 @@ def check_quasi_tilting(m_gens, universe: Universe, sample_budget: int = 100,
     if parts is not None:
         air = check_air_tilting(gens, parts, universe)
         if air.verdict == "mismatch":
-            raise SpecError("silting certificate and sampled factor class "
-                            "disagree; this is a bug, not a verdict")
+            raise Mismatch("silting certificate and sampled factor class "
+                           "disagree; this is a bug, not a verdict")
         if air.verdict == "yes":
             return QuasiTiltingReport("certified_via_silting", air=air)
 
@@ -406,22 +406,6 @@ def _pd_within(p: ProjComplex, d: int) -> bool:
     return t.lo not in homology_dims(t.expansion())
 
 
-def _in_add(x: ProjComplex, pool: list[ProjComplex], seed: int) -> bool:
-    t = minimize(x)
-    if t.is_zero():
-        return True
-    for c, _mult in decompose_complex(t, seed=seed):
-        for q in pool:
-            r = iso_k(c, q, seed=seed)
-            if r.verdict == "unknown":
-                raise UndecidedIso(r.reason)
-            if r:
-                break
-        else:
-            return False
-    return True
-
-
 def check_tilting(m_gens, d: int, seed: int = 0) -> TiltingReport:
     """Decide the tilting property along two independent routes.
 
@@ -475,25 +459,26 @@ def check_tilting(m_gens, d: int, seed: int = 0) -> TiltingReport:
                     if dim:
                         failures.append(("T2", {"pair": (i, j), "degree": k,
                                                 "dim": int(dim)}))
-        pool: list[ProjComplex] = []
+        pool = ComplexRegistry(seed)
         for m in models:
             for c, _mult in decompose_complex(m, seed=seed):
-                if not _in_add(c, pool, seed):
-                    pool.append(c)
+                pool.intern(c)
         t3: dict[int, dict] = {}
         try:
             for v in range(alg.n):
                 y = proj_stalk(alg, v)
                 entry = {"resolved": False, "steps": 0, "detail": ""}
                 for step in range(d + 3):
-                    if _in_add(y, pool, seed):
+                    if all(pool.find(c) is not None
+                           for c, _ in decompose_complex(y, seed=seed)):
                         entry["resolved"] = True
                         entry["steps"] = step
                         break
                     if step == d + 2:
                         entry["detail"] = "coresolution bound exceeded"
                         break
-                    _, gmap, _ = left_approximation(pool, y, minimal=True)
+                    _, gmap, _ = left_approximation(pool.items, y,
+                                                    minimal=True)
                     cand = minimize(proj_cone(gmap))
                     if not _in_window_dims(
                             homology_dims(cand.expansion()), d):
@@ -512,7 +497,7 @@ def check_tilting(m_gens, d: int, seed: int = 0) -> TiltingReport:
         route_b = {"failures": failures, "t3": t3}
 
     if {"tilting", "not_tilting"} <= {a_verdict, b_verdict}:
-        raise SpecError(
+        raise Mismatch(
             f"tilting routes disagree: presentation route says {a_verdict}, "
             f"axiom route says {b_verdict}")
     if a_verdict == "unknown":
@@ -562,19 +547,12 @@ def check_equivalence(m_gens, universe: Universe, seed: int = 0,
     leg_tilt = {"tilting": True, "not_tilting": False,
                 "unknown": None}[tilt.verdict]
 
-    air = None
-    try:
-        parts = [minimize(p_presentation(g, d)) for g in gens]
-        air = check_air_tilting(gens, parts, universe)
-    except ResolutionDepthExceeded:
-        parts = None
-    if air is None:
-        leg_self = None
-    elif air.verdict == "mismatch":
-        leg_self = False
-        witnesses["self_presentation_silting"] = air.mismatches
-    else:
-        leg_self = {"yes": True, "no": False, "unknown": None}[air.verdict]
+    # an AIR "mismatch" never reaches here: check_quasi_tilting raises
+    quasi = check_quasi_tilting(gens, universe, sample_budget=sample_budget,
+                                seed=seed)
+    air = quasi.air
+    leg_self = (None if air is None else
+                {"yes": True, "no": False, "unknown": None}[air.verdict])
 
     leg_tfac: bool | None = True
     if air is not None:
@@ -594,8 +572,6 @@ def check_equivalence(m_gens, universe: Universe, seed: int = 0,
     else:
         leg_tfac = None
 
-    quasi = check_quasi_tilting(gens, universe, sample_budget=sample_budget,
-                                seed=seed)
     if quasi.verdict == "refuted":
         leg_quasi = False
         witnesses["quasi"] = quasi.witness
@@ -679,18 +655,15 @@ def verify_bijection(alg, d: int, universe: Universe, seed: int = 0,
     def pres_class(hid: int) -> tuple[int, ...]:
         if hid not in pres_cache:
             pres = minimize(p_presentation(store.reps[hid], d))
-            pres_cache[hid] = tuple(sorted(
-                reg.intern(c) for c, _m in decompose_complex(pres, seed=seed)))
+            pres_cache[hid] = reg.state(
+                [c for c, _m in decompose_complex(pres, seed=seed)])
         return pres_cache[hid]
 
     entries: list[BijectionEntry] = []
     failures: list[dict] = []
     unknowns: list[dict] = []
     for rec in enum.clusters:
-        image: set[int] = set()
-        for part in rec.parts:
-            image.update(store.window_class(part))
-        image_ids = tuple(sorted(image))
+        image_ids = store.image(rec.parts)
         m_gens = [store.reps[i] for i in image_ids]
         air = check_air_tilting(m_gens, rec.parts, universe,
                                 silting_result=rec.result, store=store)
@@ -791,10 +764,7 @@ def verify_torsion_reports(s_parts: list[ProjComplex], universe: Universe,
                         f"candidate; got {res.verdict}")
     if store is None:
         store = HeartStore(d, universe.seed)
-    image: set[int] = set()
-    for part in s_parts:
-        image.update(store.window_class(part))
-    image_ids = tuple(sorted(image))
+    image_ids = store.image(s_parts)
     gens = [store.reps[i] for i in image_ids]
 
     t_members, f_members = [], []
@@ -830,7 +800,7 @@ def verify_torsion_reports(s_parts: list[ProjComplex], universe: Universe,
     eproj: list[dict] = []
     for x in t_members:
         sampled = all(e_ext(x.obj, t, 1, d) == 0 for t in targets)
-        in_image = all(i in image for i in classes[x.key])
+        in_image = all(i in image_ids for i in classes[x.key])
         if sampled != in_image:
             eproj.append({"member": int(x.key), "e_projective": sampled,
                           "in_image": in_image})

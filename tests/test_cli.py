@@ -101,6 +101,40 @@ def test_check_quasi_exit_codes(tmp_path, ka2_spec):
     assert rep["report"]["detail"]["anomalies"]
 
 
+def test_decomposable_generator_gets_its_summands_verdicts(tmp_path,
+                                                          ka2_spec):
+    # S_1 + S_2 as one generator, and as the pair [S_1, S_2]
+    summed = write_objects(tmp_path, "sum.json",
+                           [{"dims": [1, 1], "mats": [[[0]]]}])
+    pair = write_objects(tmp_path, "pair.json",
+                         [{"kind": "simple", "vertex": 1},
+                          {"kind": "simple", "vertex": 2}])
+    for target, verdict in (("tilting", "not_tilting"), ("quasi", "refuted"),
+                            ("air", "no")):
+        for obj in (summed, pair):
+            code, rep = run(tmp_path, "check", "--spec", ka2_spec, target,
+                            obj)
+            assert (code, rep["report"]["verdict"]) == (1, verdict)
+
+
+def test_enumeration_disagreement_is_a_hard_mismatch(tmp_path, ka2_spec,
+                                                     monkeypatch, capsys):
+    from tiltlab import silting
+    clique = silting.enumerate_clique
+
+    def drop_one(*args, **kwargs):
+        out = clique(*args, **kwargs)
+        out.clusters.pop()
+        return out
+
+    monkeypatch.setattr(silting, "enumerate_clique", drop_one)
+    code, rep = run(tmp_path, "enumerate", "--spec", ka2_spec,
+                    "--method", "both")
+    assert (code, rep) == (1, None)
+    assert "hard mismatch: enumeration methods disagree" in \
+        capsys.readouterr().err
+
+
 def test_out_of_window_object_rejected(tmp_path, ka2_spec):
     shifted = write_objects(tmp_path, "sh.json",
                             [{"kind": "simple", "vertex": 1, "shift": 2}])

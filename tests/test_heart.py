@@ -20,8 +20,8 @@ from tiltlab.heart import (
     truncate_window,
 )
 from tiltlab.homotopy import hom_k, iso_k, proj_stalk
-from tiltlab.repcat import (Representation, ext_dim, hom_dim, module_iso,
-                            projective, simple)
+from tiltlab.repcat import (Representation, direct_sum, ext_dim, hom_dim,
+                            is_isomorphic, module_iso, projective, simple)
 from tiltlab.repcomplex import (RepComplex, complex_direct_sum, homology_dims,
                                 stalk_complex)
 
@@ -141,6 +141,14 @@ def test_p_presentation_round_trip(nak):
         assert set(hd) == {0}
         from tiltlab.repcomplex import homology_at
         assert module_iso(homology_at(e, 0), m) is not None
+
+
+def test_p_presentation_of_a_decomposable_module(ka2):
+    from tiltlab.repcomplex import homology_at
+    m = direct_sum([projective(ka2, 0), simple(ka2, 1)])
+    e = p_presentation(m, 1).expansion()
+    assert set(homology_dims(e)) == {0}
+    assert is_isomorphic(homology_at(e, 0), m)
 
 
 # -- extension groups --------------------------------------------------------

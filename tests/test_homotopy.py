@@ -260,6 +260,25 @@ def test_iso_k_scaling_and_refutation(ka2):
     assert iso_k(x, x.shift(1)).verdict == "no"
 
 
+def test_iso_k_unknown_only_for_budget_and_field(ka2, monkeypatch):
+    from tiltlab import homotopy
+    from tiltlab.errors import RandomBudgetExhausted
+
+    def fail_with(exc):
+        def decompose(*args, **kwargs):
+            raise exc
+        return decompose
+
+    x = proj_direct_sum([proj_stalk(ka2, 0), proj_stalk(ka2, 1)])
+    monkeypatch.setattr(homotopy, "decompose_complex",
+                        fail_with(RandomBudgetExhausted("budget")))
+    assert iso_k(x, x).verdict == "unknown"
+    monkeypatch.setattr(homotopy, "decompose_complex",
+                        fail_with(ValueError("a bug")))
+    with pytest.raises(ValueError, match="a bug"):
+        iso_k(x, x)
+
+
 def test_iso_k_distinguishes_sum_from_twist(ka3):
     # P(0) + S(0)-presentation vs P(1) + (P(2) -> P(0)): same graded
     # multiplicities would be needed for a subtle refutation; here the

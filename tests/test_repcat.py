@@ -3,10 +3,13 @@ import pytest
 
 from tiltlab import repcat
 from tiltlab.catalog import linear_an, nakayama_rad_square_zero
-from tiltlab.repcat import (cokernel, decompose, direct_sum, ext_dim,
-                            hom_basis, hom_dim, image, injective, kernel,
-                            minimal_resolution, module_iso, projective,
-                            projective_cover, simple, top, zero_map)
+from tiltlab.endsplit import trace_radical
+from tiltlab.errors import FieldTooSmall
+from tiltlab.repcat import (cokernel, decompose, direct_sum, end_algebra_mats,
+                            ext_dim, hom_basis, hom_dim, image, injective,
+                            is_isomorphic, kernel, minimal_resolution,
+                            module_iso, projective, projective_cover, simple,
+                            top, zero_map)
 
 from oracles import oracle_ext1_hereditary, oracle_hom_dim
 
@@ -142,6 +145,25 @@ def test_module_iso_and_non_iso(ka2):
     w = module_iso(p1, projective(ka2, 0))
     assert w is not None and w.is_iso()
     assert module_iso(simple(ka2, 0), simple(ka2, 1)) is None
+
+
+def test_is_isomorphic_matches_summands(ka2):
+    s1, s2, p1 = simple(ka2, 0), simple(ka2, 1), projective(ka2, 0)
+    assert is_isomorphic(direct_sum([s1, s2]), direct_sum([s2, s1]))
+    assert is_isomorphic(direct_sum([p1, s2]), direct_sum([s2, p1]))
+    # equal dimension vectors (1, 1), different summands
+    assert not is_isomorphic(direct_sum([s1, s2]), p1)
+    assert not is_isomorphic(s1, s2)
+
+
+def test_trace_radical_of_end_a2(ka2):
+    # End(P1 + P2) is the upper triangular 2x2 algebra: radical of dim 1
+    ends = end_algebra_mats(direct_sum([projective(ka2, 0),
+                                        projective(ka2, 1)]))
+    assert len(ends) == 3
+    assert trace_radical(ends, ka2.p).shape[1] == 1
+    with pytest.raises(FieldTooSmall, match="p = 3 must exceed dim End = 3"):
+        trace_radical(ends, 3)
 
 
 def test_decompose_twisted_sum(ka2):

@@ -4,7 +4,8 @@ import pytest
 
 from tiltlab.catalog import linear_an, nakayama_rad_square_zero
 from tiltlab.errors import PoolConstructionUnsupported
-from tiltlab.homotopy import hom_k, proj_stalk
+from tiltlab.homotopy import (chain_identity, hom_k, proj_cone,
+                              proj_direct_sum, proj_stalk)
 from tiltlab.silting import (
     ComplexRegistry,
     enumerate_silting,
@@ -174,3 +175,11 @@ def test_registry_interning(ka2):
     assert reg.intern(p0.shift(1)) != a
     assert reg.state([proj_stalk(ka2, 1), p0]) == (
         reg.intern(p0), reg.intern(proj_stalk(ka2, 1)))
+    # find looks up without interning
+    known = len(reg.items)
+    assert reg.find(proj_stalk(ka2, 1).shift(1)) is None
+    assert len(reg.items) == known
+    # p0 plus a contractible summand is homotopy equivalent to p0
+    cone = proj_cone(chain_identity(proj_stalk(ka2, 1)))
+    assert reg.find(proj_direct_sum([p0, cone])) == a
+    assert len(reg.items) == known
