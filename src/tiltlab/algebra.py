@@ -98,7 +98,7 @@ class BoundQuiverAlgebra:
         self.n = quiver.n
         self._forbidden = {tuple(w) for w in ideal.walks}
         self._enumerate_paths(max_path_len)
-        self._build_mult_tensor()
+        self._build_product_table()
 
     # -- construction ------------------------------------------------------
 
@@ -138,54 +138,57 @@ class BoundQuiverAlgebra:
         self.path_src = np.array([t[1] for t in paths], dtype=np.int64)
         self.path_tgt = np.array([t[2] for t in paths], dtype=np.int64)
         self.dim = len(paths)
+        # every enumerated walk avoids the relations, so a composable walk
+        # survives exactly when it is a key here
         self._index = {t[0]: i for i, t in enumerate(paths) if t[0] != ()}
-        self.e_index = [self._path_lookup((), v) for v in range(self.n)]
+        by_ends: dict[tuple[int, int], list[int]] = {}
+        for i, (_, src, tgt) in enumerate(paths):
+            by_ends.setdefault((src, tgt), []).append(i)
+        self._by_ends = {k: tuple(v) for k, v in by_ends.items()}
+        # paths are sorted by length, so e_v comes first among v -> v
+        self.e_index = [self._by_ends[(v, v)][0] for v in range(self.n)]
 
-    def _path_lookup(self, walk, src):
-        for i, w in enumerate(self.paths):
-            if w == walk and self.path_src[i] == src:
-                return i
-        return None
+    def _build_product_table(self):
+        """mult_table[a, b] = index of paths[a] * paths[b], or -1.
 
-    def _build_mult_tensor(self):
+        The nonzero products are also kept as triples (mult_a, mult_b,
+        mult_c) sorted by c.  Every path c is the product e_tgt(c) * c, so
+        each c in range(dim) owns one nonempty run of triples, starting at
+        ``_mult_starts[c]``.
+        """
         d = self.dim
-        t = np.zeros((d, d, d), dtype=np.int64)
+        table = np.full((d, d), -1, dtype=np.int64)
+        starting_at = [[] for _ in range(self.n)]
         for a in range(d):
-            for b in range(d):
-                c = self.mult_index(a, b)
+            starting_at[int(self.path_src[a])].append(a)
+        for b in range(d):
+            for a in starting_at[int(self.path_tgt[b])]:
+                walk = self.paths[b] + self.paths[a]
+                # an empty walk is e_v * e_v = e_v, and b is that e_v
+                c = self._index.get(walk) if walk else b
                 if c is not None:
-                    t[a, b, c] = 1
-        self.mult_tensor = t
+                    table[a, b] = c
+        self.mult_table = table
+        a_idx, b_idx = np.nonzero(table >= 0)
+        order = np.argsort(table[a_idx, b_idx], kind="stable")
+        self.mult_a, self.mult_b = a_idx[order], b_idx[order]
+        self.mult_c = table[self.mult_a, self.mult_b]
+        self._mult_starts = np.searchsorted(self.mult_c, np.arange(d))
 
     # -- basic queries -----------------------------------------------------
 
     def mult_index(self, a: int, b: int):
         """Index of paths[a] * paths[b] (b traversed first), or None."""
-        if self.path_src[a] != self.path_tgt[b]:
-            return None
-        walk = self.paths[b] + self.paths[a]
-        lw = len(walk)
-        for rel in self._forbidden:
-            lr = len(rel)
-            if lr <= lw and any(walk[i:i + lr] == rel for i in range(lw - lr + 1)):
-                return None
-        if walk == ():
-            return self.e_index[int(self.path_src[b])]
-        return self._index[walk]
+        c = self.mult_table[a, b]
+        return None if c < 0 else int(c)
 
     def reduce_walk(self, walk: tuple[int, ...]):
         """Basis index of a nonempty walk, or None if it dies in the ideal."""
-        lw = len(walk)
-        for rel in self._forbidden:
-            lr = len(rel)
-            if lr <= lw and any(walk[i:i + lr] == rel for i in range(lw - lr + 1)):
-                return None
-        return self._index[walk]
+        return self._index.get(walk)
 
-    def path_indices(self, src: int, tgt: int) -> list[int]:
+    def path_indices(self, src: int, tgt: int) -> tuple[int, ...]:
         """Basis indices of paths src -> tgt, i.e. a basis of e_tgt A e_src."""
-        return [i for i in range(self.dim)
-                if self.path_src[i] == src and self.path_tgt[i] == tgt]
+        return self._by_ends.get((src, tgt), ())
 
     def hom_proj_dim(self, i: int, j: int) -> int:
         """dim Hom(P(i), P(j)) = dim e_i A e_j = #paths j -> i."""
@@ -196,9 +199,17 @@ class BoundQuiverAlgebra:
         c[self.e_index[v]] = 1
         return c
 
+    def contract(self, terms: np.ndarray) -> np.ndarray:
+        """Sum product terms into paths, reduced mod p.
+
+        ``terms[..., t]`` is what the t-th nonzero product contributes to
+        paths[mult_c[t]]; the last axis of the result runs over the basis.
+        """
+        return np.add.reduceat(terms, self._mult_starts, axis=-1) % self.p
+
     def mult_coeffs(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Product of two coefficient vectors."""
-        return np.einsum("a,b,abc->c", x, y, self.mult_tensor) % self.p
+        return self.contract(x.take(self.mult_a) * y.take(self.mult_b))
 
     def is_hereditary(self) -> bool:
         return not self.ideal.walks and self.quiver.is_acyclic()

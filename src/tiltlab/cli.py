@@ -1,13 +1,15 @@
 """Command-line front end: enumeration, checking, theorem verification.
 
 Exit codes: 0 success/pass, 1 checker failure or hard mismatch, 2 search
-budget exceeded, 3 spec or parse error, 4 undecided verdict.  Identical
+budget exceeded, 3 spec or parse error, 4 undecided verdict, 5 internal
+error (an exception that is not a ``TiltlabError``: a bug).  Identical
 configurations (including the seed) produce byte-identical JSON reports.
 """
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from dataclasses import asdict, dataclass
 
 from .errors import (BudgetExceeded, Mismatch, ResolutionDepthExceeded,
@@ -28,6 +30,7 @@ EXIT_FAIL = 1
 EXIT_BUDGET = 2
 EXIT_SPEC = 3
 EXIT_UNKNOWN = 4
+EXIT_INTERNAL = 5
 
 
 @dataclass(frozen=True)
@@ -270,6 +273,11 @@ def main(argv=None) -> int:
     except TiltlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
+    except Exception:
+        # a bug must not pass for a verdict, so it gets its own exit code
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
     _emit(cfg, title, report)
     return code
 

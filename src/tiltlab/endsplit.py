@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 from sympy import GF, Poly, symbols
 
-from .errors import FieldTooSmall, NoSolution, RandomBudgetExhausted
+from .errors import (FieldTooSmall, Mismatch, NoSolution,
+                     RandomBudgetExhausted)
 from .linalg import modinv, null_space, rref, solve_right
 
 _T = symbols("t")
@@ -308,8 +309,12 @@ def primitive_idempotents(basis_mats: list[np.ndarray], p: int, rng,
                     break
                 y = (3 * y2 - 2 * (y2 @ y)) % p
             e = y
-        assert np.array_equal(e @ e % p, e), "idempotent lifting failed"
+        if not np.array_equal(e @ e % p, e):
+            raise Mismatch("idempotent lifting: lifted element is not "
+                           "idempotent")
         out.append(e)
         used = (used + e) % p
-    assert np.array_equal(used, np.eye(nv, dtype=np.int64) % p)
+    if not np.array_equal(used, np.eye(nv, dtype=np.int64) % p):
+        raise Mismatch("idempotent lifting: lifted idempotents do not sum "
+                       "to the identity")
     return out

@@ -14,8 +14,8 @@ import numpy as np
 
 from .algebra import BoundQuiverAlgebra
 from .endsplit import primitive_idempotents, trace_radical
-from .errors import (FieldTooSmall, NoSolution, RandomBudgetExhausted,
-                     WindowViolation)
+from .errors import (FieldTooSmall, Mismatch, NoSolution,
+                     RandomBudgetExhausted, WindowViolation)
 from .linalg import (column_space, in_span, inv, null_space, rank,
                      solve_right, span_union, zeros)
 from .memo import memo
@@ -50,8 +50,11 @@ def amul(alg: BoundQuiverAlgebra, second: np.ndarray,
     algebra elements in the opposite order, so entry (r, c) is
     sum_k first[k, c] * second[r, k].
     """
-    return np.einsum("kca,rkb,abe->rce", first, second,
-                     alg.mult_tensor) % alg.p
+    if not (first.size and second.size):
+        return azeros(alg, second.shape[0], first.shape[1])
+    return alg.contract(np.einsum("kct,rkt->rct",
+                                  first.take(alg.mult_a, axis=2),
+                                  second.take(alg.mult_b, axis=2)))
 
 
 def _support_ok(alg: BoundQuiverAlgebra, mat: np.ndarray,
@@ -453,7 +456,9 @@ class HomPackage:
             if not in_span(col, self._span, p):
                 self.rep_coords.append(col)
                 self._span = span_union(self._span, col.reshape(-1, 1), p=p)
-        assert len(self.rep_coords) == self.dim
+        if len(self.rep_coords) != self.dim:
+            raise Mismatch(f"hom package: {len(self.rep_coords)} class "
+                           f"representatives for dimension {self.dim}")
         self._basis = (np.column_stack([self.homotopy_image]
                                        + [c.reshape(-1, 1)
                                           for c in self.rep_coords])
@@ -782,11 +787,15 @@ def _indec_iso_k(x: ProjComplex, y: ProjComplex, want_witness: bool = False):
             w = _combination(uinv, pe.chain_reps(), alg.p)
             gc = (w.compose(g) if w is not None
                   else chain_zero(y, x))
-            assert pe.is_nullhomotopic(
-                gc.compose(f).add(chain_identity(x).scale(-1)))
+            if not pe.is_nullhomotopic(
+                    gc.compose(f).add(chain_identity(x).scale(-1))):
+                raise Mismatch("iso witness: bwd o fwd is not homotopic "
+                               "to the identity")
             pey = hom_package(y, y, 0)
-            assert pey.is_nullhomotopic(
-                f.compose(gc).add(chain_identity(y).scale(-1)))
+            if not pey.is_nullhomotopic(
+                    f.compose(gc).add(chain_identity(y).scale(-1))):
+                raise Mismatch("iso witness: fwd o bwd is not homotopic "
+                               "to the identity")
             return True, f, gc
     return False, None, None
 

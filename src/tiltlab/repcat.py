@@ -12,7 +12,7 @@ import numpy as np
 from .algebra import BoundQuiverAlgebra
 from .endsplit import (DEFAULT_SPLIT_BUDGET, primitive_idempotents,
                        trace_radical)
-from .errors import ResolutionDepthExceeded
+from .errors import Mismatch, ResolutionDepthExceeded
 from .linalg import (column_space, eye, in_span, is_invertible, modmat,
                      null_space, rank, rref, solve_right, span_union, zeros)
 from .linalg import inv as linalg_inv
@@ -137,8 +137,12 @@ def identity_map(m: Representation) -> ModuleMap:
 
 
 def zero_rep(alg: BoundQuiverAlgebra) -> Representation:
-    return Representation(alg, [0] * alg.n,
-                          [zeros(0, 0) for _ in alg.quiver.arrows])
+    """The zero representation; one shared object per algebra."""
+    store, key = memo(alg), ("zero_rep",)
+    if key not in store:
+        store[key] = Representation(alg, [0] * alg.n,
+                                    [zeros(0, 0) for _ in alg.quiver.arrows])
+    return store[key]
 
 
 def direct_sum(reps: list[Representation], alg=None) -> Representation:
@@ -350,18 +354,16 @@ class ProjSum:
         self.mults = np.zeros(alg.n, dtype=np.int64)
         for v in self.summands:
             self.mults[v] += 1
-        bases = [proj_basis(alg, v) for v in range(alg.n)]
-        self.block_sizes = [[len(bases[v][w]) for w in range(alg.n)]
-                            for v in range(alg.n)]
+        # _pbasis[v][w]: path indices of P(v)'s basis at vertex w
+        self._pbasis = {v: proj_basis(alg, v) for v in self.summands}
         # offsets[s][w]: start of summand s's block inside vertex space w
         self.offsets = []
         cursor = [0] * alg.n
         for v in self.summands:
             self.offsets.append(list(cursor))
-            for w in range(alg.n):
-                cursor[w] += self.block_sizes[v][w]
+            for w, basis in enumerate(self._pbasis[v]):
+                cursor[w] += len(basis)
         self.rep = direct_sum([projective(alg, v) for v in self.summands], alg)
-        self._pbasis = bases
 
     @property
     def count(self) -> int:
@@ -618,7 +620,9 @@ def module_iso(m: Representation, n: Representation):
                 # g o f escapes the radical of the local End(M), so it is
                 # invertible and f is a split mono; equal dimension vectors
                 # then force f to be an isomorphism
-                assert f.is_iso()
+                if not f.is_iso():
+                    raise Mismatch("module_iso: a map with an invertible "
+                                   "composite is not an isomorphism")
                 return f
     return None
 

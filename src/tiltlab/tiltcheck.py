@@ -24,6 +24,7 @@ from .homotopy import (ProjComplex, decompose_complex, hom_k, hom_package,
                        iso_k, left_approximation, minimize, proj_cone,
                        proj_direct_sum, proj_stalk, right_approximation)
 from .linalg import zeros
+from .memo import memo
 from .repcat import (ModuleMap, ProjSum, Representation, alg_matrix_of_map,
                      decompose, hom_basis, injective, kernel, simple)
 from .repcomplex import (RepComplex, homology_dims, truncate_above,
@@ -37,6 +38,14 @@ def _as_heart(x) -> RepComplex:
     if isinstance(x, Representation):
         return module_stalk(x)
     return x
+
+
+def _presentation(g: RepComplex, d: int) -> ProjComplex:
+    """The minimized (d+1)-term presentation of g, computed once per g."""
+    store, key = memo(g), ("presentation", d)
+    if key not in store:
+        store[key] = minimize(p_presentation(g, d))
+    return store[key]
 
 
 def _in_window_dims(hd, d: int) -> bool:
@@ -305,7 +314,7 @@ def check_quasi_tilting(m_gens, universe: Universe, sample_budget: int = 100,
     gens = [_as_heart(g) for g in m_gens]
     air = None
     try:
-        parts = [minimize(p_presentation(g, d)) for g in gens]
+        parts = [_presentation(g, d) for g in gens]
     except ResolutionDepthExceeded:
         parts = None
     if parts is not None:
@@ -423,7 +432,7 @@ def check_tilting(m_gens, d: int, seed: int = 0) -> TiltingReport:
 
     sa = None
     try:
-        parts = [minimize(p_presentation(g, d)) for g in gens]
+        parts = [_presentation(g, d) for g in gens]
         pd_flags = [_pd_within(p, d) for p in parts]
     except ResolutionDepthExceeded as exc:
         a_verdict = "unknown"

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiltlab.algebra import build_algebra
 from tiltlab.catalog import linear_an, nakayama_rad_square_zero
 from tiltlab.errors import NotAdmissible, SpecError
+from tiltlab.homotopy import amul
 
 
 def test_ka2_path_basis():
@@ -79,3 +82,69 @@ def test_non_prime_p_rejected(p):
 def test_hereditary_detection():
     assert linear_an(3).is_hereditary()
     assert not nakayama_rad_square_zero(3).is_hereditary()
+
+
+@st.composite
+def monomial_algebras(draw):
+    """Acyclic quivers on 2-4 vertices with random relations in rad^2."""
+    n = draw(st.integers(2, 4))
+    arrows = []
+    for s in range(1, n + 1):
+        for t in range(s + 1, n + 1):
+            for _ in range(draw(st.integers(0, 2))):
+                arrows.append((len(arrows) + 1, s, t))
+    walks = [[a[0], b[0]] for a in arrows for b in arrows if a[2] == b[1]]
+    walks += [w + [c[0]] for w in walks for c in arrows
+              if c[1] == arrows[w[-1] - 1][2]]
+    relations = draw(st.lists(st.sampled_from(walks), unique_by=tuple,
+                              max_size=4)) if walks else []
+    return build_algebra(n, arrows, relations)
+
+
+def reference_product(alg, a, b):
+    """paths[a] * paths[b] from the walks and relations alone, or None."""
+    if alg.path_src[a] != alg.path_tgt[b]:
+        return None
+    walk = alg.paths[b] + alg.paths[a]
+    for rel in alg.ideal.walks:
+        if any(walk[i:i + len(rel)] == rel
+               for i in range(len(walk) - len(rel) + 1)):
+            return None
+    return next(i for i in range(alg.dim) if alg.paths[i] == walk
+                and alg.path_src[i] == alg.path_src[b])
+
+
+@settings(max_examples=40, deadline=None)
+@given(monomial_algebras(), st.lists(st.integers(0, 3), min_size=3,
+                                     max_size=3), st.integers(0, 2**32 - 1))
+def test_product_table_matches_dense_reference(alg, shape, seed):
+    d, p = alg.dim, alg.p
+    dense = np.zeros((d, d, d), dtype=np.int64)
+    for a in range(d):
+        for b in range(d):
+            c = reference_product(alg, a, b)
+            assert alg.mult_index(a, b) == c
+            if c is not None:
+                dense[a, b, c] = 1
+    for s in range(alg.n):
+        for t in range(alg.n):
+            assert list(alg.path_indices(s, t)) == [
+                i for i in range(d)
+                if alg.path_src[i] == s and alg.path_tgt[i] == t]
+    rng = np.random.default_rng(seed)
+    x, y = rng.integers(0, p, (2, d))
+    assert np.array_equal(alg.mult_coeffs(x, y),
+                          np.einsum("a,b,abc->c", x, y, dense) % p)
+    r, k, c = shape
+    second = rng.integers(0, p, (r, k, d))
+    first = rng.integers(0, p, (k, c, d))
+    assert np.array_equal(amul(alg, second, first),
+                          np.einsum("kca,rkb,abe->rce", first, second,
+                                    dense) % p)
+
+
+def test_a20_tables_stay_small():
+    alg = linear_an(20)
+    assert alg.dim == 210
+    assert sum(v.nbytes for v in vars(alg).values()
+               if isinstance(v, np.ndarray)) < 8 * 2**20

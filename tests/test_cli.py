@@ -135,6 +135,23 @@ def test_enumeration_disagreement_is_a_hard_mismatch(tmp_path, ka2_spec,
         capsys.readouterr().err
 
 
+def test_internal_error_has_its_own_exit_code(tmp_path, ka2_spec,
+                                              monkeypatch, capsys):
+    from tiltlab import cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("broken checker")
+
+    monkeypatch.setattr(cli, "cmd_check", broken)
+    obj = write_objects(tmp_path, "p1.json",
+                        [{"kind": "projective", "vertex": 1}])
+    code, rep = run(tmp_path, "check", "--spec", ka2_spec, "tilting", obj)
+    assert (code, rep) == (5, None)
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:")
+    assert "ValueError: broken checker" in err
+
+
 def test_out_of_window_object_rejected(tmp_path, ka2_spec):
     shifted = write_objects(tmp_path, "sh.json",
                             [{"kind": "simple", "vertex": 1, "shift": 2}])

@@ -1,4 +1,10 @@
 """Complexes of projectives: homs, minimization, decomposition, mutation."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -277,6 +283,39 @@ def test_iso_k_unknown_only_for_budget_and_field(ka2, monkeypatch):
                         fail_with(ValueError("a bug")))
     with pytest.raises(ValueError, match="a bug"):
         iso_k(x, x)
+
+
+def witness_checks_raise() -> str:
+    """Message of the Mismatch that iso_k raises for a failed witness.
+
+    Every homotopy check is patched to fail, so the certificate for the
+    isomorphic pair d and 5d must be rejected.
+    """
+    from tiltlab import homotopy
+    from tiltlab.errors import Mismatch
+    alg = linear_an(2)
+    d = np.zeros((1, 1, alg.dim), dtype=np.int64)
+    d[0, 0, alg.path_indices(0, 1)[0]] = 1
+    x = ProjComplex(alg, -1, [[1], [0]], [d])
+    y = ProjComplex(alg, -1, [[1], [0]], [(5 * d) % alg.p])
+    with mock.patch.object(homotopy.HomPackage, "is_nullhomotopic",
+                           return_value=False):
+        try:
+            iso_k(x, y, want_witness=True)
+        except Mismatch as exc:
+            return str(exc)
+    raise AssertionError("a failed witness check raised no Mismatch")
+
+
+def test_iso_witness_checks_survive_optimize():
+    assert "not homotopic to the identity" in witness_checks_raise()
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(tests.parent / "src"), str(tests)])}
+    code = ("import sys; from test_homotopy import witness_checks_raise; "
+            "witness_checks_raise(); sys.exit(0 if sys.flags.optimize else 2)")
+    subprocess.run([sys.executable, "-O", "-c", code], env=env, check=True,
+                   timeout=300)
 
 
 def test_iso_k_distinguishes_sum_from_twist(ka3):

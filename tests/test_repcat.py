@@ -9,7 +9,8 @@ from tiltlab.repcat import (cokernel, decompose, direct_sum, end_algebra_mats,
                             ext_dim, hom_basis, hom_dim, image, injective,
                             is_isomorphic, kernel, minimal_resolution,
                             module_iso, projective, projective_cover, simple,
-                            top, zero_map)
+                            top, zero_map, zero_rep)
+from tiltlab.repcomplex import stalk_complex
 
 from oracles import oracle_ext1_hereditary, oracle_hom_dim
 
@@ -175,3 +176,11 @@ def test_decompose_twisted_sum(ka2):
 
 def test_zero_map_validates(ka2):
     zero_map(projective(ka2, 0), simple(ka2, 0)).validate()
+
+
+def test_zero_rep_is_shared(ka2):
+    z = zero_rep(ka2)
+    assert z is zero_rep(ka2) and z.dims == (0, 0)
+    c = stalk_complex(projective(ka2, 0), 0)
+    assert c.term_at(-1) is z and c.term_at(1) is z
+    assert direct_sum([], ka2) is z

@@ -199,6 +199,22 @@ def test_equivalence_projective_nongenerator(ka2, uni_ka2):
     assert rep.legs["quasi_plus_injectives"] is None
 
 
+def test_equivalence_presents_each_generator_once(ka2, uni_ka2,
+                                                  monkeypatch):
+    from tiltlab import tiltcheck
+    present = tiltcheck.p_presentation
+    calls = []
+
+    def counting(g, d):
+        calls.append(g)
+        return present(g, d)
+
+    monkeypatch.setattr(tiltcheck, "p_presentation", counting)
+    check_equivalence([projective(ka2, 0), projective(ka2, 1)], uni_ka2,
+                      seed=0, sample_budget=20)
+    assert len(calls) == 2
+
+
 # -- bijection and torsion reports -------------------------------------------
 
 def test_bijection_ka2_d1(ka2, uni_ka2):
