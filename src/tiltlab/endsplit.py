@@ -3,9 +3,13 @@
 Used to split modules and complexes through their endomorphism algebras.
 The Jacobson radical is the radical of the trace form, which is valid
 because the modulus is required to exceed the algebra dimension
-(FieldTooSmall otherwise).  Splitting the semisimple quotient is the only
-randomized step: random elements are drawn from a seeded generator and the
-minimal polynomial is factored mod p; the retry budget is explicit.
+(FieldTooSmall otherwise).  The semisimple quotient and every corner
+e*S*e split off from it are held by structure constants: one table per
+corner, table[a, b] = coordinates of basis_a * basis_b, solved once when
+the corner is built, so a product is two contractions and never a linear
+solve.  Splitting the semisimple quotient is the only randomized step:
+random elements are drawn from a seeded generator and the minimal
+polynomial is factored mod p; the retry budget is explicit.
 """
 
 from __future__ import annotations
@@ -83,6 +87,12 @@ def _pxgcd(f, g, p):
             [c * lead % p for c in v0])
 
 
+def _psquarefree(f, p):
+    """Is f squarefree?  Its degree is below p, so f' is nonzero."""
+    deriv = _pnorm([i * c for i, c in enumerate(f)][1:], p)
+    return _pxgcd(f, deriv, p)[0] == [1]
+
+
 def _peval_elem(f, x_coords, alg):
     """Evaluate a polynomial at an algebra element (coordinate form)."""
     acc = np.zeros_like(alg.unit)
@@ -100,22 +110,54 @@ def factor_squarefree(f, p):
     _, factors = poly.factor_list()
     out = []
     for fac, mult in factors:
-        assert mult == 1, "minimal polynomial in a semisimple algebra must be squarefree"
+        if mult != 1:
+            raise Mismatch("semisimple splitting: minimal polynomial is not "
+                           "squarefree")
         coeffs = [int(c) % p for c in reversed(fac.all_coeffs())]
         out.append(_pnorm(coeffs, p))
     return sorted(out)
 
 
-# -- abstract algebra in coordinates ---------------------------------------
+# -- algebras by structure constants ----------------------------------------
 
-class CoordAlgebra:
-    """A unital associative F_p-algebra given by structure data in coordinates."""
+def _products(table, a, b, p):
+    """out[i, j] = a[i] * b[j] for coordinate rows a, b under ``table``.
 
-    def __init__(self, p: int, dim: int, mult, unit: np.ndarray):
-        self.p = p
-        self.dim = dim
-        self.mult = mult  # (coords, coords) -> coords
-        self.unit = unit % p
+    table[x, y] holds the coordinates of basis_x * basis_y.  Each of the
+    two contractions multiplies two reduced factors, so int64 holds them.
+    """
+    k = table.shape[0]
+    left = (a @ table.reshape(k, -1)) % p
+    return (b @ left.reshape(len(a), k, -1)) % p
+
+
+class _Corner:
+    """A corner e*S*e of the top algebra S, multiplying by its own table.
+
+    ``top`` is S's structure-constant table; ``basis`` holds the corner's
+    basis as columns in S's coordinates.  The unit and the products of all
+    pairs of basis elements are solved into corner coordinates once, so
+    table[a, b] holds the coordinates of basis_a * basis_b.
+    """
+
+    def __init__(self, top: np.ndarray, basis: np.ndarray,
+                 unit_coords: np.ndarray, p: int):
+        self.top, self.basis, self.p = top, basis, p
+        self.dim = k = basis.shape[1]
+        prods = _products(top, basis.T, basis.T, p).reshape(k * k, -1)
+        sol = solve_right(basis, np.concatenate(
+            [unit_coords.reshape(-1, 1), prods.T], axis=1), p)
+        self.unit = sol[:, 0]
+        self.table = sol[:, 1:].T.reshape(k, k, k)
+
+    def to_parent(self, c):
+        return (self.basis @ c) % self.p
+
+    def mult(self, a, b):
+        return _products(self.table, a[None], b[None], self.p)[0, 0]
+
+    def is_commutative(self) -> bool:
+        return np.array_equal(self.table, self.table.transpose(1, 0, 2))
 
     def random(self, rng) -> np.ndarray:
         return rng.integers(0, self.p, size=self.dim, dtype=np.int64)
@@ -137,54 +179,23 @@ class CoordAlgebra:
                     raise AssertionError("minimal polynomial search failed to close")
 
 
-class _Corner:
-    """A corner e*S*e of a coordinate algebra, with its own basis."""
-
-    def __init__(self, parent: CoordAlgebra, basis: np.ndarray, unit_coords: np.ndarray):
-        self.parent = parent
-        self.basis = basis  # parent-coords columns
-        self.p = parent.p
-        self.dim = basis.shape[1]
-        self.unit = solve_right(basis, unit_coords.reshape(-1, 1), self.p)[:, 0]
-
-    def to_parent(self, c):
-        return (self.basis @ c) % self.p
-
-    def mult(self, a, b):
-        prod = self.parent.mult(self.to_parent(a), self.to_parent(b))
-        return solve_right(self.basis, prod.reshape(-1, 1), self.p)[:, 0]
-
-    def as_algebra(self) -> CoordAlgebra:
-        return CoordAlgebra(self.p, self.dim, self.mult, self.unit)
-
-    def is_commutative(self) -> bool:
-        for i in range(self.dim):
-            a = np.zeros(self.dim, dtype=np.int64)
-            a[i] = 1
-            for j in range(i + 1, self.dim):
-                b = np.zeros(self.dim, dtype=np.int64)
-                b[j] = 1
-                if not np.array_equal(self.mult(a, b), self.mult(b, a)):
-                    return False
-        return True
-
-
 def _split_corner(corner: _Corner, rng, budget: int):
-    """Primitive orthogonal idempotents of a semisimple corner, parent coords."""
+    """Primitive orthogonal idempotents of a semisimple corner, top coords."""
     if corner.dim == 1:
         return [corner.to_parent(corner.unit)]
-    alg = corner.as_algebra()
     commutative = corner.is_commutative()
     for _ in range(budget):
-        x = alg.random(rng)
-        mp = alg.min_poly(x)
-        factors = factor_squarefree(mp, alg.p)
+        x = corner.random(rng)
+        mp = corner.min_poly(x)
+        if not commutative and not _psquarefree(mp, corner.p):
+            continue  # x has a nilpotent part, as in a matrix block
+        factors = factor_squarefree(mp, corner.p)
         if len(factors) >= 2:
             idems = []
             for fac in factors:
-                rest, _ = _pdivmod(mp, fac, alg.p)
-                _, u, _ = _pxgcd(rest, fac, alg.p)
-                e = _peval_elem(_pmul(u, rest, alg.p), x, alg)
+                rest, _ = _pdivmod(mp, fac, corner.p)
+                _, u, _ = _pxgcd(rest, fac, corner.p)
+                e = _peval_elem(_pmul(u, rest, corner.p), x, corner)
                 idems.append(e)
             out = []
             for e in idems:
@@ -198,19 +209,13 @@ def _split_corner(corner: _Corner, rng, budget: int):
 
 
 def _corner_of(corner: _Corner, e_coords):
-    """Corner e*C*e of a corner, everything in the ultimate parent's coords."""
-    parent = corner.parent
-    cols = []
-    for i in range(corner.dim):
-        b = np.zeros(corner.dim, dtype=np.int64)
-        b[i] = 1
-        v = corner.mult(corner.mult(e_coords, b), e_coords)
-        cols.append(corner.to_parent(v))
-    mat = np.stack(cols, axis=1) % parent.p
-    red, piv = rref(mat.T, parent.p)
-    basis = red[: len(piv)].T
-    return _Corner(parent, basis, corner.to_parent(
-        corner.mult(corner.mult(e_coords, corner.unit), e_coords)))
+    """Corner e*C*e of a corner, its basis rref'd in the top coordinates."""
+    p = corner.p
+    e = e_coords[None]
+    eb = _products(corner.table, e, np.eye(corner.dim, dtype=np.int64), p)[0]
+    ebe = _products(corner.table, eb, e, p)[:, 0]  # row i: e * basis_i * e
+    red, piv = rref(ebe @ corner.basis.T % p, p)
+    return _Corner(corner.top, red[: len(piv)].T, corner.to_parent(e_coords), p)
 
 
 # -- main entry -------------------------------------------------------------
@@ -242,52 +247,26 @@ def primitive_idempotents(basis_mats: list[np.ndarray], p: int, rng,
     larger than the algebra dimension (the trace-form radical criterion).
     """
     m = len(basis_mats)
-    nv = basis_mats[0].shape[0]
     if m == 0:
         raise ValueError("empty algebra basis")
+    nv = basis_mats[0].shape[0]
+    ident = np.eye(nv, dtype=np.int64)
     rad = trace_radical(basis_mats, p)  # columns: radical elements, in coords
-    rad_dim = rad.shape[1]
     flat = np.stack([b.reshape(-1) for b in basis_mats], axis=1) % p
 
-    def coord(mat):
-        return solve_right(flat, (mat % p).reshape(-1, 1), p)[:, 0]
-
-    def from_coord(c):
-        return ((flat @ c) % p).reshape(nv, nv)
-
-    def mult(a, b):
-        return coord(from_coord(a) @ from_coord(b) % p)
-
-    unit = coord(np.eye(nv, dtype=np.int64))
-    amb = CoordAlgebra(p, m, mult, unit)
-
-    # semisimple quotient: complement of the radical inside the coord space
-    if rad_dim:
-        red, piv = rref(rad.T, p)
-        free = [c for c in range(m) if c not in piv]
-        comp = np.zeros((m, len(free)), dtype=np.int64)
-        for k, fc in enumerate(free):
-            comp[fc, k] = 1
-        full = np.concatenate([rad, comp], axis=1)
-
-        def project(c):
-            sol = solve_right(full, c.reshape(-1, 1), p)[:, 0]
-            return sol[rad_dim:]
-
-        def s_mult(a, b):
-            return project(mult((comp @ a) % p, (comp @ b) % p))
-
-        squot = CoordAlgebra(p, len(free), s_mult, project(unit))
-
-        def s_to_amb(c):
-            return (comp @ c) % p
-    else:
-        squot = amb
-
-        def s_to_amb(c):
-            return c
-
-    top = _Corner(squot, np.eye(squot.dim, dtype=np.int64), squot.unit)
+    # semisimple quotient: the basis elements off the radical's pivots span
+    # a complement; solve 1 and their products in [radical | complement]
+    _, piv = rref(rad.T, p)
+    comp = flat[:, [c for c in range(m) if c not in piv]]
+    s = comp.shape[1]
+    mats = comp.T.reshape(s, nv, nv)
+    prods = (mats[:, None] @ mats[None]) % p
+    sol = solve_right(np.concatenate([flat @ rad % p, comp], axis=1),
+                      np.concatenate([ident.reshape(-1, 1),
+                                      prods.reshape(s * s, -1).T], axis=1), p)
+    quot = sol[m - s:]
+    top = _Corner(quot[:, 1:].T.reshape(s, s, s), np.eye(s, dtype=np.int64),
+                  quot[:, 0], p)
     prims_s = _split_corner(top, rng, budget)
 
     # lift to honest orthogonal idempotents in the ambient algebra
@@ -297,12 +276,12 @@ def primitive_idempotents(basis_mats: list[np.ndarray], p: int, rng,
     out = []
     used = np.zeros((nv, nv), dtype=np.int64)
     for k, es in enumerate(prims_s):
+        c = (ident - used) % p
         if k == len(prims_s) - 1:
-            e = (np.eye(nv, dtype=np.int64) - used) % p
+            e = c
         else:
-            c = (np.eye(nv, dtype=np.int64) - used) % p
-            x = from_coord(s_to_amb(es))
-            y = c @ x @ c % p
+            x = (comp @ es % p).reshape(nv, nv)
+            y = (c @ x % p) @ c % p
             for _ in range(nilpotency + 2):
                 y2 = y @ y % p
                 if np.array_equal(y2, y):
@@ -314,7 +293,7 @@ def primitive_idempotents(basis_mats: list[np.ndarray], p: int, rng,
                            "idempotent")
         out.append(e)
         used = (used + e) % p
-    if not np.array_equal(used, np.eye(nv, dtype=np.int64) % p):
+    if not np.array_equal(used, ident):
         raise Mismatch("idempotent lifting: lifted idempotents do not sum "
                        "to the identity")
     return out

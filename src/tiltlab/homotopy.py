@@ -178,10 +178,8 @@ class ProjComplex:
             assert not np.any(comp), f"d^2 != 0 leaving degree {self.lo + k}"
 
     def shift(self, s: int) -> "ProjComplex":
-        sign = 1 if s % 2 == 0 else -1
-        return ProjComplex(self.alg, self.lo - s,
-                           [list(l) for l in self.summands],
-                           [(sign * m) % self.alg.p for m in self.dmats])
+        dmats = self.dmats if s % 2 == 0 else [-m for m in self.dmats]
+        return ProjComplex(self.alg, self.lo - s, self.summands, dmats)
 
     def pad(self, lo: int, hi: int) -> "ProjComplex":
         if lo > self.lo or hi < self.hi:
@@ -679,11 +677,9 @@ def decompose_complex(x: ProjComplex, seed: int = 0):
     rng = np.random.default_rng(seed)
     mats = [_total_matrix(f) for f in endos]
     idems = primitive_idempotents(mats, alg.p, rng)
-    flat = np.column_stack([m.reshape(-1) for m in mats])
-    parts = []
-    for e_mat in idems:
-        coords = solve_right(flat, e_mat.reshape(-1, 1), alg.p)[:, 0]
-        parts.append(_split_off(xm, _combination(coords, endos, alg.p)))
+    coords = solve_right(np.column_stack([m.reshape(-1) for m in mats]),
+                         np.column_stack([e.reshape(-1) for e in idems]), alg.p)
+    parts = [_split_off(xm, _combination(c, endos, alg.p)) for c in coords.T]
     groups: list[list] = []
     for part in parts:
         for g in groups:
@@ -709,7 +705,9 @@ def _split_off(x: ProjComplex, e: ChainMap) -> ProjComplex:
         spaces = [column_space(mq.vmaps[v], alg.p) for v in range(alg.n)]
         sub, incl = sub_from_subspaces(xe.term_at(q), spaces)
         ps, cover = projective_cover(sub)
-        assert cover.is_iso(), "image of an idempotent failed to be projective"
+        if not cover.is_iso():
+            raise Mismatch("idempotent splitting: the image of an idempotent "
+                           "is not projective")
         subs[q], incls[q], psums[q], covers[q] = sub, incl, ps, cover
     summands = [psums[q].summands for q in x.degrees()]
     dmats = []

@@ -421,17 +421,19 @@ def map_of_alg_matrix(mat: np.ndarray, src: ProjSum, tgt: ProjSum) -> ModuleMap:
             nz = np.nonzero(coeffs)[0]
             if nz.size == 0:
                 continue
+            vr = tgt.summands[r]
             for w in range(alg.n):
+                rows = tgt._pbasis[vr][w]
                 for k, b in enumerate(src._pbasis[v][w]):
-                    # image of basis path b of the source summand: b * u
-                    colv = np.zeros(alg.dim, dtype=np.int64)
+                    # image of basis path b of the source summand: b * u,
+                    # a path vr -> w of the target summand
+                    col = src.offsets[c][w] + k
                     for bu in nz:
                         prod = alg.mult_index(int(b), int(bu))
                         if prod is not None:
-                            colv[prod] = (colv[prod] + coeffs[bu]) % alg.p
-                    target_block = tgt.scatter(r, colv)
-                    vmaps[w][:, src.offsets[c][w] + k] = (
-                        vmaps[w][:, src.offsets[c][w] + k] + target_block[w]) % alg.p
+                            row = tgt.offsets[r][w] + rows.index(prod)
+                            vmaps[w][row, col] = (vmaps[w][row, col]
+                                                  + coeffs[bu]) % alg.p
     return ModuleMap(src.rep, tgt.rep, vmaps)
 
 

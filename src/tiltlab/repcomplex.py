@@ -70,9 +70,8 @@ class RepComplex:
 
     def shift(self, s: int) -> "RepComplex":
         """X[s], with (X[s])^q = X^(q+s) and differentials scaled by (-1)^s."""
-        sign = 1 if s % 2 == 0 else -1
-        diffs = [d.scale(sign) for d in self.diffs]
-        return RepComplex(self.alg, self.lo - s, list(self.terms), diffs)
+        diffs = self.diffs if s % 2 == 0 else [d.neg() for d in self.diffs]
+        return RepComplex(self.alg, self.lo - s, self.terms, diffs)
 
     def pad(self, lo: int, hi: int) -> "RepComplex":
         """The same complex on an enlarged window, padded with zero terms."""

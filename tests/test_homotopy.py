@@ -1,8 +1,4 @@
 """Complexes of projectives: homs, minimization, decomposition, mutation."""
-import os
-import subprocess
-import sys
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -37,6 +33,8 @@ from tiltlab.repcat import (ext_dim, hom_dim, minimal_resolution, projective,
 from tiltlab.repcomplex import (complex_cone, homology_at, homology_dims,
                                 stalk_complex, truncate_above, truncate_below)
 from tiltlab.tiltcheck import _random_proj_3step
+
+from run_optimized import run_optimized
 
 
 @pytest.fixture(scope="module")
@@ -309,13 +307,36 @@ def witness_checks_raise() -> str:
 
 def test_iso_witness_checks_survive_optimize():
     assert "not homotopic to the identity" in witness_checks_raise()
-    tests = Path(__file__).resolve().parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(tests.parent / "src"), str(tests)])}
-    code = ("import sys; from test_homotopy import witness_checks_raise; "
-            "witness_checks_raise(); sys.exit(0 if sys.flags.optimize else 2)")
-    subprocess.run([sys.executable, "-O", "-c", code], env=env, check=True,
-                   timeout=300)
+    run_optimized("test_homotopy", "witness_checks_raise")
+
+
+def split_off_check_raises() -> str:
+    """Message of the Mismatch when an idempotent's image is not projective.
+
+    ``projective_cover`` is patched to return a zero cover, so splitting
+    P_1 + P_2 over A_2 must reject the first summand.
+    """
+    from tiltlab import homotopy
+    from tiltlab.errors import Mismatch
+    from tiltlab.repcat import projective_cover, zero_map
+    alg = linear_an(2)
+    x = proj_direct_sum([proj_stalk(alg, 0), proj_stalk(alg, 1)])
+
+    def zero_cover(sub):
+        psum, _ = projective_cover(sub)
+        return psum, zero_map(psum.rep, sub)
+
+    with mock.patch.object(homotopy, "projective_cover", zero_cover):
+        try:
+            decompose_complex(x)
+        except Mismatch as exc:
+            return str(exc)
+    raise AssertionError("a zero cover raised no Mismatch")
+
+
+def test_split_off_check_survives_optimize():
+    assert "not projective" in split_off_check_raises()
+    run_optimized("test_homotopy", "split_off_check_raises")
 
 
 def test_iso_k_distinguishes_sum_from_twist(ka3):

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiltlab import repcat
 from tiltlab.catalog import linear_an, nakayama_rad_square_zero
 from tiltlab.endsplit import trace_radical
 from tiltlab.errors import FieldTooSmall
-from tiltlab.repcat import (cokernel, decompose, direct_sum, end_algebra_mats,
-                            ext_dim, hom_basis, hom_dim, image, injective,
-                            is_isomorphic, kernel, minimal_resolution,
-                            module_iso, projective, projective_cover, simple,
-                            top, zero_map, zero_rep)
+from tiltlab.repcat import (ProjSum, alg_matrix_of_map, cokernel, decompose,
+                            direct_sum, end_algebra_mats, ext_dim, hom_basis,
+                            hom_dim, image, injective, is_isomorphic, kernel,
+                            map_of_alg_matrix, minimal_resolution, module_iso,
+                            projective, projective_cover, simple, top,
+                            zero_map, zero_rep)
 from tiltlab.repcomplex import stalk_complex
 
 from oracles import oracle_ext1_hereditary, oracle_hom_dim
@@ -184,3 +187,21 @@ def test_zero_rep_is_shared(ka2):
     c = stalk_complex(projective(ka2, 0), 0)
     assert c.term_at(-1) is z and c.term_at(1) is z
     assert direct_sum([], ka2) is z
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.booleans(),
+       st.lists(st.integers(0, 2), min_size=1, max_size=3),
+       st.lists(st.integers(0, 2), min_size=1, max_size=3),
+       st.integers(0, 2**32 - 1))
+def test_alg_matrix_round_trip(use_nak, src_vs, tgt_vs, seed):
+    alg = nakayama_rad_square_zero(3) if use_nak else linear_an(3)
+    src, tgt = ProjSum(alg, src_vs), ProjSum(alg, tgt_vs)
+    basis = hom_basis(src.rep, tgt.rep)
+    coeffs = np.random.default_rng(seed).integers(0, alg.p, size=len(basis))
+    f = zero_map(src.rep, tgt.rep)
+    for c, g in zip(coeffs, basis):
+        f = f.add(g.scale(int(c)))
+    back = map_of_alg_matrix(alg_matrix_of_map(f, src, tgt), src, tgt)
+    for v in range(alg.n):
+        assert np.array_equal(back.vmaps[v], f.vmaps[v])
