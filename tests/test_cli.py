@@ -196,3 +196,50 @@ def test_markdown_format(tmp_path, ka2_spec):
     text = out.read_text()
     assert text.startswith("# Enumeration report")
     assert "| ids | verdict |" in text
+
+
+# SHA-256 of stdout for fixed runs.  A refactor keeps every report
+# byte-identical and so keeps these; a change that alters a report on purpose
+# refreezes the digest and says why.
+FROZEN_REPORTS = [
+    (("verify", "--spec", "a2.json", "bijection"), 0,
+     "d3b76ecc426e42f2de854cb4b85eb82d529bd3c74cac60a3c2771007ded63221"),
+    (("verify", "--spec", "a2.json", "torsion"), 0,
+     "24c7c887d04b13aa0f3e024013dc1bb74d311b874850c1b8e6d240ebe881822d"),
+    (("verify", "--spec", "a2.json", "equiv"), 0,
+     "d7156122fe18d4ca9c933b57ee09d7687912c65e2dc53f78515a10dc7ac30f7b"),
+    (("enumerate", "--spec", "a2.json", "--method", "both"), 0,
+     "396376a12255b5e5af9455fad172b9f24bfc30766f89647497ad2a76f86331a3"),
+    (("check", "--spec", "a2.json", "tilting", "proj.json"), 0,
+     "0408f2b8ff87114c8687caf365cc649270013723e9c34e6ac25fc19994775899"),
+    (("check", "--spec", "a2.json", "quasi", "simples.json"), 1,
+     "9e48fc9dd239efc172d8a0b9808f40dd592e85108637c869976496d950f0acfd"),
+    (("check", "--spec", "a2.json", "air", "proj.json"), 0,
+     "92aed61f097ac3496a19875ba27e05a52fbf613564400af81fc9c82103e54073"),
+    (("check", "--spec", "a2.json", "--format", "markdown", "tilting",
+      "proj.json"), 0,
+     "5da2dfc0d3c4cad61014a5ed7c9bdc0b519498c7bc6963aa746489a9c5b38364"),
+    (("verify", "--spec", "a2.json", "--d", "2", "bijection"), 0,
+     "31e5a465d3b41a37d227c46c9b766a2934fadd8076bfdbcdd7ec6d2d6aae1eea"),
+    (("verify", "--spec", "nak3.json", "bijection"), 0,
+     "fae9eea8e5b6feb4e70cf3e817d5e8f68b672f97beb00af58f4db16eeed178ac"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", FROZEN_REPORTS,
+                         ids=[" ".join(a) for a, _, _ in FROZEN_REPORTS])
+def test_report_digests_frozen(tmp_path, monkeypatch, capsys, argv, code,
+                               digest):
+    import hashlib
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a2.json").write_text(
+        json.dumps({"catalog": "linear_an", "n": 2, "d": 1}))
+    (tmp_path / "nak3.json").write_text(json.dumps(
+        {"catalog": "nakayama_rad_square_zero", "n": 3, "d": 1}))
+    write_objects(tmp_path, "proj.json", [{"kind": "projective", "vertex": 1},
+                                          {"kind": "projective", "vertex": 2}])
+    write_objects(tmp_path, "simples.json", [{"kind": "simple", "vertex": 1},
+                                             {"kind": "simple", "vertex": 2}])
+    assert main(list(argv)) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
