@@ -17,6 +17,10 @@ from .errors import NotAdmissible, SpecError
 from .linalg import DEFAULT_P
 
 MAX_PATH_LEN = 64
+# Residues below 2^21 have products below 2^42, so an int64 holds a sum of
+# 2^21 of them exactly.  The longest sums here are matrix products over a
+# vertex space, an End algebra or a hom layout, all far shorter.
+MAX_P = 2 ** 21
 
 
 @dataclass(frozen=True)
@@ -89,6 +93,9 @@ class BoundQuiverAlgebra:
 
     def __init__(self, quiver: Quiver, ideal: MonomialIdeal, p: int = DEFAULT_P,
                  max_path_len: int = MAX_PATH_LEN):
+        if p >= MAX_P:
+            raise SpecError(f"p = {p} is too large: p must be below "
+                            f"2^21 = {MAX_P:,} for exact int64 arithmetic")
         if not isprime(p):
             raise SpecError(f"p = {p} is not prime; F_p must be a field")
         ideal.validate(quiver)

@@ -106,17 +106,12 @@ def truncate_window(s: ProjComplex, d: int) -> RepComplex:
 
 def _lift_cover(cover: ModuleMap, pi: ModuleMap, psum: ProjSum) -> ModuleMap:
     """A map q: P -> C0 with pi o q = cover, built on the generators."""
-    alg = cover.src.alg
-    c0 = pi.src
-    vmaps = [zeros(c0.dims[w], psum.rep.dims[w]) for w in range(alg.n)]
+    p = psum.alg.p
+    gens = []
     for s in range(psum.count):
         v, col = psum.gen_column(s)
-        target = solve_right(pi.vmaps[v], cover.vmaps[v][:, col], alg.p)[:, 0]
-        for w in range(alg.n):
-            for k, b in enumerate(psum._pbasis[v][w]):
-                colv = (c0.act_path(int(b)) @ target) % alg.p
-                vmaps[w][:, psum.offsets[s][w] + k] = colv
-    return ModuleMap(psum.rep, c0, vmaps)
+        gens.append(solve_right(pi.vmaps[v], cover.vmaps[v][:, col], p)[:, 0])
+    return psum.extend(pi.src, gens)
 
 
 def resolution_of_complex(c: RepComplex, depth: int):

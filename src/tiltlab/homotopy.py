@@ -7,6 +7,11 @@ over the path basis, supported on paths from the target summand's vertex
 to the source summand's vertex.  Expanding everything to honest
 representations is available but most computations stay in algebra
 coordinates, which keeps hom spaces, cones and Gaussian elimination small.
+
+A hom space Hom(X, C[i]) is a ``HomPackage``: maps out of X are recorded
+by the images of X's summand generators, one operator g -> d g +- g d gives
+both the chain-map equations and the null-homotopies, and one pivot pass
+picks the class representatives.
 """
 from __future__ import annotations
 
@@ -16,13 +21,14 @@ from .algebra import BoundQuiverAlgebra
 from .endsplit import primitive_idempotents, trace_radical
 from .errors import (FieldTooSmall, Mismatch, NoSolution,
                      RandomBudgetExhausted, WindowViolation)
-from .linalg import (column_space, in_span, inv, null_space, rank,
+from .linalg import (column_space, in_span, inv, null_space, rref,
                      solve_right, span_union, zeros)
 from .memo import memo
 from .repcat import (
     ModuleMap,
     ProjSum,
     alg_matrix_of_map,
+    map_of_alg_matrix,
     projective_cover,
     sub_from_subspaces,
 )
@@ -158,7 +164,6 @@ class ProjComplex:
 
     def expansion(self) -> RepComplex:
         if self._expansion is None:
-            from .repcat import map_of_alg_matrix
             psums = [self.psum_at(q) for q in self.degrees()]
             terms = [ps.rep for ps in psums]
             diffs = [map_of_alg_matrix(self.dmats[k], psums[k], psums[k + 1])
@@ -292,7 +297,6 @@ class ChainMap:
                         {q - s: m for q, m in self.mats.items()})
 
     def expand(self) -> ComplexMap:
-        from .repcat import map_of_alg_matrix
         se, te = self.src.expansion(), self.tgt.expansion()
         maps = {}
         for q in range(min(self.src.lo, self.tgt.lo),
@@ -347,125 +351,81 @@ def cocone_with_maps(g: ChainMap):
 
 # -- hom spaces in the homotopy category -----------------------------------
 
-class _Layout:
-    """Coordinates for degreewise maps out of a ProjComplex.
+def _layout(x: ProjComplex, c: RepComplex, offset: int):
+    """Generator-image coordinates for maps g^q : X^q -> C^(q+offset).
 
-    A map f with f^q : X^q -> C^(q+offset) is recorded by the images of
-    the summand generators; block (q, c) is a vector in the vertex space
-    of C^(q+offset) at the summand's vertex.
+    Returns ({(q, s): (v, slice)}, total): summand s of X^q, at vertex v,
+    owns coords[slice], the image of its generator in C^(q+offset) at v.
     """
-
-    def __init__(self, x: ProjComplex, c: RepComplex, offset: int):
-        self.blocks = []  # (degree q, summand index, vertex, size, start)
-        self.total = 0
-        for q in range(min(x.lo, c.lo - offset), max(x.hi, c.hi - offset) + 1):
-            term = c.term_at(q + offset)
-            for s, v in enumerate(x.summands_at(q)):
-                size = term.dims[v]
-                self.blocks.append((q, s, v, size, self.total))
-                self.total += size
-
-    def block_start(self, q: int, s: int):
-        for (bq, bs, _, size, start) in self.blocks:
-            if bq == q and bs == s:
-                return start, size
-        return None
+    blocks, total = {}, 0
+    for q in x.degrees():
+        dims = c.term_at(q + offset).dims
+        for s, v in enumerate(x.summands_at(q)):
+            blocks[(q, s)] = (v, slice(total, total + dims[v]))
+            total += dims[v]
+    return blocks, total
 
 
 class HomPackage:
     """Hom(X, C[i]) for X a complex of projectives.
 
-    Chain maps are solved for in generator-image coordinates; Z spans the
-    chain maps, B the null-homotopic ones.  ``dim`` is the hom space in
-    the homotopy category (equivalently, the derived category).
+    Maps out of X live in generator-image coordinates (``_layout``).  The
+    operator g -> d_C g + sign g d_X at degree 0, sign -1 has the chain
+    maps as kernel (``chain_space``); at degree -1, sign +1 it is the
+    homotopy operator ``_bmat`` with image ``homotopy_image``.  The pivot
+    columns of [homotopy_image | chain_space] past the image leave the span
+    of all columns before them: they are the class representatives.
+    ``dim`` is the hom space in the homotopy (= derived) category.
     """
 
     def __init__(self, x: ProjComplex, target, i: int, cs: RepComplex):
-        alg = x.alg
+        p = x.alg.p
         self.x = x
         self.target = target
         self.i = i
         self.cs = cs
-        p = alg.p
-        self.f_layout = _Layout(x, cs, 0)
-        self.h_layout = _Layout(x, cs, -1)
-        self.r_layout = _Layout(x, cs, 1)
-        nf, nh, nr = self.f_layout.total, self.h_layout.total, self.r_layout.total
+        below, self.layout, above = (_layout(x, cs, o) for o in (-1, 0, 1))
+        self.chain_space = null_space(self._operator(self.layout, above, 0, -1),
+                                      p)
+        self._bmat = self._operator(below, self.layout, -1, 1)
+        self.homotopy_image = column_space(self._bmat, p)
+        nb = self.homotopy_image.shape[1]
+        _, piv = rref(np.concatenate([self.homotopy_image, self.chain_space],
+                                     axis=1), p)
+        if len(piv) != self.chain_space.shape[1]:
+            raise Mismatch("hom package: the homotopy image is not inside "
+                           "the chain space")
+        reps = [k - nb for k in piv if k >= nb]
+        self.rep_coords = [self.chain_space[:, k] for k in reps]
+        self.dim = len(reps)
+        self._basis = np.concatenate(
+            [self.homotopy_image, self.chain_space[:, reps]], axis=1)
 
-        m = zeros(nr, nf)
-        for (q, c, v, size, start) in self.f_layout.blocks:
-            row = self.r_layout.block_start(q, c)
-            if row is None:
+    def _operator(self, src, dst, offset: int, sign: int) -> np.ndarray:
+        """Matrix of g -> d_C o g + sign * g o d_X.
+
+        It takes maps X^q -> C^(q+offset) (layout ``src``) to maps
+        X^q -> C^(q+offset+1) (layout ``dst``).
+        """
+        x, cs = self.x, self.cs
+        (sblocks, ncols), (dblocks, nrows) = src, dst
+        out = zeros(nrows, ncols)
+        for (q, s), (v, rows) in dblocks.items():
+            if rows.start == rows.stop:
                 continue
-            rstart, rsize = row
-            if rsize == 0:
-                continue
-            d = cs.diff_at(q)
-            if size:
-                m[rstart:rstart + rsize, start:start + size] -= d.vmaps[v]
-        for (q, c, v, size, start) in self.r_layout.blocks:
-            # contributions of f^(q+1) through the source differential
+            cols = sblocks[(q, s)][1]
+            if cols.start != cols.stop:
+                out[rows, cols] += cs.diff_at(q + offset).vmaps[v]
+            term = cs.term_at(q + offset + 1)
             dx = x.dmat_at(q)
-            term = cs.term_at(q + 1)
             for r, vr in enumerate(x.summands_at(q + 1)):
-                u = dx[r, c]
-                if not np.any(u):
-                    continue
-                col = self.f_layout.block_start(q + 1, r)
-                if col is None:
-                    continue
-                cstart, csize = col
-                if csize == 0 or size == 0:
-                    continue
-                act = term.act_elem(u, vr, v)
-                m[start:start + size, cstart:cstart + csize] += act
-        m %= p
-
-        b = zeros(nf, nh)
-        for (q, c, v, size, start) in self.f_layout.blocks:
-            if size == 0:
-                continue
-            hblk = self.h_layout.block_start(q, c)
-            if hblk is not None and hblk[1]:
-                d = cs.diff_at(q - 1)
-                b[start:start + size, hblk[0]:hblk[0] + hblk[1]] += d.vmaps[v]
-            dx = x.dmat_at(q)
-            term = cs.term_at(q)
-            for r, vr in enumerate(x.summands_at(q + 1)):
-                u = dx[r, c]
-                if not np.any(u):
-                    continue
-                hcol = self.h_layout.block_start(q + 1, r)
-                if hcol is None or hcol[1] == 0:
-                    continue
-                b[start:start + size, hcol[0]:hcol[0] + hcol[1]] += \
-                    term.act_elem(u, vr, v)
-        b %= p
-        self._bmat = b
-
-        self.chain_space = null_space(m, p) if nf else zeros(0, 0)
-        self.homotopy_image = column_space(b, p) if nf else zeros(0, 0)
-        self.dim = self.chain_space.shape[1] - rank(self.homotopy_image, p)
-        # representatives: columns of Z extending the homotopy image
-        self._span = self.homotopy_image
-        self.rep_coords = []
-        for k in range(self.chain_space.shape[1]):
-            col = self.chain_space[:, k]
-            if not in_span(col, self._span, p):
-                self.rep_coords.append(col)
-                self._span = span_union(self._span, col.reshape(-1, 1), p=p)
-        if len(self.rep_coords) != self.dim:
-            raise Mismatch(f"hom package: {len(self.rep_coords)} class "
-                           f"representatives for dimension {self.dim}")
-        self._basis = (np.column_stack([self.homotopy_image]
-                                       + [c.reshape(-1, 1)
-                                          for c in self.rep_coords])
-                       if nf else zeros(0, 0))
+                cols = sblocks[(q + 1, r)][1]
+                if cols.start != cols.stop and np.any(dx[r, s]):
+                    out[rows, cols] += sign * term.act_elem(dx[r, s], vr, v)
+        return out % x.alg.p
 
     def reduce(self, coords: np.ndarray) -> np.ndarray:
         """Coordinates of a chain map's homotopy class in the chosen basis."""
-        if self.f_layout.total == 0:
-            return np.zeros(0, dtype=np.int64)
         sol = solve_right(self._basis, coords.reshape(-1, 1), self.x.alg.p)
         return sol[self.homotopy_image.shape[1]:, 0]
 
@@ -474,35 +434,25 @@ class HomPackage:
 
     def coords_of(self, f: ChainMap) -> np.ndarray:
         """Generator-image coordinates of a chain map into the target."""
-        p = self.x.alg.p
-        out = np.zeros(self.f_layout.total, dtype=np.int64)
-        for (q, c, v, size, start) in self.f_layout.blocks:
-            if size == 0:
-                continue
-            mat = f.map_at(q)
-            ps = self.target.psum_at(q + self.i)
-            vec = np.zeros(size, dtype=np.int64)
-            for r in range(mat.shape[0]):
-                coeffs = mat[r, c]
-                if np.any(coeffs):
-                    vec = (vec + ps.scatter(r, coeffs)[v]) % p
-            out[start:start + size] = vec
+        blocks, total = self.layout
+        out = np.zeros(total, dtype=np.int64)
+        for (q, s), (v, sl) in blocks.items():
+            if sl.start != sl.stop:
+                ps = self.target.psum_at(q + self.i)
+                out[sl] = ps.vector(f.map_at(q)[:, s], v)
         return out
 
     def chainmap_of(self, coords: np.ndarray) -> ChainMap:
         """Assemble an algebra-coordinate chain map from solver coordinates."""
-        assert hasattr(self.target, "psum_at"), "target is not projective"
-        mats: dict[int, np.ndarray] = {}
         ts = self.target.shift(self.i)
-        for (q, c, v, size, start) in self.f_layout.blocks:
-            if size == 0:
+        mats: dict[int, np.ndarray] = {}
+        for (q, s), (v, sl) in self.layout[0].items():
+            if sl.start == sl.stop:
                 continue
             if q not in mats:
                 mats[q] = azeros(self.x.alg, ts.count(q), self.x.count(q))
             ps = self.target.psum_at(q + self.i)
-            vec = coords[start:start + size]
-            for r in range(ts.count(q)):
-                mats[q][r, c] = ps.gather(r, v, vec)
+            mats[q][:, s] = ps.coeffs(coords[sl], v)
         return ChainMap(self.x, ts, mats)
 
     def chain_reps(self) -> list[ChainMap]:
@@ -510,24 +460,14 @@ class HomPackage:
 
     def complexmap_of(self, coords: np.ndarray) -> ComplexMap:
         """Assemble an honest map of complexes X.expansion() -> C[i]."""
-        alg = self.x.alg
-        xe = self.x.expansion()
+        blocks = self.layout[0]
         maps = {}
         for q in self.x.degrees():
             ps = self.x.psum_at(q)
-            term = self.cs.term_at(q)
-            vmaps = [zeros(term.dims[w], xe.term_at(q).dims[w])
-                     for w in range(alg.n)]
-            for (bq, c, v, size, start) in self.f_layout.blocks:
-                if bq != q or size == 0:
-                    continue
-                gval = coords[start:start + size]
-                for w in range(alg.n):
-                    for k, bpath in enumerate(ps._pbasis[v][w]):
-                        colv = (term.act_path(int(bpath)) @ gval) % alg.p
-                        vmaps[w][:, ps.offsets[c][w] + k] = colv
-            maps[q] = ModuleMap(xe.term_at(q), term, vmaps)
-        return ComplexMap(xe, self.cs, maps)
+            maps[q] = ps.extend(self.cs.term_at(q),
+                                [coords[blocks[(q, s)][1]]
+                                 for s in range(ps.count)])
+        return ComplexMap(self.x.expansion(), self.cs, maps)
 
     def is_nullhomotopic(self, f) -> bool:
         return not np.any(self.class_coords(f))
@@ -535,8 +475,6 @@ class HomPackage:
     def nullhomotopy(self, f):
         """Solve f = dh + hd; returns h-coordinates or None."""
         coords = f if isinstance(f, np.ndarray) else self.coords_of(f)
-        if self.f_layout.total == 0:
-            return np.zeros(0, dtype=np.int64)
         try:
             sol = solve_right(self._bmat, coords.reshape(-1, 1), self.x.alg.p)
         except NoSolution:

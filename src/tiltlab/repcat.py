@@ -57,11 +57,18 @@ class Representation:
             out = (out + int(coeffs[b]) * self.act_path(int(b))) % a.p
         return out
 
-    def validate(self):
+    def broken_relation(self):
+        """A relation (as arrow idents) acting by nonzero; None for a module."""
+        arrows = self.alg.quiver.arrows
         for w in self.alg.ideal.walks:
-            src = self.alg.quiver.arrows[w[0]].src
-            if np.any(self.act_walk(w, src)):
-                raise AssertionError(f"relation {w} does not act by zero")
+            if np.any(self.act_walk(w, arrows[w[0]].src)):
+                return [arrows[a].ident for a in w]
+        return None
+
+    def validate(self):
+        w = self.broken_relation()
+        if w is not None:
+            raise AssertionError(f"relation {w} does not act by zero")
 
     def __repr__(self):
         return f"Representation(dims={self.dims})"
@@ -339,8 +346,7 @@ def radical_subspaces(m: Representation) -> list[np.ndarray]:
 
 def top(m: Representation):
     """(top M, projection, section): the radical quotient."""
-    q, pi, secs = quotient_by_subspaces(m, radical_subspaces(m))
-    return q, pi, secs
+    return quotient_by_subspaces(m, radical_subspaces(m))
 
 
 # -- projective sums and covers --------------------------------------------
@@ -351,9 +357,7 @@ class ProjSum:
     def __init__(self, alg: BoundQuiverAlgebra, summands: list[int]):
         self.alg = alg
         self.summands = [int(v) for v in summands]
-        self.mults = np.zeros(alg.n, dtype=np.int64)
-        for v in self.summands:
-            self.mults[v] += 1
+        self.mults = np.bincount(self.summands, minlength=alg.n)
         # _pbasis[v][w]: path indices of P(v)'s basis at vertex w
         self._pbasis = {v: proj_basis(alg, v) for v in self.summands}
         # offsets[s][w]: start of summand s's block inside vertex space w
@@ -370,43 +374,49 @@ class ProjSum:
         return len(self.summands)
 
     def gen_column(self, s: int) -> tuple[int, int]:
-        """(vertex, column) of the generator e_v of summand s."""
-        v = self.summands[s]
-        basis = self._pbasis[v][v]
-        k = basis.index(self.alg.e_index[v])
-        return v, self.offsets[s][v] + k
+        """(vertex, column) of the generator e_v of summand s.
 
-    def scatter(self, s: int, coeffs: np.ndarray) -> list[np.ndarray]:
-        """Element of summand s from algebra coefficients (paths out of v)."""
-        alg = self.alg
+        e_v comes first among the paths v -> v (``alg.e_index``).
+        """
         v = self.summands[s]
-        vecs = [zeros(self.rep.dims[w], 1)[:, 0] for w in range(alg.n)]
-        for b in np.nonzero(coeffs)[0]:
-            w = int(alg.path_tgt[b])
-            k = self._pbasis[v][w].index(int(b))
-            vecs[w][self.offsets[s][w] + k] = coeffs[b] % alg.p
-        return vecs
+        return v, self.offsets[s][v]
 
-    def gather(self, s: int, w: int, vec: np.ndarray) -> np.ndarray:
-        """Algebra coefficients of summand s's block of a vertex-w vector."""
+    def vector(self, coeffs: np.ndarray, w: int) -> np.ndarray:
+        """Vertex-w vector of algebra coefficients, one row per summand."""
+        out = np.zeros(self.rep.dims[w], dtype=np.int64)
+        for s, v in enumerate(self.summands):
+            paths = list(self._pbasis[v][w])
+            start = self.offsets[s][w]
+            out[start:start + len(paths)] = coeffs[s, paths]
+        return out % self.alg.p
+
+    def coeffs(self, vec: np.ndarray, w: int) -> np.ndarray:
+        """Algebra coefficients, one row per summand, of a vertex-w vector."""
+        out = np.zeros((self.count, self.alg.dim), dtype=np.int64)
+        for s, v in enumerate(self.summands):
+            paths = list(self._pbasis[v][w])
+            start = self.offsets[s][w]
+            out[s, paths] = vec[start:start + len(paths)]
+        return out % self.alg.p
+
+    def extend(self, m: Representation, gens) -> ModuleMap:
+        """The map P -> M sending summand s's generator to vector gens[s]."""
         alg = self.alg
-        v = self.summands[s]
-        out = np.zeros(alg.dim, dtype=np.int64)
-        start = self.offsets[s][w]
-        for k, b in enumerate(self._pbasis[v][w]):
-            out[b] = vec[start + k] % alg.p
-        return out
+        vmaps = [zeros(m.dims[w], self.rep.dims[w]) for w in range(alg.n)]
+        for s, (v, g) in enumerate(zip(self.summands, gens)):
+            for w in range(alg.n):
+                for k, b in enumerate(self._pbasis[v][w]):
+                    vmaps[w][:, self.offsets[s][w] + k] = \
+                        m.act_path(int(b)) @ g % alg.p
+        return ModuleMap(self.rep, m, vmaps)
 
 
 def alg_matrix_of_map(f: ModuleMap, src: ProjSum, tgt: ProjSum) -> np.ndarray:
     """Algebra-coefficient matrix (tgt.count, src.count, dim A) of f."""
-    alg = src.alg
-    out = np.zeros((tgt.count, src.count, alg.dim), dtype=np.int64)
+    out = np.zeros((tgt.count, src.count, src.alg.dim), dtype=np.int64)
     for c in range(src.count):
         v, col = src.gen_column(c)
-        vec = f.vmaps[v][:, col]
-        for r in range(tgt.count):
-            out[r, c] = tgt.gather(r, v, vec)
+        out[:, c] = tgt.coeffs(f.vmaps[v][:, col], v)
     return out
 
 
@@ -442,18 +452,9 @@ def projective_cover(m: Representation):
     alg = m.alg
     t, pi, secs = top(m)
     psum = ProjSum(alg, [v for v in range(alg.n) for _ in range(int(t.dims[v]))])
-    vmaps = [zeros(m.dims[w], psum.rep.dims[w]) for w in range(alg.n)]
-    s = 0
-    for v in range(alg.n):
-        for copy in range(t.dims[v]):
-            gen_target = secs[v][:, copy]  # a preimage in M_v of the top basis
-            for w in range(alg.n):
-                for k, b in enumerate(psum._pbasis[v][w]):
-                    col = psum.offsets[s][w] + k
-                    vmaps[w][:, col] = (m.act_path(int(b)) @ gen_target) % alg.p
-            s += 1
-    cover = ModuleMap(psum.rep, m, vmaps)
-    return psum, cover
+    # each generator goes to a preimage in M_v of a top basis vector
+    gens = [secs[v][:, k] for v in range(alg.n) for k in range(t.dims[v])]
+    return psum, psum.extend(m, gens)
 
 
 def minimal_resolution(m: Representation, depth: int,
@@ -505,24 +506,16 @@ def ext_dim(m: Representation, n: Representation, i: int) -> int:
         if t + 1 >= len(sums):
             return zeros(0, hom_coords_dim(t))
         src_ps, tgt_ps = sums[t], sums[t + 1]
-        d = diffs[t]
-        rows = sum(n.dims[v] for v in tgt_ps.summands)
-        out = zeros(rows, hom_coords_dim(t))
+        out = zeros(hom_coords_dim(t + 1), hom_coords_dim(t))
         col = 0
-        for r in range(src_ps.count):
-            vr = src_ps.summands[r]
-            for j in range(n.dims[vr]):
-                unit = zeros(n.dims[vr], 1)[:, 0]
-                unit[j] = 1
-                ro = 0
-                for c in range(tgt_ps.count):
-                    vc = tgt_ps.summands[c]
-                    coeffs = d[r, c]
-                    if np.any(coeffs):
-                        out[ro:ro + n.dims[vc], col] = (
-                            n.act_elem(coeffs, vr, vc) @ unit) % alg.p
-                    ro += n.dims[vc]
-                col += 1
+        for r, vr in enumerate(src_ps.summands):
+            ro = 0
+            for c, vc in enumerate(tgt_ps.summands):
+                if np.any(diffs[t][r, c]):
+                    out[ro:ro + n.dims[vc], col:col + n.dims[vr]] = \
+                        n.act_elem(diffs[t][r, c], vr, vc)
+                ro += n.dims[vc]
+            col += n.dims[vr]
         return out
 
     di = dmat(i)
@@ -546,11 +539,7 @@ def _idempotent_blocks(m: Representation, e_total: np.ndarray):
 
 
 def split_by_idempotents(m: Representation, idems: list[np.ndarray]):
-    out = []
-    for e in idems:
-        sub, incl = sub_from_subspaces(m, _idempotent_blocks(m, e))
-        out.append((sub, incl))
-    return out
+    return [sub_from_subspaces(m, _idempotent_blocks(m, e)) for e in idems]
 
 
 def end_algebra_mats(m: Representation) -> list[np.ndarray]:
@@ -574,13 +563,11 @@ def decompose(m: Representation, seed: int = 0,
     parts = [sub for sub, _ in split_by_idempotents(m, idems)]
     groups: list[list[Representation]] = []
     for part in parts:
-        placed = False
         for g in groups:
             if module_iso(g[0], part) is not None:
                 g.append(part)
-                placed = True
                 break
-        if not placed:
+        else:
             groups.append([part])
     groups.sort(key=lambda g: (g[0].total_dim, g[0].dims))
     return [(g[0], len(g)) for g in groups]

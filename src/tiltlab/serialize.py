@@ -117,7 +117,12 @@ def generators_from_spec(alg: BoundQuiverAlgebra, data) -> list[Representation]:
             if m.shape != (dims[a.tgt], dims[a.src]):
                 raise SpecError(f"generator {k}: matrix for arrow {a.ident} "
                                 f"has shape {m.shape}")
-        out.append(Representation(alg, dims, mats))
+        rep = Representation(alg, dims, mats)
+        broken = rep.broken_relation()
+        if broken is not None:
+            raise SpecError(f"generator {k}: relation {broken} (arrow ids) "
+                            "does not act by zero")
+        out.append(rep)
     return out
 
 

@@ -118,7 +118,8 @@ def build_universe(alg, d: int, seed: int = 0, dim_bound: int = 3,
     """Assemble the default sampling universe.
 
     Indecomposable modules are harvested by decomposing random
-    representations over the dimension-vector grid; each gets its window
+    representations over the dimension-vector grid (draws that break a
+    relation are not modules and are skipped); each gets its window
     shifts.  Random three-step projective complexes are truncated into the
     window, and the whole family is closed under direct summands.
     """
@@ -148,7 +149,10 @@ def build_universe(alg, d: int, seed: int = 0, dim_bound: int = 3,
         if not any(dims):
             continue
         for _ in range(reps_per_dims):
-            for m, _mult in decompose(_random_rep(alg, dims, rng), seed=seed):
+            draw = _random_rep(alg, dims, rng)
+            if draw.broken_relation() is not None:
+                continue
+            for m, _mult in decompose(draw, seed=seed):
                 if admit(module_stalk(m), "module") is not None:
                     modules.append(m)
     for m in modules:
@@ -292,7 +296,7 @@ class QuasiTiltingReport:
 
 
 def _random_class_map(pkg, rng):
-    coords = np.zeros(pkg.f_layout.total, dtype=np.int64)
+    coords = np.zeros(pkg.chain_space.shape[0], dtype=np.int64)
     if pkg.dim:
         weights = rng.integers(0, pkg.x.alg.p, size=pkg.dim)
         for w, rep in zip(weights, pkg.rep_coords):

@@ -69,3 +69,18 @@ def oracle_ext1_hereditary(m, n, p):
     """dim Ext^1 over a hereditary algebra: hom minus the Euler form."""
     assert m.alg.is_hereditary()
     return oracle_hom_dim(m, n, p) - euler_form(m.alg, m.dims, n.dims)
+
+
+def fuss_catalan(n, d):
+    """Number of (d+1)-term silting classes of linear A_n.
+
+    The Fuss-Catalan number C((d+1)(n+1), n+1) / (d(n+1)+1) (Fomin-Reading,
+    generalized cluster complexes), in plain integer arithmetic.
+    """
+    top, k = (d + 1) * (n + 1), n + 1
+    binom = 1
+    for j in range(k):
+        binom = binom * (top - j) // (j + 1)
+    count, rest = divmod(binom, d * (n + 1) + 1)
+    assert rest == 0
+    return count

@@ -79,6 +79,16 @@ def test_non_prime_p_rejected(p):
         build_algebra(2, [(1, 1, 2)], p=p)
 
 
+def test_largest_prime_below_the_int64_bound_accepted():
+    assert build_algebra(2, [(1, 1, 2)], p=2_097_143).p == 2_097_143
+
+
+@pytest.mark.parametrize("p", [2_097_169, 4_294_967_311])
+def test_primes_past_the_int64_bound_rejected(p):
+    with pytest.raises(SpecError, match="below 2\\^21 = 2,097,152"):
+        build_algebra(2, [(1, 1, 2)], p=p)
+
+
 def test_hereditary_detection():
     assert linear_an(3).is_hereditary()
     assert not nakayama_rad_square_zero(3).is_hereditary()

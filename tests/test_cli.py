@@ -57,6 +57,26 @@ def test_non_prime_p_is_a_spec_error(tmp_path, capsys):
     assert "p = 4" in capsys.readouterr().err
 
 
+def test_prime_past_the_int64_bound_is_a_spec_error(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"catalog": "linear_an", "n": 2, "d": 1,
+                                "p": 4294967311}))
+    assert main(["enumerate", "--spec", str(path)]) == 3
+    assert "below 2^21 = 2,097,152" in capsys.readouterr().err
+
+
+def test_matrices_breaking_a_relation_are_a_spec_error(tmp_path, capsys):
+    spec = tmp_path / "nak3.json"
+    spec.write_text(json.dumps({"catalog": "nakayama_rad_square_zero",
+                                "n": 3, "d": 1}))
+    # a_2 a_1 acts by 1, but rad^2 = 0 over Nak_3
+    obj = write_objects(tmp_path, "bad.json",
+                        [{"dims": [1, 1, 1], "mats": [[[1]], [[1]]]}])
+    assert main(["check", "--spec", str(spec), "tilting", obj]) == 3
+    assert ("generator 0: relation [1, 2] (arrow ids) does not act by zero"
+            in capsys.readouterr().err)
+
+
 def test_check_tilting_pass_and_fail(tmp_path, ka2_spec):
     free = write_objects(tmp_path, "free.json",
                          [{"kind": "projective", "vertex": 1},

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiltlab.catalog import linear_an, nakayama_rad_square_zero
-from tiltlab.heart import generator_models
+from tiltlab.heart import generator_models, resolution_of_module
 from tiltlab.homotopy import (
     ChainMap,
     ProjComplex,
@@ -27,14 +27,15 @@ from tiltlab.homotopy import (
     right_approximation,
     right_mutation,
 )
-from tiltlab.linalg import in_span
-from tiltlab.repcat import (ext_dim, hom_dim, minimal_resolution, projective,
-                            simple)
+from tiltlab.linalg import in_span, span_union
+from tiltlab.repcat import (direct_sum, ext_dim, hom_dim, injective,
+                            minimal_resolution, projective, simple)
 from tiltlab.repcomplex import (complex_cone, homology_at, homology_dims,
                                 stalk_complex, truncate_above, truncate_below)
 from tiltlab.tiltcheck import _random_proj_3step
 
 from run_optimized import run_optimized
+from test_algebra import monomial_algebras
 
 
 @pytest.fixture(scope="module")
@@ -199,6 +200,119 @@ def test_nullhomotopic_detection(ka2):
         assert h is not None
 
 
+def greedy_representatives(pkg):
+    """Class representatives picked one chain-space column at a time.
+
+    A column is kept when ``in_span`` puts it outside the homotopy image
+    plus the columns kept so far; this is the reference for the package's
+    single pivot pass.
+    """
+    p = pkg.x.alg.p
+    span, kept = pkg.homotopy_image, []
+    for k in range(pkg.chain_space.shape[1]):
+        col = pkg.chain_space[:, k]
+        if not in_span(col, span, p):
+            kept.append(col)
+            span = span_union(span, col.reshape(-1, 1), p=p)
+    return kept
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.booleans(), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+def test_representatives_match_greedy_selection(use_nak, sx, sy):
+    alg = nakayama_rad_square_zero(3) if use_nak else linear_an(3)
+    x = _random_proj_3step(alg, np.random.default_rng(sx))
+    y = _random_proj_3step(alg, np.random.default_rng(sy))
+    truncated = truncate_below(truncate_above(y.expansion(), 0), -1)
+    for src in (x, x.shift(1)):
+        for tgt in (y, y.shift(-1), truncated, x):
+            for i in (-1, 0, 1):
+                pkg = hom_package(src, tgt, i, cache=False)
+                want = greedy_representatives(pkg)
+                assert pkg.dim == len(want) == len(pkg.rep_coords)
+                for got, ref in zip(pkg.rep_coords, want):
+                    assert np.array_equal(got, ref)
+
+
+@st.composite
+def algebra_with_modules(draw):
+    """A monomial algebra and two modules: sums of P(v), I(v) and S(v)."""
+    alg = draw(monomial_algebras())
+    brick = st.tuples(st.sampled_from([projective, injective, simple]),
+                      st.integers(0, alg.n - 1))
+
+    def module():
+        parts = draw(st.lists(brick, min_size=1, max_size=2))
+        return direct_sum([make(alg, v) for make, v in parts], alg)
+    return alg, module(), module()
+
+
+@settings(max_examples=15, deadline=None)
+@given(algebra_with_modules())
+def test_hom_packages_match_independent_oracles(case):
+    alg, m, n = case
+    for v in range(alg.n):
+        assert hom_k(proj_stalk(alg, v), stalk_complex(m, 0)) == m.dims[v]
+    for k in range(3):
+        res = resolution_of_module(m, k + 1)
+        assert hom_k(res, stalk_complex(n, 0), k) == ext_dim(m, n, k)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.booleans(), st.integers(0, 2**32 - 1), st.sampled_from([-1, 0, 1]))
+def test_generator_coordinates_round_trip(use_nak, seed, i):
+    alg = nakayama_rad_square_zero(3) if use_nak else linear_an(3)
+    rng = np.random.default_rng(seed)
+    x = _random_proj_3step(alg, rng)
+    ident = chain_identity(x)
+    pe = hom_package(x, x, 0, cache=False)
+    back = pe.chainmap_of(pe.coords_of(ident))
+    for q in x.degrees():
+        assert np.array_equal(back.map_at(q), ident.map_at(q))
+    pkg = hom_package(x, _random_proj_3step(alg, rng), i, cache=False)
+    coords = (pkg.chain_space @ rng.integers(0, alg.p,
+                                             pkg.chain_space.shape[1])) % alg.p
+    f = pkg.chainmap_of(coords)
+    f.validate()
+    assert np.array_equal(pkg.coords_of(f), coords)
+    again = pkg.chainmap_of(pkg.coords_of(f))
+    for q in range(x.lo - 1, x.hi + 2):
+        assert np.array_equal(again.map_at(q), f.map_at(q))
+
+
+def planted_image_raises() -> str:
+    """Message of the Mismatch for a homotopy image outside the chain space.
+
+    Hom(P(1), C) for C = (P(1) -> P(1)) in degrees 0, 1 has no nonzero
+    chain map, so a planted unit column in the image cannot lie in the
+    chain space.
+    """
+    from tiltlab import homotopy
+    from tiltlab.errors import Mismatch
+    alg = linear_an(2)
+    p0 = proj_stalk(alg, 0)
+    c = proj_cone(chain_identity(p0)).shift(-1)
+    real = homotopy.column_space
+
+    def planted(a, p):
+        img = real(a, p)
+        unit = np.zeros((img.shape[0], 1), dtype=np.int64)
+        unit[0] = 1
+        return np.concatenate([img, unit], axis=1)
+
+    with mock.patch.object(homotopy, "column_space", planted):
+        try:
+            hom_package(p0, c, 0, cache=False)
+        except Mismatch as exc:
+            return str(exc)
+    raise AssertionError("a planted homotopy image raised no Mismatch")
+
+
+def test_planted_homotopy_image_survives_optimize():
+    assert "not inside the chain space" in planted_image_raises()
+    run_optimized("test_homotopy", "planted_image_raises")
+
+
 # -- minimization -----------------------------------------------------------
 
 def test_minimize_contractible(ka2):
@@ -358,7 +472,8 @@ def _factors_through(parts, z, minimal):
         through = hom_package(t, e, 0)
         cols = [pkg.class_coords(g.compose(h)) for h in through.chain_reps()]
         span = (np.column_stack(cols) if cols
-                else np.zeros((max(pkg.f_layout.total, 1), 0), dtype=np.int64))
+                else np.zeros((max(pkg.chain_space.shape[0], 1), 0),
+                              dtype=np.int64))
         for f in pkg.chain_reps():
             if not in_span(pkg.class_coords(f), span, alg.p):
                 return False
@@ -385,7 +500,7 @@ def test_left_approximation_factoring(ka3):
             cols = [pkg.class_coords(h.compose(g))
                     for h in through.chain_reps()]
             span = (np.column_stack(cols) if cols
-                    else np.zeros((max(pkg.f_layout.total, 1), 0),
+                    else np.zeros((max(pkg.chain_space.shape[0], 1), 0),
                                   dtype=np.int64))
             for f in pkg.chain_reps():
                 assert in_span(pkg.class_coords(f), span, alg.p)

@@ -16,6 +16,7 @@ from tiltlab.repcat import (ProjSum, alg_matrix_of_map, cokernel, decompose,
 from tiltlab.repcomplex import stalk_complex
 
 from oracles import oracle_ext1_hereditary, oracle_hom_dim
+from test_algebra import monomial_algebras
 
 
 @pytest.fixture(scope="module")
@@ -205,3 +206,30 @@ def test_alg_matrix_round_trip(use_nak, src_vs, tgt_vs, seed):
     back = map_of_alg_matrix(alg_matrix_of_map(f, src, tgt), src, tgt)
     for v in range(alg.n):
         assert np.array_equal(back.vmaps[v], f.vmaps[v])
+
+
+@settings(max_examples=30, deadline=None)
+@given(monomial_algebras(), st.data(), st.integers(0, 2**32 - 1))
+def test_generator_coordinate_conversions(alg, data, seed):
+    # parallel arrows give several paths v -> w, so blocks have length > 1
+    vs = data.draw(st.lists(st.integers(0, alg.n - 1), min_size=1,
+                            max_size=3))
+    ps = ProjSum(alg, vs)
+    rng = np.random.default_rng(seed)
+    c = rng.integers(0, alg.p, (ps.count, alg.dim))
+    for w in range(alg.n):
+        back = ps.coeffs(ps.vector(c, w), w)
+        for s, v in enumerate(vs):
+            ends = list(alg.path_indices(v, w))
+            assert np.array_equal(back[s, ends], c[s, ends])
+            assert not np.any(np.delete(back[s], ends))
+        vec = rng.integers(0, alg.p, ps.rep.dims[w])
+        assert np.array_equal(ps.vector(ps.coeffs(vec, w), w), vec)
+    # any generator images extend to a module map that takes them
+    m = direct_sum([injective(alg, v) for v in range(alg.n)], alg)
+    gens = [rng.integers(0, alg.p, m.dims[v]) for v in vs]
+    f = ps.extend(m, gens)
+    f.validate()
+    for s, g in enumerate(gens):
+        v, col = ps.gen_column(s)
+        assert np.array_equal(f.vmaps[v][:, col], g)

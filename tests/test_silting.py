@@ -17,6 +17,8 @@ from tiltlab.silting import (
     rigid_pool,
 )
 
+from oracles import fuss_catalan
+
 
 @pytest.fixture(scope="module")
 def ka2():
@@ -117,6 +119,20 @@ def test_enumerate_ka3_both_methods(ka3):
     cli = enumerate_silting(ka3, 1, method="clique")
     assert mut.count == cli.count == 14
     assert not mut.unknown and not cli.unknown
+
+
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (4, 1)])
+def test_linear_counts_match_fuss_catalan(n, d):
+    assert enumerate_silting(linear_an(n), d).count == fuss_catalan(n, d)
+
+
+def test_acceptance_linear_counts_are_fuss_catalan():
+    from test_acceptance import EXPECTED_COUNTS
+    linear = {key: c for key, c in EXPECTED_COUNTS.items()
+              if key[0].startswith("ka")}
+    assert len(linear) == 6
+    for (name, d), count in linear.items():
+        assert count == fuss_catalan(int(name[2:]), d), (name, d)
 
 
 def test_enumerate_nakayama_mutation(nak):

@@ -1,10 +1,12 @@
 """Universe-relative checkers, theorem verifiers and closure trials."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiltlab.catalog import linear_an, nakayama_rad_square_zero
 from tiltlab.errors import SpecError
 from tiltlab.heart import generator_models, module_stalk
-from tiltlab.repcat import projective, simple
+from tiltlab.repcat import decompose, projective, simple
 from tiltlab.repcomplex import homology_dims
 from tiltlab.tiltcheck import (
     HeartStore,
@@ -18,6 +20,8 @@ from tiltlab.tiltcheck import (
     verify_bijection,
     verify_torsion_reports,
 )
+
+from test_algebra import monomial_algebras
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +53,36 @@ def add_a(alg):
 def test_universe_ka2_d1_is_the_module_category(uni_ka2):
     assert len(uni_ka2) == 3
     assert all(m.tag == "module" for m in uni_ka2)
+
+
+def universe_module_check(alg, **kwargs):
+    """Build a universe with ``decompose`` refusing non-modules; validate it."""
+    from unittest import mock
+
+    from tiltlab import tiltcheck
+
+    def checked(m, **kw):
+        m.validate()
+        return decompose(m, **kw)
+
+    with mock.patch.object(tiltcheck, "decompose", checked):
+        uni = build_universe(alg, 1, **kwargs)
+    for member in uni:
+        member.obj.validate()
+        for q in range(member.obj.lo, member.obj.hi + 1):
+            member.obj.term_at(q).validate()
+    return uni
+
+
+def test_universe_members_are_modules(nak):
+    # over rad^2 = 0 most random draws with a nonzero a_2 a_1 are not modules
+    assert len(universe_module_check(nak, seed=0)) > 0
+
+
+@settings(max_examples=4, deadline=None)
+@given(monomial_algebras(), st.integers(0, 100))
+def test_universe_members_are_modules_over_monomial_algebras(alg, seed):
+    universe_module_check(alg, seed=seed, dim_bound=1, n_complexes=2)
 
 
 def test_universe_closed_under_summands(uni_nak, nak):
