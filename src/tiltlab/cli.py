@@ -62,7 +62,8 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0,
                        help="master seed for all randomized steps")
         p.add_argument("--depth", type=int, default=None,
-                       help="resolution depth budget (default 2d+3)")
+                       help="resolution depth for admitting universe members "
+                            "(default 2d+3; other resolutions use 2d+3)")
         p.add_argument("--universe-dim-bound", type=int, default=3,
                        dest="universe_dim_bound",
                        help="dimension-vector bound for universe modules")

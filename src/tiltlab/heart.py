@@ -3,7 +3,9 @@
 Heart objects are complexes with terms in degrees [-d+1, 0].  Every
 derived-category computation routes through projective models built by
 stepwise covers, so hom and extension groups reduce to the chain-level
-solvers in :mod:`tiltlab.homotopy`.
+solvers in :mod:`tiltlab.homotopy`.  Covers and Fac-chain approximations
+are maps out of a complex of projectives, given by the images of its
+generators; ``_map_from`` is the one place that builds them.
 """
 from __future__ import annotations
 
@@ -14,15 +16,15 @@ import numpy as np
 from .errors import HomologyOutsideWindow, ResolutionDepthExceeded, \
     SpecError, WindowViolation
 from .homotopy import ProjComplex, decompose_complex, hom_k, hom_package, \
-    minimize, proj_zero
-from .linalg import rank, solve_right, zeros
+    minimize, proj_direct_sum, proj_zero
+from .linalg import rank, solve_right
 from .memo import memo
 from .repcat import (ModuleMap, ProjSum, Representation, alg_matrix_of_map,
                      cokernel, is_isomorphic, kernel, minimal_resolution,
-                     projective_cover, zero_rep)
-from .repcomplex import (ComplexMap, RepComplex, complex_cone,
-                         complex_direct_sum, homology_at, homology_dims,
-                         stalk_complex, truncate_above, truncate_below)
+                     projective_cover)
+from .repcomplex import (ComplexMap, RepComplex, complex_cone, homology_at,
+                         homology_dims, stalk_complex, truncate_above,
+                         truncate_below)
 
 
 def module_stalk(m: Representation) -> RepComplex:
@@ -104,14 +106,15 @@ def truncate_window(s: ProjComplex, d: int) -> RepComplex:
 
 # -- resolving arbitrary complexes -----------------------------------------
 
-def _lift_cover(cover: ModuleMap, pi: ModuleMap, psum: ProjSum) -> ModuleMap:
-    """A map q: P -> C0 with pi o q = cover, built on the generators."""
-    p = psum.alg.p
-    gens = []
-    for s in range(psum.count):
-        v, col = psum.gen_column(s)
-        gens.append(solve_right(pi.vmaps[v], cover.vmaps[v][:, col], p)[:, 0])
-    return psum.extend(pi.src, gens)
+def _map_from(e: ProjComplex, c: RepComplex, images: dict) -> ComplexMap:
+    """The map e.expansion() -> c that sends generators to given images.
+
+    ``images[q]`` holds one vertex vector of c^q per summand of e^q, in
+    e's order; a degree missing from ``images`` maps to zero.
+    """
+    return ComplexMap(e.expansion(), c, {
+        q: e.psum_at(q).extend(c.term_at(q), images.get(q, []))
+        for q in e.degrees()})
 
 
 def resolution_of_complex(c: RepComplex, depth: int):
@@ -131,32 +134,30 @@ def resolution_of_complex(c: RepComplex, depth: int):
         return s.shift(-cur.hi), complete
     covers: list[ProjSum] = []
     dmaps: list[np.ndarray] = []
-    prev_to_cover: ModuleMap | None = None
-    prev_psum: ProjSum | None = None
     complete = False
     for _ in range(depth + 1):
         if not homology_dims(cur):
             complete = True
             break
         # cur.hi == 0, so every element of C^0 is a cycle and H^0 is the
-        # cokernel of the incoming differential
+        # cokernel of the incoming differential; the cover's generator
+        # images lift from H^0 to C^0
         h0, pi0 = cokernel(cur.diff_at(-1))
         psum, cover = projective_cover(h0)
-        q0 = _lift_cover(cover, pi0, psum)
-        if prev_psum is not None:
-            comp = prev_to_cover.after(q0)
-            dmaps.append(alg_matrix_of_map(comp, psum, prev_psum))
+        gens = [solve_right(pi0.vmaps[v], cover.vmaps[v][:, col], alg.p)[:, 0]
+                for v, col in map(psum.gen_column, range(psum.count))]
+        g = _map_from(ProjComplex(alg, 0, [psum.summands], []), cur, {0: gens})
+        if covers:
+            comp = prev_to_cover.after(g.map_at(0))
+            dmaps.append(alg_matrix_of_map(comp, psum, covers[-1]))
         covers.append(psum)
-        g = ComplexMap(stalk_complex(psum.rep, 0), cur, {0: q0})
         k = complex_cone(g).shift(-1)
         z, z_incl = kernel(k.diff_at(0))
-        nxt = truncate_above(k, 0, (z, z_incl))
-        prev_psum = psum
-        # degree-0 term of nxt is z; its inclusion's first block is the cover
+        cur = truncate_above(k, 0, (z, z_incl))
+        # z is the new degree-0 term; its inclusion's first block is the cover
         prev_to_cover = ModuleMap(
-            nxt.term_at(0), psum.rep,
+            z, psum.rep,
             [z_incl.vmaps[v][: psum.rep.dims[v], :] for v in range(alg.n)])
-        cur = nxt
     s = ProjComplex(alg, -(len(covers) - 1),
                     [ps.summands for ps in reversed(covers)],
                     list(reversed(dmaps)))
@@ -261,24 +262,23 @@ def fac_membership(gens, x: RepComplex, d: int, s: int | None = None,
     for stage in range(1, s + 1):
         if cur.is_zero() or not homology_dims(cur):
             break
-        comps: list[tuple[int, ComplexMap]] = []
-        for gi, g in enumerate(models):
-            pkg = hom_package(g, cur, 0, cache=False)
+        pkgs = [hom_package(g, cur, 0, cache=False) for g in models]
+        middle = [(gi, pkg.dim) for gi, pkg in enumerate(pkgs) if pkg.dim]
+        # one copy of a model per class representative, with its images
+        chosen: list[ProjComplex] = []
+        images: dict[int, list[np.ndarray]] = {}
+        for g, pkg in zip(models, pkgs):
             for coords in pkg.rep_coords:
-                comps.append((gi, pkg.complexmap_of(coords)))
-        middle: list[tuple[int, int]] = []
-        for gi, _ in comps:
-            if middle and middle[-1][0] == gi:
-                middle[-1] = (gi, middle[-1][1] + 1)
-            else:
-                middle.append((gi, 1))
-        if not _h0_surjective(comps, cur):
+                chosen.append(g)
+                for (q, _), (_, sl) in pkg.layout[0].items():
+                    images.setdefault(q, []).append(coords[sl])
+        f = _map_from(proj_direct_sum(chosen, cur.alg), cur, images)
+        if not _h0_surjective(f, cur):
             out_steps.append(FacStep(stage, middle, homology_dims(cur), False))
             verdict = "not_in" if stage == 1 else "not_in_approx"
             return FacResult(
                 verdict, out_steps,
                 detail=f"approximation not surjective on H^0 at stage {stage}")
-        f = _assemble_sum_map([c for _, c in comps], cur)
         k = complex_cone(f).shift(-1)
         try:
             nxt = to_window(k, d)
@@ -291,52 +291,23 @@ def fac_membership(gens, x: RepComplex, d: int, s: int | None = None,
     return FacResult("in", out_steps)
 
 
-def _h0_surjective(comps, cur: RepComplex) -> bool:
-    """Do the degree-0 components of comps map onto H^0(cur)?
+def _h0_surjective(f: ComplexMap, cur: RepComplex) -> bool:
+    """Does f^0 map onto H^0(cur)?
 
-    The models live in degrees <= 0, so every f^0 lands in the cycles.
-    The maps are onto H^0 exactly when, at each vertex, the boundaries
-    and their images together span the cycles.
+    The models live in degrees <= 0, so f^0 lands in the cycles.  It is
+    onto H^0 exactly when, at each vertex, the boundaries and its image
+    together span the cycles.
     """
     alg = cur.alg
-    d_in, d_out = cur.diff_at(-1), cur.diff_at(0)
-    f0s = [cm.map_at(0) for _, cm in comps]
+    d_in, d_out, f0 = cur.diff_at(-1), cur.diff_at(0), f.map_at(0)
     for v in range(alg.n):
         cycles = cur.term_at(0).dims[v] - rank(d_out.vmaps[v], alg.p)
         if cycles == 0:
             continue
-        span = np.concatenate([d_in.vmaps[v]] + [f.vmaps[v] for f in f0s],
-                              axis=1)
+        span = np.concatenate([d_in.vmaps[v], f0.vmaps[v]], axis=1)
         if rank(span, alg.p) != cycles:
             return False
     return True
-
-
-def _assemble_sum_map(maps: list[ComplexMap], tgt: RepComplex) -> ComplexMap:
-    """Combine maps with common target into one map from the direct sum."""
-    alg = tgt.alg
-    if not maps:
-        z = RepComplex(alg, 0, [zero_rep(alg)], [])
-        return ComplexMap(z, tgt, {})
-    src = maps[0].src
-    for m in maps[1:]:
-        src = complex_direct_sum(src, m.src)
-    lo = min(src.lo, tgt.lo)
-    hi = max(src.hi, tgt.hi)
-    out = {}
-    for q in range(lo, hi + 1):
-        term = src.term_at(q)
-        vmaps = [zeros(tgt.term_at(q).dims[v], term.dims[v])
-                 for v in range(alg.n)]
-        at = [0] * alg.n
-        for m in maps:
-            mv = m.map_at(q)
-            for v in range(alg.n):
-                w = mv.vmaps[v].shape[1]
-                vmaps[v][:, at[v]:at[v] + w] = mv.vmaps[v]
-                at[v] += w
-        out[q] = ModuleMap(term, tgt.term_at(q), vmaps)
-    return ComplexMap(src, tgt, out)
 
 
 def t_class_membership(parts: list[ProjComplex], x: RepComplex,

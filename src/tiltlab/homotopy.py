@@ -110,8 +110,6 @@ class ProjComplex:
         self.lo = int(lo)
         self.summands = [list(map(int, s)) for s in summands]
         self.dmats = [np.asarray(m, dtype=np.int64) % alg.p for m in dmats]
-        self._psums: dict[int, ProjSum] = {}
-        self._expansion: RepComplex | None = None
 
     @property
     def hi(self) -> int:
@@ -158,18 +156,17 @@ class ProjComplex:
         return (t.lo, tuple(tuple(sorted(s)) for s in t.summands))
 
     def psum_at(self, q: int) -> ProjSum:
-        if q not in self._psums:
-            self._psums[q] = ProjSum(self.alg, self.summands_at(q))
-        return self._psums[q]
+        return ProjSum.of(self.alg, self.summands_at(q))
 
     def expansion(self) -> RepComplex:
-        if self._expansion is None:
+        store, key = memo(self), ("expansion",)
+        if key not in store:
             psums = [self.psum_at(q) for q in self.degrees()]
-            terms = [ps.rep for ps in psums]
             diffs = [map_of_alg_matrix(self.dmats[k], psums[k], psums[k + 1])
                      for k in range(len(self.dmats))]
-            self._expansion = RepComplex(self.alg, self.lo, terms, diffs)
-        return self._expansion
+            store[key] = RepComplex(self.alg, self.lo,
+                                    [ps.rep for ps in psums], diffs)
+        return store[key]
 
     def validate(self) -> None:
         for k, m in enumerate(self.dmats):
@@ -297,14 +294,12 @@ class ChainMap:
                         {q - s: m for q, m in self.mats.items()})
 
     def expand(self) -> ComplexMap:
-        se, te = self.src.expansion(), self.tgt.expansion()
-        maps = {}
-        for q in range(min(self.src.lo, self.tgt.lo),
-                       max(self.src.hi, self.tgt.hi) + 1):
-            f = map_of_alg_matrix(self.map_at(q), self.src.psum_at(q),
-                                  self.tgt.psum_at(q))
-            maps[q] = ModuleMap(se.term_at(q), te.term_at(q), f.vmaps)
-        return ComplexMap(se, te, maps)
+        # psum_at(q).rep is the expansion's term at q, for every q
+        maps = {q: map_of_alg_matrix(self.map_at(q), self.src.psum_at(q),
+                                     self.tgt.psum_at(q))
+                for q in range(min(self.src.lo, self.tgt.lo),
+                               max(self.src.hi, self.tgt.hi) + 1)}
+        return ComplexMap(self.src.expansion(), self.tgt.expansion(), maps)
 
 
 def chain_identity(x: ProjComplex) -> ChainMap:
@@ -457,17 +452,6 @@ class HomPackage:
 
     def chain_reps(self) -> list[ChainMap]:
         return [self.chainmap_of(c) for c in self.rep_coords]
-
-    def complexmap_of(self, coords: np.ndarray) -> ComplexMap:
-        """Assemble an honest map of complexes X.expansion() -> C[i]."""
-        blocks = self.layout[0]
-        maps = {}
-        for q in self.x.degrees():
-            ps = self.x.psum_at(q)
-            maps[q] = ps.extend(self.cs.term_at(q),
-                                [coords[blocks[(q, s)][1]]
-                                 for s in range(ps.count)])
-        return ComplexMap(self.x.expansion(), self.cs, maps)
 
     def is_nullhomotopic(self, f) -> bool:
         return not np.any(self.class_coords(f))

@@ -352,7 +352,13 @@ def top(m: Representation):
 # -- projective sums and covers --------------------------------------------
 
 class ProjSum:
-    """An explicit ordered direct sum of indecomposable projectives P(v)."""
+    """An explicit ordered direct sum of indecomposable projectives P(v).
+
+    ``ProjSum.of`` hands out one shared object per algebra and summand
+    list, so complexes with equal terms share their modules.  That is safe
+    because no ``Representation`` or ``ModuleMap`` array is written in place
+    after construction anywhere in tiltlab; keep it that way.
+    """
 
     def __init__(self, alg: BoundQuiverAlgebra, summands: list[int]):
         self.alg = alg
@@ -368,6 +374,14 @@ class ProjSum:
             for w, basis in enumerate(self._pbasis[v]):
                 cursor[w] += len(basis)
         self.rep = direct_sum([projective(alg, v) for v in self.summands], alg)
+
+    @classmethod
+    def of(cls, alg: BoundQuiverAlgebra, summands) -> "ProjSum":
+        """The shared ProjSum of alg with these summands, in this order."""
+        store, key = memo(alg), ("proj_sum", tuple(map(int, summands)))
+        if key not in store:
+            store[key] = cls(alg, summands)
+        return store[key]
 
     @property
     def count(self) -> int:
@@ -451,7 +465,7 @@ def projective_cover(m: Representation):
     """(ProjSum P, cover map P -> M); multiplicities from top(M)."""
     alg = m.alg
     t, pi, secs = top(m)
-    psum = ProjSum(alg, [v for v in range(alg.n) for _ in range(int(t.dims[v]))])
+    psum = ProjSum.of(alg, [v for v, k in enumerate(t.dims) for _ in range(k)])
     # each generator goes to a preimage in M_v of a top basis vector
     gens = [secs[v][:, k] for v in range(alg.n) for k in range(t.dims[v])]
     return psum, psum.extend(m, gens)

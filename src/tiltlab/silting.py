@@ -60,12 +60,12 @@ def k0_matrix(parts: list[ProjComplex]) -> sympy.Matrix:
 
 
 def _k0_is_basis(parts: list[ProjComplex], n: int):
-    m = k0_matrix(parts)
-    if m.shape[1] != n:
-        return False, {"classes": m.T.tolist(), "reason": "size"}
-    det = int(m.det())
+    classes = [[int(c) for c in k0_vector(x)] for x in parts]
+    if len(parts) != n:
+        return False, {"classes": classes, "reason": "size"}
+    det = int(k0_matrix(parts).det())
     if abs(det) != 1:
-        return False, {"classes": m.T.tolist(), "det": det}
+        return False, {"classes": classes, "det": det}
     return True, None
 
 

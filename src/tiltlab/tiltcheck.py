@@ -93,7 +93,7 @@ def _random_proj_3step(alg, rng) -> ProjComplex:
     s0 = [int(rng.integers(alg.n)) for _ in range(1 + int(rng.integers(2)))]
     s1 = [int(rng.integers(alg.n)) for _ in range(1 + int(rng.integers(2)))]
     s2 = [int(rng.integers(alg.n)) for _ in range(1 + int(rng.integers(2)))]
-    ps0, ps1, ps2 = ProjSum(alg, s0), ProjSum(alg, s1), ProjSum(alg, s2)
+    ps0, ps1, ps2 = (ProjSum.of(alg, s) for s in (s0, s1, s2))
     vmaps = [zeros(ps0.rep.dims[v], ps1.rep.dims[v]) for v in range(alg.n)]
     for b in hom_basis(ps1.rep, ps0.rep):
         c = int(rng.integers(alg.p))

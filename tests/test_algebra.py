@@ -95,8 +95,12 @@ def test_hereditary_detection():
 
 
 @st.composite
-def monomial_algebras(draw):
-    """Acyclic quivers on 2-4 vertices with random relations in rad^2."""
+def monomial_algebras(draw, hereditary=False):
+    """Acyclic quivers on 2-4 vertices with random relations in rad^2.
+
+    With ``hereditary`` the quiver carries no relations (path algebras,
+    multiple arrows such as the Kronecker quiver included).
+    """
     n = draw(st.integers(2, 4))
     arrows = []
     for s in range(1, n + 1):
@@ -107,7 +111,7 @@ def monomial_algebras(draw):
     walks += [w + [c[0]] for w in walks for c in arrows
               if c[1] == arrows[w[-1] - 1][2]]
     relations = draw(st.lists(st.sampled_from(walks), unique_by=tuple,
-                              max_size=4)) if walks else []
+                              max_size=4)) if walks and not hereditary else []
     return build_algebra(n, arrows, relations)
 
 

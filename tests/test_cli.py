@@ -243,6 +243,8 @@ FROZEN_REPORTS = [
      "31e5a465d3b41a37d227c46c9b766a2934fadd8076bfdbcdd7ec6d2d6aae1eea"),
     (("verify", "--spec", "nak3.json", "bijection"), 0,
      "fae9eea8e5b6feb4e70cf3e817d5e8f68b672f97beb00af58f4db16eeed178ac"),
+    (("check", "--spec", "a2.json", "tilting", "p1.json"), 1,
+     "c15d4d6f903dbf64e80da6eeb20302e0a539f615334f00e0340de0b8bb9de411"),
 ]
 
 
@@ -260,6 +262,17 @@ def test_report_digests_frozen(tmp_path, monkeypatch, capsys, argv, code,
                                           {"kind": "projective", "vertex": 2}])
     write_objects(tmp_path, "simples.json", [{"kind": "simple", "vertex": 1},
                                              {"kind": "simple", "vertex": 2}])
+    write_objects(tmp_path, "p1.json", [{"kind": "projective", "vertex": 1}])
     assert main(list(argv)) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_k0_refutation_classes_are_integers(tmp_path, ka2_spec):
+    # one summand cannot span K0 of A_2; its class is reported as numbers
+    objs = write_objects(tmp_path, "p1.json",
+                         [{"kind": "projective", "vertex": 1}])
+    code, rep = run(tmp_path, "check", "--spec", ka2_spec, "tilting", objs)
+    assert code == 1
+    refut = rep["report"]["detail"]["route_a"]["silting"]["refutation"]
+    assert refut["kind"] == "k0" and refut["classes"] == [[1, 0]]

@@ -1,7 +1,10 @@
 """Heart-level machinery: resolutions, windows, e_ext, Fac-chains."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tiltlab import heart
 from tiltlab.catalog import linear_an, nakayama_rad_square_zero
 from tiltlab.errors import HomologyOutsideWindow, WindowViolation
 from tiltlab.heart import (
@@ -9,6 +12,7 @@ from tiltlab.heart import (
     e_ext,
     f_class_membership,
     fac_membership,
+    generator_models,
     heart_hom,
     in_window,
     module_stalk,
@@ -19,11 +23,14 @@ from tiltlab.heart import (
     to_window,
     truncate_window,
 )
-from tiltlab.homotopy import hom_k, iso_k, proj_stalk
+from tiltlab.homotopy import (hom_k, hom_package, iso_k, proj_direct_sum,
+                              proj_stalk)
 from tiltlab.repcat import (Representation, direct_sum, ext_dim, hom_dim,
-                            is_isomorphic, module_iso, projective, simple)
+                            injective, is_isomorphic, module_iso, projective,
+                            simple)
 from tiltlab.repcomplex import (RepComplex, complex_direct_sum, homology_dims,
                                 stalk_complex)
+from tiltlab.tiltcheck import _random_proj_3step
 
 from test_homotopy import simple_presentation
 
@@ -182,6 +189,104 @@ def test_e_ext_against_chain_model(ka2):
     r, _ = resolution_of_complex(s0, depth=5)
     for i in (0, 1, 2):
         assert e_ext(s0, p1, i, d=1) == hom_k(r, p1, i)
+
+
+# -- maps out of projective complexes -----------------------------------------
+
+A3, NAK3 = linear_an(3), nakayama_rad_square_zero(3)
+
+
+def column_images(pkg, coords):
+    """The generator images one solver column gives, degree by degree."""
+    images = {}
+    for (q, _), (_, sl) in pkg.layout[0].items():
+        images.setdefault(q, []).append(coords[sl])
+    return images
+
+
+def assert_blocks(f, parts):
+    """f's columns are the parts' own maps side by side, in order."""
+    alg = f.src.alg
+    for q in range(f.src.lo, f.src.hi + 1):
+        at = [0] * alg.n
+        for g in parts:
+            for v in range(alg.n):
+                own = g.map_at(q).vmaps[v]
+                got = f.map_at(q).vmaps[v][:, at[v]:at[v] + own.shape[1]]
+                assert np.array_equal(got, own)
+                at[v] += own.shape[1]
+        assert tuple(at) == f.src.term_at(q).dims
+
+
+@st.composite
+def proj_complex_pairs(draw):
+    """A random three-step complex Y and two complexes X mapping to it."""
+    alg = draw(st.sampled_from([A3, NAK3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def source():
+        if draw(st.booleans()):
+            return proj_stalk(alg, draw(st.integers(0, alg.n - 1)),
+                              draw(st.integers(-2, 0)))
+        return _random_proj_3step(alg, rng).shift(draw(st.integers(-1, 1)))
+    y = _random_proj_3step(alg, rng).shift(draw(st.integers(-1, 1)))
+    return y, [source(), source()]
+
+
+@settings(max_examples=25, deadline=None)
+@given(proj_complex_pairs())
+def test_map_from_matches_chain_map_expansion(case):
+    # _map_from extends generator images along paths; expanding the chain
+    # map multiplies algebra coefficients through the product table
+    y, xs = case
+    c = y.expansion()
+    chosen, images, own = [], {}, []
+    for x in xs:
+        pkg = hom_package(x, c, 0, cache=False)
+        ref = hom_package(x, y, 0, cache=False)
+        for coords in pkg.rep_coords:
+            col = column_images(pkg, coords)
+            f = heart._map_from(x, c, col)
+            f.validate()
+            g = ref.chainmap_of(coords).expand()
+            for q in range(min(x.lo, y.lo) - 1, max(x.hi, y.hi) + 2):
+                for a, b in zip(f.map_at(q).vmaps, g.map_at(q).vmaps):
+                    assert np.array_equal(a, b)
+            chosen.append(x)
+            own.append(f)
+            for q, vecs in col.items():
+                images.setdefault(q, []).extend(vecs)
+    # one map out of the direct sum: its blocks are the parts' own maps
+    f = heart._map_from(proj_direct_sum(chosen, y.alg), c, images)
+    f.validate()
+    assert_blocks(f, own)
+
+
+def test_fac_stage_map_is_the_models_maps_side_by_side(monkeypatch):
+    gens = [module_stalk(projective(A3, 0)), module_stalk(injective(A3, 2))]
+    x = module_stalk(direct_sum([projective(A3, 0), injective(A3, 2)], A3))
+    models = generator_models(gens, 2)      # resolved before the spy is on
+    calls = []
+
+    def spy(e, c, images):
+        f = real(e, c, images)
+        calls.append(f)
+        return f
+    real = heart._map_from
+    monkeypatch.setattr(heart, "_map_from", spy)
+    res = fac_membership(gens, x, d=2)
+    assert res.verdict == "in" and len(calls) == len(res.steps) == 2
+    assert res.steps[0].middle == [(0, 2), (1, 2)]
+    for f in calls:
+        f.validate()
+        own, middle = [], []
+        for gi, g in enumerate(models):
+            pkg = hom_package(g, f.tgt, 0, cache=False)
+            own += [real(g, f.tgt, column_images(pkg, coords))
+                    for coords in pkg.rep_coords]
+            middle += [(gi, pkg.dim)] if pkg.dim else []
+        assert middle in [s.middle for s in res.steps]
+        assert_blocks(f, own)
 
 
 # -- Fac-chains and torsion pairs -------------------------------------------

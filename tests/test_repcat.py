@@ -7,14 +7,16 @@ from tiltlab import repcat
 from tiltlab.catalog import linear_an, nakayama_rad_square_zero
 from tiltlab.endsplit import trace_radical
 from tiltlab.errors import FieldTooSmall
-from tiltlab.repcat import (ProjSum, alg_matrix_of_map, cokernel, decompose,
-                            direct_sum, end_algebra_mats, ext_dim, hom_basis,
-                            hom_dim, image, injective, is_isomorphic, kernel,
-                            map_of_alg_matrix, minimal_resolution, module_iso,
-                            projective, projective_cover, simple, top,
-                            zero_map, zero_rep)
+from tiltlab.repcat import (ProjSum, Representation, alg_matrix_of_map,
+                            cokernel, decompose, direct_sum, end_algebra_mats,
+                            ext_dim, hom_basis, hom_dim, image, injective,
+                            is_isomorphic, kernel, map_of_alg_matrix,
+                            minimal_resolution, module_iso, projective,
+                            projective_cover, simple, top, zero_map, zero_rep)
 from tiltlab.repcomplex import stalk_complex
+from tiltlab.silting import euler_form
 
+import oracles
 from oracles import oracle_ext1_hereditary, oracle_hom_dim
 from test_algebra import monomial_algebras
 
@@ -133,6 +135,28 @@ def test_ext_matches_euler_oracle(ka3):
             assert ext_dim(m, n, 1) == oracle_ext1_hereditary(m, n, ka3.p)
 
 
+@settings(max_examples=40, deadline=None)
+@given(monomial_algebras(hereditary=True), st.data())
+def test_hereditary_ext_matches_euler_form(alg, data):
+    # Ext^1 = Hom - <dim M, dim N> and Ext^2 = 0 over a path algebra
+    def module():
+        kind = data.draw(st.sampled_from(["random", projective, injective,
+                                          simple]))
+        if kind != "random":
+            return kind(alg, data.draw(st.integers(0, alg.n - 1)))
+        dims = data.draw(st.lists(st.integers(0, 2), min_size=alg.n,
+                                  max_size=alg.n))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        return Representation(alg, dims, [
+            rng.integers(0, alg.p, (dims[a.tgt], dims[a.src]))
+            for a in alg.quiver.arrows])
+    m, n = module(), module()
+    assert ext_dim(m, n, 1) == oracle_ext1_hereditary(m, n, alg.p)
+    assert ext_dim(m, n, 2) == 0
+    # the quadratic form that picks rigid_indecomposables' dimensions
+    assert euler_form(alg, m.dims) == oracles.euler_form(alg, m.dims, m.dims)
+
+
 def test_decompose_direct_sum(ka2):
     p1, s1 = projective(ka2, 0), simple(ka2, 0)
     big = direct_sum([p1, s1, s1])
@@ -233,3 +257,31 @@ def test_generator_coordinate_conversions(alg, data, seed):
     for s, g in enumerate(gens):
         v, col = ps.gen_column(s)
         assert np.array_equal(f.vmaps[v][:, col], g)
+
+
+def test_one_proj_sum_per_algebra_and_summand_list(tmp_path, monkeypatch):
+    import json
+
+    from tiltlab.cli import main
+    from tiltlab.homotopy import ProjComplex, proj_stalk
+    built = []
+    real = ProjSum.__init__
+
+    def counted(self, alg, summands):
+        built.append((alg, tuple(summands)))   # keeps each algebra alive
+        real(self, alg, summands)
+    monkeypatch.setattr(ProjSum, "__init__", counted)
+    spec = tmp_path / "a2.json"
+    spec.write_text(json.dumps({"catalog": "linear_an", "n": 2, "d": 1}))
+    assert main(["verify", "--spec", str(spec), "bijection",
+                 "--out", str(tmp_path / "report.json")]) == 0
+    keys = [(id(alg), vs) for alg, vs in built]
+    assert built and len(keys) == len(set(keys))
+    # equal summand lists in different complexes share one ProjSum
+    a, b = linear_an(2), linear_an(2)
+    x = ProjComplex(a, -1, [[1], [0, 1]], [np.zeros((2, 1, a.dim))])
+    y = proj_stalk(a, 1).shift(1)
+    assert x is not y and x.psum_at(-1) is y.psum_at(-1)
+    assert x.psum_at(0) is ProjSum.of(a, [0, 1])
+    assert ProjSum.of(b, [0, 1]) is not ProjSum.of(a, [0, 1])
+    assert projective_cover(projective(a, 0))[0] is ProjSum.of(a, [0])
