@@ -191,7 +191,7 @@ def test_e_ext_against_chain_model(ka2):
         assert e_ext(s0, p1, i, d=1) == hom_k(r, p1, i)
 
 
-# -- maps out of projective complexes -----------------------------------------
+# -- maps out of projective complexes ---------------------------------------
 
 A3, NAK3 = linear_an(3), nakayama_rad_square_zero(3)
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,10 @@ from hypothesis import strategies as st
 
 from tiltlab import repcat
 from tiltlab.catalog import linear_an, nakayama_rad_square_zero
+from tiltlab.cli import main
 from tiltlab.endsplit import trace_radical
 from tiltlab.errors import FieldTooSmall
+from tiltlab.homotopy import ProjComplex, proj_stalk
 from tiltlab.repcat import (ProjSum, Representation, alg_matrix_of_map,
                             cokernel, decompose, direct_sum, end_algebra_mats,
                             ext_dim, hom_basis, hom_dim, image, injective,
@@ -16,7 +20,7 @@ from tiltlab.repcat import (ProjSum, Representation, alg_matrix_of_map,
 from tiltlab.repcomplex import stalk_complex
 from tiltlab.silting import euler_form
 
-import oracles
+from oracles import euler_form as oracle_euler_form
 from oracles import oracle_ext1_hereditary, oracle_hom_dim
 from test_algebra import monomial_algebras
 
@@ -154,7 +158,7 @@ def test_hereditary_ext_matches_euler_form(alg, data):
     assert ext_dim(m, n, 1) == oracle_ext1_hereditary(m, n, alg.p)
     assert ext_dim(m, n, 2) == 0
     # the quadratic form that picks rigid_indecomposables' dimensions
-    assert euler_form(alg, m.dims) == oracles.euler_form(alg, m.dims, m.dims)
+    assert euler_form(alg, m.dims) == oracle_euler_form(alg, m.dims, m.dims)
 
 
 def test_decompose_direct_sum(ka2):
@@ -260,10 +264,6 @@ def test_generator_coordinate_conversions(alg, data, seed):
 
 
 def test_one_proj_sum_per_algebra_and_summand_list(tmp_path, monkeypatch):
-    import json
-
-    from tiltlab.cli import main
-    from tiltlab.homotopy import ProjComplex, proj_stalk
     built = []
     real = ProjSum.__init__
 
