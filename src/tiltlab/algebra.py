@@ -91,8 +91,7 @@ class MonomialIdeal:
 class BoundQuiverAlgebra:
     """A = kQ/I with its basis of surviving paths and multiplication table."""
 
-    def __init__(self, quiver: Quiver, ideal: MonomialIdeal, p: int = DEFAULT_P,
-                 max_path_len: int = MAX_PATH_LEN):
+    def __init__(self, quiver: Quiver, ideal: MonomialIdeal, p: int = DEFAULT_P):
         if p >= MAX_P:
             raise SpecError(f"p = {p} is too large: p must be below "
                             f"2^21 = {MAX_P:,} for exact int64 arithmetic")
@@ -104,7 +103,7 @@ class BoundQuiverAlgebra:
         self.p = p
         self.n = quiver.n
         self._forbidden = {tuple(w) for w in ideal.walks}
-        self._enumerate_paths(max_path_len)
+        self._enumerate_paths()
         self._build_product_table()
 
     # -- construction ------------------------------------------------------
@@ -116,7 +115,7 @@ class BoundQuiverAlgebra:
                 return True
         return False
 
-    def _enumerate_paths(self, max_path_len: int):
+    def _enumerate_paths(self):
         q = self.quiver
         out_arrows = [[] for _ in range(self.n)]
         for i, a in enumerate(q.arrows):
@@ -126,9 +125,9 @@ class BoundQuiverAlgebra:
         length = 0
         while frontier:
             length += 1
-            if length > max_path_len:
+            if length > MAX_PATH_LEN:
                 raise NotAdmissible(
-                    f"paths of length {max_path_len} survive; ideal is not admissible "
+                    f"paths of length {MAX_PATH_LEN} survive; ideal is not admissible "
                     "within the configured bound")
             nxt = []
             for walk, src, tgt in frontier:

@@ -92,6 +92,8 @@ def _load(cfg: RunConfig):
         raise SpecError("no window size: pass --d or put \"d\" in the spec")
     if d < 1:
         raise SpecError("d must be at least 1")
+    if cfg.depth is not None and cfg.depth < 0:
+        raise SpecError("--depth must be at least 0")
     return alg, d
 
 
@@ -192,7 +194,7 @@ def cmd_verify(cfg: RunConfig, theorem: str) -> tuple[int, dict]:
     if theorem == "torsion":
         def one(rec):
             store = HeartStore(d, cfg.seed)
-            tr = verify_torsion_reports(rec.parts, universe, seed=cfg.seed,
+            tr = verify_torsion_reports(rec.parts, universe,
                                         silting_result=rec.result,
                                         store=store)
             return {"ids": list(rec.ids), "ok": tr.ok,

@@ -9,7 +9,7 @@ corner, table[a, b] = coordinates of basis_a * basis_b, solved once when
 the corner is built, so a product is two contractions and never a linear
 solve.  Splitting the semisimple quotient is the only randomized step:
 random elements are drawn from a seeded generator and the minimal
-polynomial is factored mod p; the retry budget is explicit.
+polynomial is factored mod p, at most ``SPLIT_BUDGET`` times per corner.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from .linalg import modinv, null_space, rref, solve_right
 
 _T = symbols("t")
 
-DEFAULT_SPLIT_BUDGET = 64
+# random elements drawn per corner before splitting gives up
+SPLIT_BUDGET = 64
 
 
 # -- polynomials mod p (coefficient lists, lowest degree first) -------------
@@ -179,12 +180,12 @@ class _Corner:
                     raise AssertionError("minimal polynomial search failed to close")
 
 
-def _split_corner(corner: _Corner, rng, budget: int):
+def _split_corner(corner: _Corner, rng):
     """Primitive orthogonal idempotents of a semisimple corner, top coords."""
     if corner.dim == 1:
         return [corner.to_parent(corner.unit)]
     commutative = corner.is_commutative()
-    for _ in range(budget):
+    for _ in range(SPLIT_BUDGET):
         x = corner.random(rng)
         mp = corner.min_poly(x)
         if not commutative and not _psquarefree(mp, corner.p):
@@ -200,7 +201,7 @@ def _split_corner(corner: _Corner, rng, budget: int):
             out = []
             for e in idems:
                 sub = _corner_of(corner, e)
-                out.extend(_split_corner(sub, rng, budget))
+                out.extend(_split_corner(sub, rng))
             return out
         if commutative and len(factors) == 1 and len(mp) - 1 == corner.dim:
             # the corner is the field F_p[x]: primitive
@@ -238,8 +239,8 @@ def trace_radical(mats: list[np.ndarray], p: int) -> np.ndarray:
     return null_space(gram, p)
 
 
-def primitive_idempotents(basis_mats: list[np.ndarray], p: int, rng,
-                          budget: int = DEFAULT_SPLIT_BUDGET) -> list[np.ndarray]:
+def primitive_idempotents(basis_mats: list[np.ndarray], p: int,
+                          rng) -> list[np.ndarray]:
     """Primitive orthogonal idempotents summing to 1 in span(basis_mats).
 
     The input spans a unital subalgebra of End(V) containing the identity;
@@ -267,7 +268,7 @@ def primitive_idempotents(basis_mats: list[np.ndarray], p: int, rng,
     quot = sol[m - s:]
     top = _Corner(quot[:, 1:].T.reshape(s, s, s), np.eye(s, dtype=np.int64),
                   quot[:, 0], p)
-    prims_s = _split_corner(top, rng, budget)
+    prims_s = _split_corner(top, rng)
 
     # lift to honest orthogonal idempotents in the ambient algebra
     nilpotency = 1

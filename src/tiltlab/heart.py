@@ -121,9 +121,9 @@ def resolution_of_complex(c: RepComplex, depth: int):
     """A complex of projectives quasi-isomorphic to c.
 
     Iteratively covers the degree-zero homology and passes to the smartly
-    truncated cocone.  Returns (ProjComplex, complete); when the depth
-    budget stops the process early the result is the brutal truncation of
-    a resolution and ``complete`` is False.
+    truncated cocone, at most depth + 1 times.  Returns (ProjComplex,
+    complete); when the depth budget stops the process early the result is
+    the brutal truncation of a resolution and ``complete`` is False.
     """
     alg = c.alg
     cur = c.trim()
@@ -158,6 +158,9 @@ def resolution_of_complex(c: RepComplex, depth: int):
         prev_to_cover = ModuleMap(
             z, psum.rep,
             [z_incl.vmaps[v][: psum.rep.dims[v], :] for v in range(alg.n)])
+    else:
+        # the last allowed cover may have finished the model
+        complete = not homology_dims(cur)
     s = ProjComplex(alg, -(len(covers) - 1),
                     [ps.summands for ps in reversed(covers)],
                     list(reversed(dmaps)))
@@ -186,9 +189,8 @@ def e_ext(x: RepComplex, y: RepComplex, i: int, d: int,
     return hom_k(rx, y, i)
 
 
-def heart_hom(x: RepComplex, y: RepComplex, d: int,
-              depth: int | None = None) -> int:
-    return e_ext(x, y, 0, d, depth)
+def heart_hom(x: RepComplex, y: RepComplex, d: int) -> int:
+    return e_ext(x, y, 0, d)
 
 
 # -- Fac-chains and torsion-pair membership ---------------------------------
@@ -211,36 +213,33 @@ class FacResult:
         return self.verdict == "in"
 
 
-def generator_models(gens, d: int,
-                     depth: int | None = None) -> list[ProjComplex]:
-    """Projective models of the generators.
+def generator_models(gens, d: int) -> list[ProjComplex]:
+    """Projective models of the generators, resolved to depth 2d+3.
 
     Accepts silting summands (complexes of projectives, modelled through
     their window truncations) or heart objects directly.
     """
-    if depth is None:
-        depth = 2 * d + 3
     out = []
     for g in gens:
         if isinstance(g, ProjComplex):
-            r, complete = _resolution_cached_proj(g, d, depth)
+            r, complete = _resolution_cached_proj(g, d)
         else:
-            r, complete = _resolution_cached(g, depth)
+            r, complete = _resolution_cached(g, 2 * d + 3)
         if not complete:
             raise ResolutionDepthExceeded("generator resolution incomplete")
         out.append(r)
     return out
 
 
-def _resolution_cached_proj(s: ProjComplex, d: int, depth: int):
-    store, key = memo(s), ("window_resolution", d, depth)
+def _resolution_cached_proj(s: ProjComplex, d: int):
+    store, key = memo(s), ("window_resolution", d)
     if key not in store:
-        store[key] = resolution_of_complex(truncate_window(s, d), depth)
+        store[key] = resolution_of_complex(truncate_window(s, d), 2 * d + 3)
     return store[key]
 
 
-def fac_membership(gens, x: RepComplex, d: int, s: int | None = None,
-                   depth: int | None = None) -> FacResult:
+def fac_membership(gens, x: RepComplex, d: int,
+                   s: int | None = None) -> FacResult:
     """Decide whether x is an s-factor of the generators inside the heart.
 
     Builds the chain of universal right approximations; at every stage
@@ -251,10 +250,8 @@ def fac_membership(gens, x: RepComplex, d: int, s: int | None = None,
     """
     if s is None:
         s = d
-    if depth is None:
-        depth = 2 * d + 3
     try:
-        models = generator_models(gens, d, depth)
+        models = generator_models(gens, d)
     except ResolutionDepthExceeded as exc:
         return FacResult("not_in_approx", detail=str(exc))
     cur = x.trim()
@@ -262,7 +259,7 @@ def fac_membership(gens, x: RepComplex, d: int, s: int | None = None,
     for stage in range(1, s + 1):
         if cur.is_zero() or not homology_dims(cur):
             break
-        pkgs = [hom_package(g, cur, 0, cache=False) for g in models]
+        pkgs = [hom_package(g, cur, 0) for g in models]
         middle = [(gi, pkg.dim) for gi, pkg in enumerate(pkgs) if pkg.dim]
         # one copy of a model per class representative, with its images
         chosen: list[ProjComplex] = []
@@ -332,12 +329,9 @@ def f_class_membership(parts: list[ProjComplex], x: RepComplex,
 
 # -- decomposition inside the heart ----------------------------------------
 
-def decompose_window(x: RepComplex, d: int, seed: int = 0,
-                     depth: int | None = None):
+def decompose_window(x: RepComplex, d: int, seed: int = 0):
     """Indecomposable heart summands of x, with multiplicities."""
-    if depth is None:
-        depth = 2 * d + 3
-    r, complete = _resolution_cached(x, depth)
+    r, complete = _resolution_cached(x, 2 * d + 3)
     if not complete:
         raise ResolutionDepthExceeded(
             "cannot decompose: resolution budget exhausted")

@@ -76,7 +76,8 @@ def _support_ok(alg: BoundQuiverAlgebra, mat: np.ndarray,
 def elem_inverse(alg: BoundQuiverAlgebra, u: np.ndarray, v: int) -> np.ndarray:
     """Inverse of u in e_v A e_v; u must have a nonzero scalar part."""
     lam = int(u[alg.e_index[v]]) % alg.p
-    assert lam, "element has no scalar part"
+    if not lam:
+        raise ValueError("element has no scalar part")
     lam_inv = pow(lam, alg.p - 2, alg.p)
     rad = u.copy()
     rad[alg.e_index[v]] = 0
@@ -170,14 +171,15 @@ class ProjComplex:
 
     def validate(self) -> None:
         for k, m in enumerate(self.dmats):
-            assert m.shape == (len(self.summands[k + 1]),
-                               len(self.summands[k]), self.alg.dim)
-            assert _support_ok(self.alg, m, self.summands[k],
-                               self.summands[k + 1]), \
-                f"differential at degree {self.lo + k} has bad support"
+            if m.shape != (len(self.summands[k + 1]), len(self.summands[k]),
+                           self.alg.dim) or not _support_ok(
+                    self.alg, m, self.summands[k], self.summands[k + 1]):
+                raise AssertionError(f"differential at degree {self.lo + k} "
+                                     "has bad shape or support")
         for k in range(len(self.dmats) - 1):
             comp = amul(self.alg, self.dmats[k + 1], self.dmats[k])
-            assert not np.any(comp), f"d^2 != 0 leaving degree {self.lo + k}"
+            if np.any(comp):
+                raise AssertionError(f"d^2 != 0 leaving degree {self.lo + k}")
 
     def shift(self, s: int) -> "ProjComplex":
         dmats = self.dmats if s % 2 == 0 else [-m for m in self.dmats]
@@ -256,15 +258,18 @@ class ChainMap:
 
     def validate(self) -> None:
         for q, m in self.mats.items():
-            assert m.shape == (self.tgt.count(q), self.src.count(q),
-                               self.alg.dim)
-            assert _support_ok(self.alg, m, self.src.summands_at(q),
-                               self.tgt.summands_at(q))
+            if m.shape != (self.tgt.count(q), self.src.count(q),
+                           self.alg.dim) or not _support_ok(
+                    self.alg, m, self.src.summands_at(q),
+                    self.tgt.summands_at(q)):
+                raise AssertionError(f"map at degree {q} has bad shape or "
+                                     "support")
         for q in range(min(self.src.lo, self.tgt.lo) - 1,
                        max(self.src.hi, self.tgt.hi) + 1):
             lhs = amul(self.alg, self.map_at(q + 1), self.src.dmat_at(q))
             rhs = amul(self.alg, self.tgt.dmat_at(q), self.map_at(q))
-            assert np.array_equal(lhs, rhs), f"not a chain map at degree {q}"
+            if not np.array_equal(lhs, rhs):
+                raise AssertionError(f"not a chain map at degree {q}")
 
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self o other (other applied first)."""
@@ -466,21 +471,18 @@ class HomPackage:
         return sol[:, 0]
 
 
-def hom_package(x: ProjComplex, target, i: int = 0,
-                cache: bool = True) -> HomPackage:
-    key = ("hom_package", id(target), i)
-    if cache:
-        store = memo(x)
-        if key in store:
-            return store[key]
-    if isinstance(target, ProjComplex):
-        cs = target.expansion().shift(i)
-    else:
-        cs = target.shift(i)
-    pkg = HomPackage(x, target, i, cs)
-    if cache:
-        store[key] = pkg
-    return pkg
+def hom_package(x: ProjComplex, target, i: int = 0) -> HomPackage:
+    """Hom(X, target[i]), built once per live (x, target, i).
+
+    Kept in ``memo(target)`` keyed by x itself (the package holds x), so a
+    short-lived target takes its packages with it.
+    """
+    store, key = memo(target), ("hom_package", x, i)
+    if key not in store:
+        cs = (target.expansion() if isinstance(target, ProjComplex)
+              else target).shift(i)
+        store[key] = HomPackage(x, target, i, cs)
+    return store[key]
 
 
 def hom_k(x: ProjComplex, target, i: int = 0) -> int:
@@ -722,7 +724,8 @@ def _indec_iso_k(x: ProjComplex, y: ProjComplex, want_witness: bool = False):
 
 class IsoResult:
     def __init__(self, verdict: str, reason: str = "", fwd=None, bwd=None):
-        assert verdict in ("yes", "no", "unknown")
+        if verdict not in ("yes", "no", "unknown"):
+            raise ValueError(f"unknown iso verdict {verdict!r}")
         self.verdict = verdict
         self.reason = reason
         self.fwd = fwd

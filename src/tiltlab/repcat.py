@@ -10,8 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import BoundQuiverAlgebra
-from .endsplit import (DEFAULT_SPLIT_BUDGET, primitive_idempotents,
-                       trace_radical)
+from .endsplit import primitive_idempotents, trace_radical
 from .errors import Mismatch, ResolutionDepthExceeded
 from .linalg import (column_space, eye, in_span, is_invertible, modmat,
                      null_space, rank, rref, solve_right, span_union, zeros)
@@ -53,7 +52,8 @@ class Representation:
         a = self.alg
         out = zeros(self.dims[tgt], self.dims[src])
         for b in np.nonzero(coeffs)[0]:
-            assert a.path_src[b] == src and a.path_tgt[b] == tgt
+            if a.path_src[b] != src or a.path_tgt[b] != tgt:
+                raise ValueError(f"path {b} does not run from {src} to {tgt}")
             out = (out + int(coeffs[b]) * self.act_path(int(b))) % a.p
         return out
 
@@ -471,8 +471,7 @@ def projective_cover(m: Representation):
     return psum, psum.extend(m, gens)
 
 
-def minimal_resolution(m: Representation, depth: int,
-                       size_budget: int = RESOLUTION_SIZE_BUDGET):
+def minimal_resolution(m: Representation, depth: int):
     """Minimal projective resolution to the requested depth.
 
     Returns (sums, diffs): sums[t] is the ProjSum in homological degree t,
@@ -488,9 +487,9 @@ def minimal_resolution(m: Representation, depth: int,
             break
         psum, cover = projective_cover(current)
         total += psum.rep.total_dim
-        if total > size_budget:
-            raise ResolutionDepthExceeded(
-                f"resolution size {total} exceeds budget {size_budget}")
+        if total > RESOLUTION_SIZE_BUDGET:
+            raise ResolutionDepthExceeded(f"resolution size {total} exceeds "
+                                          f"budget {RESOLUTION_SIZE_BUDGET}")
         if prev_sum is not None:
             # cover of the syzygy composed with its inclusion into prev_sum
             comp = prev_incl.after(cover)
@@ -560,8 +559,7 @@ def end_algebra_mats(m: Representation) -> list[np.ndarray]:
     return [f.total_matrix() for f in hom_basis(m, m)]
 
 
-def decompose(m: Representation, seed: int = 0,
-              budget: int = DEFAULT_SPLIT_BUDGET):
+def decompose(m: Representation, seed: int = 0):
     """Indecomposable summands with multiplicities: list of (rep, mult).
 
     Deterministic given the seed; each part has a local endomorphism algebra
@@ -573,7 +571,7 @@ def decompose(m: Representation, seed: int = 0,
     ends = end_algebra_mats(m)
     if len(ends) == 1:
         return [(m, 1)]
-    idems = primitive_idempotents(ends, m.alg.p, rng, budget)
+    idems = primitive_idempotents(ends, m.alg.p, rng)
     parts = [sub for sub, _ in split_by_idempotents(m, idems)]
     groups: list[list[Representation]] = []
     for part in parts:

@@ -62,11 +62,13 @@ class RepComplex:
 
     def validate(self) -> None:
         for k, d in enumerate(self.diffs):
-            assert d.src is self.terms[k] and d.tgt is self.terms[k + 1]
+            if d.src is not self.terms[k] or d.tgt is not self.terms[k + 1]:
+                raise AssertionError(f"differential at degree {self.lo + k} "
+                                     "does not join its terms")
             d.validate()
         for k in range(len(self.diffs) - 1):
-            assert self.diffs[k + 1].after(self.diffs[k]).is_zero(), \
-                f"d^2 != 0 leaving degree {self.lo + k}"
+            if not self.diffs[k + 1].after(self.diffs[k]).is_zero():
+                raise AssertionError(f"d^2 != 0 leaving degree {self.lo + k}")
 
     def shift(self, s: int) -> "RepComplex":
         """X[s], with (X[s])^q = X^(q+s) and differentials scaled by (-1)^s."""
@@ -141,13 +143,17 @@ class ComplexMap:
 
     def validate(self) -> None:
         for q, f in self.maps.items():
-            assert f.src is self.src.term_at(q) and f.tgt is self.tgt.term_at(q)
+            if f.src is not self.src.term_at(q) \
+                    or f.tgt is not self.tgt.term_at(q):
+                raise AssertionError(f"map at degree {q} does not join the "
+                                     "terms")
             f.validate()
         for q in range(min(self.src.lo, self.tgt.lo) - 1,
                        max(self.src.hi, self.tgt.hi) + 1):
             lhs = self.map_at(q + 1).after(self.src.diff_at(q))
             rhs = self.tgt.diff_at(q).after(self.map_at(q))
-            assert lhs.add(rhs.neg()).is_zero(), f"not a chain map at degree {q}"
+            if not lhs.add(rhs.neg()).is_zero():
+                raise AssertionError(f"not a chain map at degree {q}")
 
 
 def complex_cone(f: ComplexMap) -> RepComplex:

@@ -30,6 +30,11 @@ from .repcat import Representation, ext_dim, hom_dim
 from .repcomplex import homology_dims
 
 SILTING_WINDOW_NOTE = "terms must live in degrees [-d, 0]"
+# nodes the mutation search may visit before it gives up (BudgetExceeded)
+MAX_NODES = 4096
+# rigid modules: dimension vectors up to this bound, random tries per vector
+RIGID_DIM_BOUND = 3
+RIGID_TRIES = 16
 
 
 # -- presilting and K0 -------------------------------------------------------
@@ -132,7 +137,7 @@ def _tower_for_vertex(parts: list[ProjComplex], v: int, d: int):
         step = conn.shift(t)           # Z_t[t] -> V_t[t+1]
         phi = step if phi is None else step.compose(phi)
         z = vt
-    pkg = hom_package(z0, phi.tgt, 0, cache=False)
+    pkg = hom_package(z0, phi.tgt, 0)
     coords = pkg.coords_of(phi)
     tower = GeneratorTower(v, stages, coords, _p=alg.p)
     if pkg.is_nullhomotopic(phi):
@@ -278,8 +283,8 @@ def _seed_clusters(alg: BoundQuiverAlgebra, d: int):
                for v in range(alg.n)]
 
 
-def enumerate_mutation(alg: BoundQuiverAlgebra, d: int, seed: int = 0,
-                       max_nodes: int = 4096) -> EnumerationResult:
+def enumerate_mutation(alg: BoundQuiverAlgebra, d: int,
+                       seed: int = 0) -> EnumerationResult:
     """Breadth-first mutation search from the shifted-projective seeds."""
     registry = ComplexRegistry(seed)
     queue: deque = deque()
@@ -305,7 +310,7 @@ def enumerate_mutation(alg: BoundQuiverAlgebra, d: int, seed: int = 0,
 
     budget_exceeded = False
     while queue:
-        if len(visited) > max_nodes:
+        if len(visited) > MAX_NODES:
             budget_exceeded = True
             break
         rec = queue.popleft()
@@ -339,8 +344,7 @@ def _random_rep(alg: BoundQuiverAlgebra, dims, rng) -> Representation:
     return Representation(alg, list(dims), mats)
 
 
-def rigid_indecomposables(alg: BoundQuiverAlgebra, seed: int = 0,
-                          dim_bound: int = 3, tries: int = 16):
+def rigid_indecomposables(alg: BoundQuiverAlgebra, seed: int = 0):
     """Rigid modules with one-dimensional endomorphism ring, one per
     admissible dimension vector with Euler form 1.
 
@@ -351,9 +355,9 @@ def rigid_indecomposables(alg: BoundQuiverAlgebra, seed: int = 0,
             "rigid pool construction needs a hereditary algebra")
     rng = np.random.default_rng(seed)
     found = []
-    grid = sorted(product(range(dim_bound + 1), repeat=alg.n), reverse=True)
+    grid = product(range(RIGID_DIM_BOUND + 1), repeat=alg.n)
     for dims in sorted(v for v in grid if any(v) and euler_form(alg, v) == 1):
-        for _ in range(tries):
+        for _ in range(RIGID_TRIES):
             m = _random_rep(alg, dims, rng)
             if hom_dim(m, m) == 1 and ext_dim(m, m, 1) == 0:
                 found.append(m)
@@ -364,13 +368,12 @@ def rigid_indecomposables(alg: BoundQuiverAlgebra, seed: int = 0,
     return found
 
 
-def rigid_pool(alg: BoundQuiverAlgebra, d: int, seed: int = 0,
-               dim_bound: int = 3):
+def rigid_pool(alg: BoundQuiverAlgebra, d: int, seed: int = 0):
     """Window complexes that can appear in a silting object: shifted
     presentations of rigid indecomposables plus the far-shifted projectives."""
     from .heart import p_presentation
     pool = []
-    for m in rigid_indecomposables(alg, seed=seed, dim_bound=dim_bound):
+    for m in rigid_indecomposables(alg, seed=seed):
         pres = minimize(p_presentation(m, d))
         for j in range(d):
             shifted = pres.shift(j)
@@ -381,7 +384,7 @@ def rigid_pool(alg: BoundQuiverAlgebra, d: int, seed: int = 0,
     return pool
 
 
-def _bron_kerbosch(adj: list[set], n_target: int):
+def _bron_kerbosch(adj: list[set]):
     """All maximal cliques, deterministically ordered."""
     cliques: list[list[int]] = []
 
@@ -399,10 +402,10 @@ def _bron_kerbosch(adj: list[set], n_target: int):
     return cliques
 
 
-def enumerate_clique(alg: BoundQuiverAlgebra, d: int, seed: int = 0,
-                     dim_bound: int = 3) -> EnumerationResult:
+def enumerate_clique(alg: BoundQuiverAlgebra, d: int,
+                     seed: int = 0) -> EnumerationResult:
     """Independent enumeration: maximal compatible sets in the rigid pool."""
-    pool = rigid_pool(alg, d, seed=seed, dim_bound=dim_bound)
+    pool = rigid_pool(alg, d, seed=seed)
     m = len(pool)
     compatible = [set() for _ in range(m)]
     for i in range(m):
@@ -418,7 +421,7 @@ def enumerate_clique(alg: BoundQuiverAlgebra, d: int, seed: int = 0,
     seen: set = set()
     stats = {"pool": m, "maximal_cliques": 0, "oversized": 0,
              "undersized": 0, "not_silting": 0}
-    for clique in _bron_kerbosch(compatible, alg.n):
+    for clique in _bron_kerbosch(compatible):
         stats["maximal_cliques"] += 1
         if len(clique) > alg.n:
             stats["oversized"] += 1
@@ -444,21 +447,20 @@ def _states_match(a: EnumerationResult, b: EnumerationResult):
 
 
 def enumerate_silting(alg: BoundQuiverAlgebra, d: int,
-                      method: str = "mutation", seed: int = 0,
-                      max_nodes: int = 4096,
-                      dim_bound: int = 3) -> EnumerationResult:
+                      method: str = "mutation",
+                      seed: int = 0) -> EnumerationResult:
     """Enumerate silting objects in the (d+1)-term window.
 
     method "both" runs the mutation and clique searches and requires them
     to produce identical lists up to isomorphism.
     """
     if method == "mutation":
-        out = enumerate_mutation(alg, d, seed=seed, max_nodes=max_nodes)
+        out = enumerate_mutation(alg, d, seed=seed)
     elif method == "clique":
-        out = enumerate_clique(alg, d, seed=seed, dim_bound=dim_bound)
+        out = enumerate_clique(alg, d, seed=seed)
     elif method == "both":
-        a = enumerate_mutation(alg, d, seed=seed, max_nodes=max_nodes)
-        b = enumerate_clique(alg, d, seed=seed, dim_bound=dim_bound)
+        a = enumerate_mutation(alg, d, seed=seed)
+        b = enumerate_clique(alg, d, seed=seed)
         ok, missing, extra = _states_match(a, b)
         if not ok:
             raise Mismatch(
@@ -472,6 +474,6 @@ def enumerate_silting(alg: BoundQuiverAlgebra, d: int,
         raise SpecError(f"unknown enumeration method: {method}")
     if out.budget_exceeded:
         raise BudgetExceeded(
-            f"mutation search exceeded {max_nodes} nodes; partial count "
+            f"mutation search exceeded {MAX_NODES} nodes; partial count "
             f"{out.count}")
     return out

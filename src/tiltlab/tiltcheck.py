@@ -54,6 +54,10 @@ def _in_window_dims(hd, d: int) -> bool:
 
 # -- the sampling universe ---------------------------------------------------
 
+# random representations drawn per dimension vector of the universe grid
+REPS_PER_DIMS = 2
+
+
 @dataclass
 class UniverseMember:
     key: int
@@ -113,7 +117,7 @@ def _random_proj_3step(alg, rng) -> ProjComplex:
 
 
 def build_universe(alg, d: int, seed: int = 0, dim_bound: int = 3,
-                   n_complexes: int = 6, reps_per_dims: int = 2,
+                   n_complexes: int = 6,
                    depth: int | None = None) -> Universe:
     """Assemble the default sampling universe.
 
@@ -148,7 +152,7 @@ def build_universe(alg, d: int, seed: int = 0, dim_bound: int = 3,
     for dims in product(range(dim_bound + 1), repeat=alg.n):
         if not any(dims):
             continue
-        for _ in range(reps_per_dims):
+        for _ in range(REPS_PER_DIMS):
             draw = _random_rep(alg, dims, rng)
             if draw.broken_relation() is not None:
                 continue
@@ -175,8 +179,8 @@ class HeartStore:
 
     ``class_of`` returns the sorted ids of an object's indecomposable
     summands; ``window_class`` does the same for the window truncation of
-    a silting summand, cached by object identity; ``image`` joins the
-    window classes of several summands.
+    a silting summand; both cache per object and keep the objects alive.
+    ``image`` joins the window classes of several summands.
     """
 
     def __init__(self, d: int, seed: int = 0):
@@ -184,14 +188,11 @@ class HeartStore:
         self.seed = seed
         self.registry = ComplexRegistry(seed)
         self.reps: dict[int, RepComplex] = {}
-        self._by_obj: dict[int, tuple[int, ...]] = {}
-        self._keep: list = []
+        self._by_obj: dict[object, tuple[int, ...]] = {}
 
     def class_of(self, x: RepComplex) -> tuple[int, ...]:
-        key = id(x)
-        if key in self._by_obj:
-            return self._by_obj[key]
-        self._keep.append(x)
+        if x in self._by_obj:
+            return self._by_obj[x]
         t = x.trim()
         if t.is_zero() or not homology_dims(t):
             out: tuple[int, ...] = ()
@@ -206,17 +207,13 @@ class HeartStore:
                 self.reps.setdefault(i, to_window(c.expansion(), self.d))
                 ids.add(i)
             out = tuple(sorted(ids))
-        self._by_obj[key] = out
+        self._by_obj[x] = out
         return out
 
     def window_class(self, part: ProjComplex) -> tuple[int, ...]:
-        key = id(part)
-        if key in self._by_obj:
-            return self._by_obj[key]
-        self._keep.append(part)
-        out = self.class_of(truncate_window(part, self.d))
-        self._by_obj[key] = out
-        return out
+        if part not in self._by_obj:
+            self._by_obj[part] = self.class_of(truncate_window(part, self.d))
+        return self._by_obj[part]
 
     def image(self, parts: list[ProjComplex]) -> tuple[int, ...]:
         """Sorted ids of the heart summands of all the parts' truncations."""
@@ -358,7 +355,7 @@ def check_quasi_tilting(m_gens, universe: Universe, sample_budget: int = 100,
                 mults[int(rng.integers(len(models)))] = 1
             chosen = [m for m, k in zip(models, mults) for _ in range(int(k))]
             em = proj_direct_sum(chosen, universe.alg)
-            f = _random_class_map(hom_package(cur, em, 0, cache=False), rng)
+            f = _random_class_map(hom_package(cur, em, 0), rng)
             cand = minimize(proj_cone(f))
             if not _in_window_dims(homology_dims(cand.expansion()), d):
                 ok = False
@@ -407,8 +404,8 @@ class TiltingReport:
         return self.verdict == "tilting"
 
 
-def _pd_within(p: ProjComplex, d: int) -> bool:
-    """Projective dimension at most d, read off a minimal model.
+def _pd_within(p: ProjComplex) -> bool:
+    """Projective dimension at most d, read off a minimal d-presentation.
 
     The truncated presentation keeps its syzygy kernel in lowest degree
     exactly when the resolution failed to terminate by depth d.
@@ -437,7 +434,7 @@ def check_tilting(m_gens, d: int, seed: int = 0) -> TiltingReport:
     sa = None
     try:
         parts = [_presentation(g, d) for g in gens]
-        pd_flags = [_pd_within(p, d) for p in parts]
+        pd_flags = [_pd_within(p) for p in parts]
     except ResolutionDepthExceeded as exc:
         a_verdict = "unknown"
         route_a = {"error": str(exc)}
@@ -648,8 +645,7 @@ class BijectionReport:
 
 
 def verify_bijection(alg, d: int, universe: Universe, seed: int = 0,
-                     method: str = "mutation",
-                     max_nodes: int = 4096) -> BijectionReport:
+                     method: str = "mutation") -> BijectionReport:
     """Walk the silting-to-heart correspondence and test both directions.
 
     Every enumerated class is truncated into the heart and re-verified as
@@ -658,8 +654,7 @@ def verify_bijection(alg, d: int, universe: Universe, seed: int = 0,
     exhaustive search over shifted-projective completions) must recover
     exactly the source class.
     """
-    enum = enumerate_silting(alg, d, method=method, seed=seed,
-                             max_nodes=max_nodes)
+    enum = enumerate_silting(alg, d, method=method, seed=seed)
     store = HeartStore(d, seed)
     reg = enum.registry
     sid = {reg.intern(proj_stalk(alg, v).shift(d)): v for v in range(alg.n)}
@@ -758,7 +753,6 @@ class TorsionReport:
 
 
 def verify_torsion_reports(s_parts: list[ProjComplex], universe: Universe,
-                           seed: int = 0,
                            silting_result: SiltingResult | None = None,
                            store: HeartStore | None = None) -> TorsionReport:
     """Audit the torsion pair induced by a silting candidate.

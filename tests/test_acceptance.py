@@ -105,7 +105,7 @@ def prop_sweep(corpus, bijection_sweep):
                             realizability.append(
                                 {"ids": rec.ids, "member": mem.key,
                                  "stage": step.stage})
-            tor = verify_torsion_reports(rec.parts, uni, seed=0,
+            tor = verify_torsion_reports(rec.parts, uni,
                                          silting_result=rec.result,
                                          store=store)
             rows.append({"ids": rec.ids, "gens": gens, "fac_in": in_count,

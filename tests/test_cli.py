@@ -43,6 +43,20 @@ def test_d_zero_rejected_at_parse(tmp_path):
     assert main(["enumerate", "--spec", str(path)]) == 3
 
 
+def test_depth_bounds_the_universe(tmp_path, ka2_spec):
+    # at depth 0 only the projectives have a model; the other simple
+    # needs depth 1
+    sizes = []
+    for depth in ("0", "1"):
+        code, rep = run(tmp_path, "verify", "--spec", ka2_spec, "bijection",
+                        "--depth", depth)
+        assert code == 0
+        sizes.append(rep["report"]["universe_size"])
+    assert sizes == [2, 3]
+    assert main(["verify", "--spec", ka2_spec, "bijection",
+                 "--depth", "-1"]) == 3
+
+
 def test_missing_d_is_a_spec_error(tmp_path):
     path = tmp_path / "nod.json"
     path.write_text(json.dumps({"catalog": "linear_an", "n": 2}))

@@ -101,6 +101,15 @@ def test_incomplete_resolution_flagged():
     assert r.summands == [[0]] * 5
 
 
+def test_model_ending_on_the_last_cover_is_complete(ka2):
+    # P_0 needs one cover, so depth 0 allows it; S_0 needs two, depth 1
+    r, complete = resolution_of_complex(module_stalk(projective(ka2, 0)), 0)
+    assert complete and r.summands == [[0]]
+    r, complete = resolution_of_complex(module_stalk(simple(ka2, 0)), 1)
+    assert complete and iso_k(r, simple_presentation(ka2, 0))
+    assert not resolution_of_complex(module_stalk(simple(ka2, 0)), 0)[1]
+
+
 # -- windows -----------------------------------------------------------------
 
 def test_to_window_accepts_and_trims(ka2):
@@ -242,8 +251,8 @@ def test_map_from_matches_chain_map_expansion(case):
     c = y.expansion()
     chosen, images, own = [], {}, []
     for x in xs:
-        pkg = hom_package(x, c, 0, cache=False)
-        ref = hom_package(x, y, 0, cache=False)
+        pkg = hom_package(x, c, 0)
+        ref = hom_package(x, y, 0)
         for coords in pkg.rep_coords:
             col = column_images(pkg, coords)
             f = heart._map_from(x, c, col)
@@ -281,7 +290,7 @@ def test_fac_stage_map_is_the_models_maps_side_by_side(monkeypatch):
         f.validate()
         own, middle = [], []
         for gi, g in enumerate(models):
-            pkg = hom_package(g, f.tgt, 0, cache=False)
+            pkg = hom_package(g, f.tgt, 0)
             own += [real(g, f.tgt, column_images(pkg, coords))
                     for coords in pkg.rep_coords]
             middle += [(gi, pkg.dim)] if pkg.dim else []

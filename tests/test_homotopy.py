@@ -1,4 +1,6 @@
 """Complexes of projectives: homs, minimization, decomposition, mutation."""
+import gc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -28,6 +30,7 @@ from tiltlab.homotopy import (
     right_mutation,
 )
 from tiltlab.linalg import in_span, span_union
+from tiltlab.memo import memo
 from tiltlab.repcat import (direct_sum, ext_dim, hom_dim, injective,
                             minimal_resolution, projective, simple)
 from tiltlab.repcomplex import (complex_cone, homology_at, homology_dims,
@@ -175,16 +178,47 @@ def test_hom_package_representatives_are_chain_maps(ka2):
 
 
 def test_memo_keeps_caches_apart(ka2):
-    # a ProjComplex memoizes hom packages and heart resolutions side by side
+    # a ProjComplex memoizes heart resolutions and the hom packages into it
+    # side by side
     x = simple_presentation(ka2, 0)
     y = proj_stalk(ka2, 1)
     pkg = hom_package(x, y, 0)
     assert hom_package(x, y, 0) is pkg
     assert hom_package(x, y, 1) is not pkg
-    assert hom_package(x, y, 0, cache=False) is not pkg
-    [model] = generator_models([x], 1)
-    assert generator_models([x], 1)[0] is model
+    assert memo(y)[("hom_package", x, 0)] is pkg
+    [model] = generator_models([y], 1)
+    assert generator_models([y], 1)[0] is model
     assert hom_package(x, y, 0) is pkg
+
+
+def test_packages_are_freed_with_their_target(ka3):
+    # the package lives in the target's memo, so the source does not pin
+    # a short-lived target
+    x = simple_presentation(ka3, 0)
+    y = _random_proj_3step(ka3, np.random.default_rng(5))
+    refs = [weakref.ref(y), weakref.ref(hom_package(x, y, 0))]
+    del y
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+    assert hom_k(x, simple_presentation(ka3, 0), 0) == 1
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.booleans(), st.integers(0, 2**32 - 1))
+def test_shared_target_packages_match_fresh_ones(use_nak, seed):
+    # many sources query one target; each answer equals the one for a
+    # fresh copy of the target, whose memo is empty
+    alg = nakayama_rad_square_zero(3) if use_nak else linear_an(3)
+    rng = np.random.default_rng(seed)
+    y = _random_proj_3step(alg, rng)
+    sources = [_random_proj_3step(alg, rng).shift(s) for s in (-1, 0, 1)]
+    sources += [sources[0], proj_stalk(alg, 0), simple_presentation(alg, 1)]
+    got = [hom_k(x, y, i) for x in sources for i in (-1, 0, 1)]
+    packages = [k for k in memo(y) if k[0] == "hom_package"]
+    assert len(packages) == 3 * (len(sources) - 1)    # sources[3] repeats
+    want = [hom_k(x, ProjComplex(alg, y.lo, y.summands, y.dmats), i)
+            for x in sources for i in (-1, 0, 1)]
+    assert got == want
 
 
 def test_nullhomotopic_detection(ka2):
@@ -227,7 +261,7 @@ def test_representatives_match_greedy_selection(use_nak, sx, sy):
     for src in (x, x.shift(1)):
         for tgt in (y, y.shift(-1), truncated, x):
             for i in (-1, 0, 1):
-                pkg = hom_package(src, tgt, i, cache=False)
+                pkg = hom_package(src, tgt, i)
                 want = greedy_representatives(pkg)
                 assert pkg.dim == len(want) == len(pkg.rep_coords)
                 for got, ref in zip(pkg.rep_coords, want):
@@ -265,11 +299,11 @@ def test_generator_coordinates_round_trip(use_nak, seed, i):
     rng = np.random.default_rng(seed)
     x = _random_proj_3step(alg, rng)
     ident = chain_identity(x)
-    pe = hom_package(x, x, 0, cache=False)
+    pe = hom_package(x, x, 0)
     back = pe.chainmap_of(pe.coords_of(ident))
     for q in x.degrees():
         assert np.array_equal(back.map_at(q), ident.map_at(q))
-    pkg = hom_package(x, _random_proj_3step(alg, rng), i, cache=False)
+    pkg = hom_package(x, _random_proj_3step(alg, rng), i)
     coords = (pkg.chain_space @ rng.integers(0, alg.p,
                                              pkg.chain_space.shape[1])) % alg.p
     f = pkg.chainmap_of(coords)
@@ -302,7 +336,7 @@ def planted_image_raises() -> str:
 
     with mock.patch.object(homotopy, "column_space", planted):
         try:
-            hom_package(p0, c, 0, cache=False)
+            hom_package(p0, c, 0)
         except Mismatch as exc:
             return str(exc)
     raise AssertionError("a planted homotopy image raised no Mismatch")
@@ -311,6 +345,30 @@ def planted_image_raises() -> str:
 def test_planted_homotopy_image_survives_optimize():
     assert "not inside the chain space" in planted_image_raises()
     run_optimized("test_homotopy", "planted_image_raises")
+
+
+def non_chain_map_raises() -> list[str]:
+    """Messages of validate() on a map that does not commute with d.
+
+    The identity of a two-term complex, kept in its lower degree only, is
+    not a chain map, in algebra coordinates or expanded.
+    """
+    x = simple_presentation(linear_an(2), 0)
+    bad = ChainMap(x, x, {x.lo: chain_identity(x).map_at(x.lo)})
+    out = []
+    for f in (bad, bad.expand()):
+        try:
+            f.validate()
+        except AssertionError as exc:
+            out.append(str(exc))
+        else:
+            raise RuntimeError("a non-chain map passed validate()")
+    return out
+
+
+def test_chain_map_validation_survives_optimize():
+    assert non_chain_map_raises() == ["not a chain map at degree -1"] * 2
+    run_optimized("test_homotopy", "non_chain_map_raises")
 
 
 # -- minimization -----------------------------------------------------------
@@ -340,6 +398,33 @@ def test_minimize_preserves_hom(ka3):
                 hom_k(x, proj_stalk(ka3, v), i) + \
                 hom_k(c, proj_stalk(ka3, v), i)
             assert hom_k(c, proj_stalk(ka3, v), i) == 0
+
+
+@st.composite
+def padded_complexes(draw):
+    """A random shifted three-step complex on A_3 or Nak_3 plus up to two
+    shifted contractible cones, and a second random complex as target."""
+    alg = draw(st.sampled_from([linear_an, nakayama_rad_square_zero]))(3)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = _random_proj_3step(alg, rng).shift(draw(st.integers(-1, 1)))
+    cones = [proj_cone(chain_identity(proj_stalk(alg, v))).shift(s)
+             for v, s in draw(st.lists(st.tuples(st.integers(0, alg.n - 1),
+                                                 st.integers(-1, 1)),
+                                       max_size=2))]
+    return proj_direct_sum([x] + cones), _random_proj_3step(alg, rng)
+
+
+@settings(max_examples=12, deadline=None)
+@given(padded_complexes())
+def test_minimize_agrees_with_iso_k_and_hom_k(case):
+    x, y = case
+    m = minimize(x)
+    assert iso_k(x, m).verdict == "yes"
+    again = minimize(m)
+    assert (again.lo, again.summands) == (m.lo, m.summands)
+    assert all(np.array_equal(a, b) for a, b in zip(again.dmats, m.dmats))
+    for i in (-1, 0, 1):
+        assert hom_k(m, y, i) == hom_k(x, y, i)
 
 
 # -- K_0 --------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Every module-level import in the library is used by its module."""
+"""Every module-level import and every parameter in the library is used."""
 import ast
 from pathlib import Path
 
@@ -41,3 +41,37 @@ def test_checker_flags_an_unused_import():
     src = ("import os\nfrom .linalg import rank, zeros\n"
            "__all__ = ['zeros']\n\ndef f(m):\n    return rank(m)\n")
     assert unused_imports(src) == ["os"]
+
+
+def unused_parameters(source: str) -> list[str]:
+    """``function(parameter)`` for each parameter its body never reads.
+
+    ``self`` and ``cls`` are exempt; a read in a nested function counts.
+    """
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.Lambda)):
+            continue
+        a = fn.args
+        params = [p.arg for p in [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                  a.vararg, a.kwarg] if p is not None]
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [f"{getattr(fn, 'name', 'lambda')}({p})" for p in params
+                if p not in ("self", "cls") and p not in read]
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text()) == []
+
+
+def test_checker_flags_an_unused_parameter():
+    src = ("class C:\n    def m(self, a, b=1):\n        return a\n\n"
+           "def f(x, *rest, key):\n    def g():\n        return x, rest\n"
+           "    return g, key, lambda t, u: t\n")
+    assert unused_parameters(src) == ["m(b)", "lambda(u)"]
