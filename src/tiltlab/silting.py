@@ -193,12 +193,21 @@ def is_silting(parts: list[ProjComplex], d: int) -> SiltingResult:
 # -- interning registry ------------------------------------------------------
 
 class ComplexRegistry:
-    """Stable integer ids for homotopy classes of complexes."""
+    """Stable integer ids for homotopy classes of complexes.
+
+    ``_by_obj`` remembers, by the object itself, every object the registry
+    has resolved: each stored representative, each interned input and each
+    input that ``find`` matched (a miss is never remembered).  Looking such
+    an object up again is one dict lookup, so an object the registry has
+    resolved must not be mutated in place afterwards -- the invariant that
+    ``ProjSum.of`` relies on too.  The dict keeps these objects alive.
+    """
 
     def __init__(self, seed: int = 0):
         self.items: list[ProjComplex] = []
         self.seed = seed
         self._by_fp: dict = {}
+        self._by_obj: dict[ProjComplex, int] = {}
 
     @staticmethod
     def fingerprint(xm: ProjComplex):
@@ -219,14 +228,23 @@ class ComplexRegistry:
 
     def find(self, x: ProjComplex) -> int | None:
         """The id of x's class, or None when it has not been interned."""
-        return self._scan(x)[2]
+        idx = self._by_obj.get(x)
+        if idx is None:
+            idx = self._scan(x)[2]
+            if idx is not None:
+                self._by_obj[x] = idx
+        return idx
 
     def intern(self, x: ProjComplex) -> int:
+        if x in self._by_obj:
+            return self._by_obj[x]
         xm, fp, idx = self._scan(x)
         if idx is None:
             idx = len(self.items)
             self.items.append(xm)
             self._by_fp.setdefault(fp, []).append(idx)
+            self._by_obj[xm] = idx
+        self._by_obj[x] = idx
         return idx
 
     def state(self, parts: list[ProjComplex]) -> tuple[int, ...]:
@@ -262,16 +280,22 @@ def _new_class(parts: list[ProjComplex], d: int, registry: ComplexRegistry,
                seen: set, stats: dict) -> ClusterRecord | None:
     """Certify a candidate and return its record when its class is new.
 
-    Refuted candidates (counted as "not_silting") and classes already in
-    ``seen`` give None; a new class is added to ``seen``.
+    The candidate's state is looked up first (``find`` interns nothing),
+    and a class already in ``seen`` gives None without certification:
+    it was certified when it was first seen, and silting is a property of
+    the class.  Only an unseen state runs ``is_silting``, so each class is
+    certified once.  A refuted candidate is counted as "not_silting" and
+    gives None; a new class has its parts interned and is added to
+    ``seen``.
     """
+    ids = [registry.find(x) for x in parts]
+    if None not in ids and tuple(sorted(ids)) in seen:
+        return None
     res = is_silting(parts, d)
     if res.verdict == "no":
         stats["not_silting"] += 1
         return None
     state = registry.state(parts)
-    if state in seen:
-        return None
     seen.add(state)
     return ClusterRecord(state, [registry.items[i] for i in state], res)
 

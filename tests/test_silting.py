@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from tiltlab import silting
 from tiltlab.catalog import linear_an, nakayama_rad_square_zero
 from tiltlab.errors import PoolConstructionUnsupported
 from tiltlab.homotopy import (chain_identity, hom_k, proj_cone,
@@ -121,7 +122,7 @@ def test_enumerate_ka3_both_methods(ka3):
     assert not mut.unknown and not cli.unknown
 
 
-@pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (4, 1)])
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (4, 1), (5, 1), (3, 3)])
 def test_linear_counts_match_fuss_catalan(n, d):
     assert enumerate_silting(linear_an(n), d).count == fuss_catalan(n, d)
 
@@ -133,6 +134,27 @@ def test_acceptance_linear_counts_are_fuss_catalan():
     assert len(linear) == 6
     for (name, d), count in linear.items():
         assert count == fuss_catalan(int(name[2:]), d), (name, d)
+
+
+@pytest.mark.parametrize("alg,d,not_silting,certified", [
+    (linear_an(4), 1, 11, 53), (linear_an(3), 2, 4, 59),
+    (nakayama_rad_square_zero(3), 2, 4, 53),
+], ids=["A4-d1", "A3-d2", "Nak3-d2"])
+def test_each_class_certified_once(monkeypatch, alg, d, not_silting,
+                                   certified):
+    # a candidate whose class is already known is not certified again
+    calls = []
+    certify = silting.is_silting
+
+    def counted(parts, d):
+        calls.append(len(parts))
+        return certify(parts, d)
+
+    monkeypatch.setattr(silting, "is_silting", counted)
+    res = enumerate_silting(alg, d)
+    assert res.stats["not_silting"] == not_silting
+    assert len(calls) == res.count + not_silting + len(res.unknown)
+    assert len(calls) == certified
 
 
 def test_enumerate_nakayama_mutation(nak):
@@ -183,7 +205,7 @@ def test_pool_members_are_rigid(ka2):
 
 # -- registry ----------------------------------------------------------------
 
-def test_registry_interning(ka2):
+def test_registry_interning(ka2, monkeypatch):
     reg = ComplexRegistry()
     p0 = proj_stalk(ka2, 0)
     a = reg.intern(p0)
@@ -199,3 +221,33 @@ def test_registry_interning(ka2):
     cone = proj_cone(chain_identity(proj_stalk(ka2, 1)))
     assert reg.find(proj_direct_sum([p0, cone])) == a
     assert len(reg.items) == known
+    # resolved objects are remembered: no minimize or iso test on lookup
+    x = proj_stalk(ka2, 1).shift(1)
+    i = reg.intern(x)
+    iso_calls = []
+    iso = silting.iso_k
+
+    def counted_iso(*args, **kwargs):
+        iso_calls.append(1)
+        return iso(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("resolved object was scanned again")
+
+    with monkeypatch.context() as m:
+        m.setattr(silting, "minimize", refuse)
+        m.setattr(silting, "iso_k", refuse)
+        assert reg.find(x) == i
+        assert reg.find(reg.items[i]) == i
+        assert reg.intern(x) == i
+    # a miss is not remembered: interning the object later gives a new id
+    y = p0.shift(2)
+    assert reg.find(y) is None
+    fresh = len(reg.items)
+    assert reg.intern(y) == fresh
+    assert reg.find(y) == fresh
+    # an isomorphic but distinct object still resolves through iso_k
+    monkeypatch.setattr(silting, "iso_k", counted_iso)
+    assert reg.find(proj_direct_sum([proj_stalk(ka2, 1).shift(1),
+                                     proj_cone(chain_identity(p0))])) == i
+    assert iso_calls
