@@ -8,10 +8,10 @@ followed by the walk of x when the endpoints match.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from sympy import isprime
 
 from .errors import NotAdmissible, SpecError
 from .linalg import DEFAULT_P
@@ -21,6 +21,11 @@ MAX_PATH_LEN = 64
 # 2^21 of them exactly.  The longest sums here are matrix products over a
 # vertex space, an End algebra or a hom layout, all far shorter.
 MAX_P = 2 ** 21
+
+
+def isprime(n: int) -> bool:
+    """Trial division, quick for the n below MAX_P that a field may use."""
+    return n >= 2 and all(n % k for k in range(2, math.isqrt(n) + 1))
 
 
 @dataclass(frozen=True)

@@ -10,18 +10,19 @@ the corner is built, so a product is two contractions and never a linear
 solve.  Splitting the semisimple quotient is the only randomized step:
 random elements are drawn from a seeded generator and the minimal
 polynomial is factored mod p, at most ``SPLIT_BUDGET`` times per corner.
+The factoring is distinct-degree, then Cantor-Zassenhaus equal-degree
+splitting (von zur Gathen-Gerhard, *Modern Computer Algebra*, ch. 14).
 """
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
-from sympy import GF, Poly, symbols
 
 from .errors import (FieldTooSmall, Mismatch, NoSolution,
                      RandomBudgetExhausted)
 from .linalg import modinv, null_space, rref, solve_right
-
-_T = symbols("t")
 
 # random elements drawn per corner before splitting gives up
 SPLIT_BUDGET = 64
@@ -48,22 +49,16 @@ def _pmul(f, g, p):
 
 
 def _pdivmod(f, g, p):
-    f = list(f)
-    q = [0] * max(len(f) - len(g) + 1, 0)
+    f, n = list(f), len(g) - 1
+    q = [0] * max(len(f) - n, 0)
     ginv = modinv(g[-1], p)
-    while len(f) >= len(g) and any(f):
-        if f[-1] == 0:
-            f.pop()
-            continue
-        shift = len(f) - len(g)
-        c = (f[-1] * ginv) % p
-        q[shift] = c
-        for i, b in enumerate(g):
-            f[shift + i] = (f[shift + i] - c * b) % p
-        f = _pnorm(f, p)
-        if not f:
-            break
-    return _pnorm(q, p), _pnorm(f, p)
+    for shift in range(len(f) - 1 - n, -1, -1):
+        c = f[shift + n] * ginv % p
+        if c:
+            q[shift] = c
+            for i, b in enumerate(g):
+                f[shift + i] = (f[shift + i] - c * b) % p
+    return _pnorm(q, p), _pnorm(f[:n], p)
 
 
 def _psub(f, g, p):
@@ -105,18 +100,72 @@ def _peval_elem(f, x_coords, alg):
     return acc % alg.p
 
 
+def _ppowmod(f, e, m, p):
+    """f^e mod m."""
+    out, f = [1], _pdivmod(f, m, p)[1]
+    while e:
+        if e & 1:
+            out = _pdivmod(_pmul(out, f, p), m, p)[1]
+        e >>= 1
+        if e:
+            f = _pdivmod(_pmul(f, f, p), m, p)[1]
+    return out
+
+
+def _distinct_degree(f, p):
+    """[(g, d)]: g is the product of f's irreducible factors of degree d.
+
+    f is squarefree and monic.  The factors of degree d divide
+    x^(p^d) - x, so each gcd with it takes them off f.
+    """
+    out, h, d = [], [0, 1], 0
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        h = _ppowmod(h, p, f, p)
+        g = _pxgcd(f, _psub(h, [0, 1], p), p)[0]
+        if len(g) > 1:
+            out.append((g, d))
+            f = _pdivmod(f, g, p)[0]
+            h = _pdivmod(h, f, p)[1]
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
+
+
+def _equal_degree(g, d, p, rng):
+    """Irreducible factors of g, a product of distinct ones of degree d.
+
+    For a random a, a^((p^d - 1) / 2) is +-1 modulo each factor, each sign
+    with probability about 1/2, so gcd(g, a^(...) - 1) splits g.
+    """
+    if len(g) - 1 == d:
+        return [g]
+    e = (p ** d - 1) // 2
+    while True:
+        a = _pnorm([rng.randrange(p) for _ in range(len(g) - 1)], p)
+        h = _pxgcd(g, _psub(_ppowmod(a, e, g, p), [1], p), p)[0]
+        if 1 < len(h) < len(g):
+            return (_equal_degree(h, d, p, rng)
+                    + _equal_degree(_pdivmod(g, h, p)[0], d, p, rng))
+
+
 def factor_squarefree(f, p):
-    """Irreducible factors of a squarefree monic polynomial mod p."""
-    poly = Poly.from_list(list(reversed(f)), _T, domain=GF(p))
-    _, factors = poly.factor_list()
-    out = []
-    for fac, mult in factors:
-        if mult != 1:
-            raise Mismatch("semisimple splitting: minimal polynomial is not "
-                           "squarefree")
-        coeffs = [int(c) % p for c in reversed(fac.all_coeffs())]
-        out.append(_pnorm(coeffs, p))
-    return sorted(out)
+    """Sorted irreducible factors of a squarefree monic polynomial mod p.
+
+    The splitting draws from a generator seeded by (p, f) and never from
+    the caller's stream; sorted monic factors are unique, so the result
+    does not depend on the draws.  p must be odd: the splitting takes
+    square roots of 1.  Raises Mismatch when f is not squarefree.
+    """
+    if p == 2:
+        raise ValueError("equal-degree splitting needs an odd p")
+    f = [int(c) for c in _pnorm(f, p)]
+    if not _psquarefree(f, p):
+        raise Mismatch("semisimple splitting: minimal polynomial is not "
+                       "squarefree")
+    rng = random.Random(f"{p}:{f}")
+    return sorted(fac for g, d in _distinct_degree(f, p)
+                  for fac in _equal_degree(g, d, p, rng))
 
 
 # -- algebras by structure constants ----------------------------------------

@@ -384,7 +384,15 @@ class HomPackage:
         self.target = target
         self.i = i
         self.cs = cs
-        below, self.layout, above = (_layout(x, cs, o) for o in (-1, 0, 1))
+        below, self.layout = _layout(x, cs, -1), _layout(x, cs, 0)
+        if not self.layout[1]:
+            # no generator of X has an image in C: the hom space is zero
+            # and nothing needs eliminating
+            self._bmat = zeros(0, below[1])
+            self.chain_space = self.homotopy_image = self._basis = zeros(0, 0)
+            self.rep_coords, self.dim = [], 0
+            return
+        above = _layout(x, cs, 1)
         self.chain_space = null_space(self._operator(self.layout, above, 0, -1),
                                       p)
         self._bmat = self._operator(below, self.layout, -1, 1)

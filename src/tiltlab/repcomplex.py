@@ -103,30 +103,6 @@ def stalk_complex(m: Representation, degree: int = 0) -> RepComplex:
     return RepComplex(m.alg, degree, [m], [])
 
 
-def _block_diag_map(f: ModuleMap, g: ModuleMap,
-                    src: Representation, tgt: Representation) -> ModuleMap:
-    alg = f.src.alg
-    vmaps = []
-    for v in range(alg.n):
-        blk = zeros(tgt.dims[v], src.dims[v])
-        r0, c0 = f.tgt.dims[v], f.src.dims[v]
-        blk[:r0, :c0] = f.vmaps[v]
-        blk[r0:, c0:] = g.vmaps[v]
-        vmaps.append(blk)
-    return ModuleMap(src, tgt, vmaps)
-
-
-def complex_direct_sum(x: RepComplex, y: RepComplex) -> RepComplex:
-    alg = x.alg
-    lo, hi = min(x.lo, y.lo), max(x.hi, y.hi)
-    xs, ys = x.pad(lo, hi), y.pad(lo, hi)
-    terms = [direct_sum([xs.terms[k], ys.terms[k]], alg)
-             for k in range(len(xs.terms))]
-    diffs = [_block_diag_map(xs.diffs[k], ys.diffs[k], terms[k], terms[k + 1])
-             for k in range(len(xs.diffs))]
-    return RepComplex(alg, lo, terms, diffs)
-
-
 class ComplexMap:
     """A degreewise map of complexes commuting with the differentials."""
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
-import sympy
 
 from .algebra import BoundQuiverAlgebra
 from .errors import (BudgetExceeded, Mismatch, PoolConstructionUnsupported,
@@ -26,6 +25,7 @@ from .errors import (BudgetExceeded, Mismatch, PoolConstructionUnsupported,
 from .homotopy import (ChainMap, ProjComplex, cocone_with_maps, hom_k,
                        hom_package, iso_k, k0_vector, left_mutation, minimize,
                        proj_stalk, right_approximation, right_mutation)
+from .linalg import int_det
 from .repcat import Representation, ext_dim, hom_dim
 from .repcomplex import homology_dims
 
@@ -55,20 +55,19 @@ def is_presilting(parts: list[ProjComplex], d: int):
     return True, None
 
 
-def k0_matrix(parts: list[ProjComplex]) -> sympy.Matrix:
-    """Classes of the summands in K0(proj), as columns."""
-    cols = [k0_vector(x) for x in parts]
+def k0_matrix(parts: list[ProjComplex]) -> list[list[int]]:
+    """Classes of the summands in K0(proj), as columns of integer rows."""
     if not parts:
-        return sympy.zeros(0, 0)
-    return sympy.Matrix([[int(c[v]) for c in cols]
-                         for v in range(parts[0].alg.n)])
+        return []
+    cols = [k0_vector(x) for x in parts]
+    return [[int(c[v]) for c in cols] for v in range(parts[0].alg.n)]
 
 
 def _k0_is_basis(parts: list[ProjComplex], n: int):
-    classes = [[int(c) for c in k0_vector(x)] for x in parts]
+    classes = [list(c) for c in zip(*k0_matrix(parts))]
     if len(parts) != n:
         return False, {"classes": classes, "reason": "size"}
-    det = int(k0_matrix(parts).det())
+    det = int_det(classes)
     if abs(det) != 1:
         return False, {"classes": classes, "det": det}
     return True, None

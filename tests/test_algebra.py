@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiltlab.algebra import build_algebra
+from tiltlab.algebra import build_algebra, isprime
 from tiltlab.catalog import linear_an, nakayama_rad_square_zero
 from tiltlab.errors import NotAdmissible, SpecError
 from tiltlab.homotopy import amul
@@ -77,6 +77,15 @@ def test_relation_in_rad_square():
 def test_non_prime_p_rejected(p):
     with pytest.raises(SpecError, match=f"p = {p} is not prime"):
         build_algebra(2, [(1, 1, 2)], p=p)
+
+
+def test_isprime_matches_a_sieve():
+    n = 5000
+    sieve = [False, False] + [True] * (n - 2)
+    for k in range(2, n):
+        if sieve[k]:
+            sieve[k * k::k] = [False] * len(sieve[k * k::k])
+    assert [isprime(k) for k in range(n)] == sieve
 
 
 def test_largest_prime_below_the_int64_bound_accepted():

@@ -3,6 +3,7 @@ import itertools
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -101,3 +102,98 @@ def test_sums_of_bricks_split_into_their_summands(name, picks, seed):
     assert np.array_equal(total, np.eye(n, dtype=np.int64))
     got = sorted(r.dims for r, k in decompose(m, seed=seed) for _ in range(k))
     assert got == sorted(r.dims for r in parts)
+
+
+# -- factoring oracles ---------------------------------------------------
+
+def monic_polynomials(p, max_deg):
+    """Every monic polynomial of degree 1..max_deg, lowest degree first."""
+    for deg in range(1, max_deg + 1):
+        for low in itertools.product(range(p), repeat=deg):
+            yield [*low, 1]
+
+
+def multiply(factors, p):
+    out = [1]
+    for g in factors:
+        prod = [0] * (len(out) + len(g) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(g):
+                prod[i + j] = (prod[i + j] + a * b) % p
+        out = prod
+    return out
+
+
+def remainder(f, g, p):
+    """f mod g for a monic g, by schoolbook division."""
+    f = list(f)
+    while len(f) >= len(g):
+        c, shift = f[-1], len(f) - len(g)
+        f = [(a - c * g[i - shift]) % p if i >= shift else a
+             for i, a in enumerate(f)][:-1]
+    return f
+
+
+def is_irreducible(g, p):
+    """No monic polynomial of degree 1..deg(g)/2 divides g."""
+    return all(any(remainder(g, h, p))
+               for h in monic_polynomials(p, (len(g) - 1) // 2))
+
+
+def factor_or_square(f, p):
+    try:
+        return factor_squarefree(f, p)
+    except Mismatch:
+        return "square"
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_factors_multiply_back_and_are_irreducible(p):
+    squares = 0
+    for f in monic_polynomials(p, 4):
+        factors = factor_or_square(f, p)
+        if factors == "square":
+            squares += 1
+            continue
+        assert factors == sorted(factors)
+        assert len({tuple(g) for g in factors}) == len(factors)
+        assert all(g[-1] == 1 and is_irreducible(g, p) for g in factors)
+        assert multiply(factors, p) == f
+    # monic squarefree polynomials of degree k number p^k - p^(k-1), k >= 2
+    assert squares == sum(p ** (k - 1) for k in range(2, 5))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_factors_match_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.symbols("t")
+    for f in monic_polynomials(p, 4):
+        _, factors = sympy.Poly(f[::-1], t, modulus=p).factor_list()
+        if any(mult > 1 for _, mult in factors):
+            want = "square"
+        else:
+            want = sorted([int(c) % p for c in fac.all_coeffs()[::-1]]
+                          for fac, _ in factors)
+        assert factor_or_square(f, p) == want, f
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1009, 2_097_143]),
+       st.lists(st.integers(0, 2_097_142), min_size=1, max_size=7))
+def test_large_field_factors_match_sympy(p, low):
+    # the splitting exponents (p^d - 1) / 2 grow with p and the degree
+    sympy = pytest.importorskip("sympy")
+    f = [c % p for c in low] + [1]
+    _, factors = sympy.Poly(f[::-1], sympy.symbols("t"),
+                            modulus=p).factor_list()
+    if any(mult > 1 for _, mult in factors):
+        assert factor_or_square(f, p) == "square"
+    else:
+        assert factor_squarefree(f, p) == sorted(
+            [int(c) % p for c in fac.all_coeffs()[::-1]] for fac, _ in factors)
+
+
+def test_factoring_refuses_p_2():
+    # a corner of dimension >= 2 needs p > 2, so p = 2 never reaches here
+    with pytest.raises(ValueError, match="odd p"):
+        factor_squarefree([1, 1, 1], 2)

@@ -25,14 +25,33 @@ from tiltlab.heart import (
 )
 from tiltlab.homotopy import (hom_k, hom_package, iso_k, proj_direct_sum,
                               proj_stalk)
-from tiltlab.repcat import (Representation, direct_sum, ext_dim, hom_dim,
-                            injective, is_isomorphic, module_iso, projective,
-                            simple)
-from tiltlab.repcomplex import (RepComplex, complex_direct_sum, homology_dims,
-                                stalk_complex)
+from tiltlab.repcat import (ModuleMap, Representation, direct_sum, ext_dim,
+                            hom_dim, injective, is_isomorphic, module_iso,
+                            projective, simple)
+from tiltlab.repcomplex import RepComplex, homology_dims, stalk_complex
 from tiltlab.tiltcheck import _random_proj_3step
 
 from test_homotopy import simple_presentation
+
+
+def complex_direct_sum(x: RepComplex, y: RepComplex) -> RepComplex:
+    """X + Y degreewise, with block-diagonal differentials."""
+    alg = x.alg
+    lo, hi = min(x.lo, y.lo), max(x.hi, y.hi)
+    xs, ys = x.pad(lo, hi), y.pad(lo, hi)
+    terms = [direct_sum([a, b], alg) for a, b in zip(xs.terms, ys.terms)]
+    diffs = []
+    for k, (f, g) in enumerate(zip(xs.diffs, ys.diffs)):
+        vmaps = []
+        for v in range(alg.n):
+            blk = np.zeros((terms[k + 1].dims[v], terms[k].dims[v]),
+                           dtype=np.int64)
+            r0, c0 = f.tgt.dims[v], f.src.dims[v]
+            blk[:r0, :c0] = f.vmaps[v]
+            blk[r0:, c0:] = g.vmaps[v]
+            vmaps.append(blk)
+        diffs.append(ModuleMap(terms[k], terms[k + 1], vmaps))
+    return RepComplex(alg, lo, terms, diffs)
 
 
 @pytest.fixture(scope="module")

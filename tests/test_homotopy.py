@@ -28,8 +28,10 @@ from tiltlab.homotopy import (
     proj_stalk,
     right_approximation,
     right_mutation,
+    _layout,
 )
-from tiltlab.linalg import in_span, span_union
+from tiltlab.linalg import (column_space, in_span, null_space, rref,
+                            solve_right, span_union)
 from tiltlab.memo import memo
 from tiltlab.repcat import (direct_sum, ext_dim, hom_dim, injective,
                             minimal_resolution, projective, simple)
@@ -232,6 +234,36 @@ def test_nullhomotopic_detection(ka2):
         coords = pkg.chain_space[:, k]
         h = pkg.nullhomotopy(coords)
         assert h is not None
+
+
+def test_empty_layout_package_matches_full_elimination(ka2):
+    # P(1)[1] has nothing in degree 0, so Hom(P(1), P(1)[1]) is built
+    # without elimination; it answers as the full three-rref path does
+    x = proj_stalk(ka2, 0)
+    y = x.shift(1)
+    with mock.patch("tiltlab.homotopy.rref", side_effect=AssertionError), \
+            mock.patch("tiltlab.homotopy.null_space",
+                       side_effect=AssertionError), \
+            mock.patch("tiltlab.homotopy.column_space",
+                       side_effect=AssertionError):
+        pkg = hom_package(x, y, 0)
+    p, cs = ka2.p, pkg.cs
+    below, above = (_layout(x, cs, o) for o in (-1, 1))
+    chain = null_space(pkg._operator(pkg.layout, above, 0, -1), p)
+    bmat = pkg._operator(below, pkg.layout, -1, 1)
+    image = column_space(bmat, p)
+    _, piv = rref(np.concatenate([image, chain], axis=1), p)
+    assert pkg.layout[1] == 0 and below[1] == 1
+    assert pkg.dim == len(piv) - image.shape[1] == 0
+    assert pkg.chain_reps() == [] and pkg.rep_coords == []
+    for got, want in ((pkg.chain_space, chain), (pkg._bmat, bmat),
+                      (pkg.homotopy_image, image)):
+        assert got.shape == want.shape and got.dtype == want.dtype
+    zero = np.zeros(0, dtype=np.int64)
+    assert np.array_equal(pkg.nullhomotopy(zero),
+                          solve_right(bmat, zero.reshape(-1, 1), p)[:, 0])
+    assert np.array_equal(pkg.nullhomotopy(ChainMap(x, y, {})), [0])
+    assert pkg.is_nullhomotopic(zero)
 
 
 def greedy_representatives(pkg):

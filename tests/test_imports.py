@@ -1,5 +1,9 @@
-"""Every module-level import and every parameter in the library is used."""
+"""Every module-level import and every parameter in the library is used,
+and importing the library loads no symbolic-algebra package."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -75,3 +79,12 @@ def test_checker_flags_an_unused_parameter():
            "def f(x, *rest, key):\n    def g():\n        return x, rest\n"
            "    return g, key, lambda t, u: t\n")
     assert unused_parameters(src) == ["m(b)", "lambda(u)"]
+
+
+def test_import_leaves_sympy_unloaded():
+    # numpy is the only runtime dependency; sympy is a test oracle only
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    code = "import sys, tiltlab; print('sympy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"

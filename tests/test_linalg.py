@@ -1,6 +1,9 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tiltlab import linalg
@@ -78,3 +81,32 @@ def test_rref_idempotent():
     r1, piv1 = linalg.rref(a, 5)
     r2, piv2 = linalg.rref(r1, 5)
     assert np.array_equal(r1, r2) and piv1 == piv2
+
+
+def leibniz_det(m):
+    """Sum over permutations, the reference for ``int_det``."""
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(m[i][perm[i]]
+                                                for i in range(n))
+    return total
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+@example([[0, 1], [1, 0]])                      # zero pivot, one swap
+@example([[1, 2, 3], [2, 4, 7], [1, 0, 1]])     # zero pivot at step 2
+@example([[1, 2], [2, 4]])                      # singular
+@example([[0, 0, 1], [0, 2, 1], [0, 3, 5]])     # zero column: no swap
+@example([[10 ** 30, 1], [1, 10 ** 30]])        # past int64
+def test_int_det_matches_permutation_expansion(m):
+    assert linalg.int_det(m) == leibniz_det(m)
+
+
+def test_int_det_of_the_empty_matrix():
+    assert linalg.int_det([]) == 1

@@ -7,6 +7,7 @@ from tiltlab.catalog import linear_an, nakayama_rad_square_zero
 from tiltlab.errors import PoolConstructionUnsupported
 from tiltlab.homotopy import (chain_identity, hom_k, proj_cone,
                               proj_direct_sum, proj_stalk)
+from tiltlab.linalg import int_det
 from tiltlab.silting import (
     ComplexRegistry,
     enumerate_silting,
@@ -82,7 +83,17 @@ def test_window_refused(ka2):
 def test_k0_matrix_of_projectives(ka3):
     m = k0_matrix(projective_cluster(ka3))
     assert m == k0_matrix(projective_cluster(ka3))
-    assert int(m.det()) in (1, -1)
+    assert all(type(c) is int for row in m for c in row)
+    assert int_det(m) in (1, -1)
+
+
+def test_k0_refutation_reports_the_determinant(ka2):
+    # P(1) + P(1) and P(2) have classes (2, 0) and (0, 1): index 2 in K0
+    p0, p1 = proj_stalk(ka2, 0), proj_stalk(ka2, 1)
+    ok, refut = silting._k0_is_basis([proj_direct_sum([p0, p0]), p1], 2)
+    assert not ok and refut == {"classes": [[2, 0], [0, 1]], "det": 2}
+    ok, refut = silting._k0_is_basis([p1, p0], 2)
+    assert ok and refut is None
 
 
 def test_tower_certificate_replays_and_detects_tampering(ka2):
