@@ -21,7 +21,7 @@ from .algebra import BoundQuiverAlgebra
 from .endsplit import primitive_idempotents, trace_radical
 from .errors import (FieldTooSmall, Mismatch, NoSolution,
                      RandomBudgetExhausted, WindowViolation)
-from .linalg import (column_space, in_span, inv, null_space, rref,
+from .linalg import (column_space, eye, in_span, inv, null_space, rref,
                      solve_right, span_union, zeros)
 from .memo import memo
 from .repcat import (
@@ -281,19 +281,6 @@ class ChainMap:
                 out[q] = m
         return ChainMap(other.src, self.tgt, out)
 
-    def add(self, other: "ChainMap") -> "ChainMap":
-        qs = set(self.mats) | set(other.mats)
-        return ChainMap(self.src, self.tgt,
-                        {q: (self.map_at(q) + other.map_at(q)) % self.alg.p
-                         for q in qs})
-
-    def scale(self, c: int) -> "ChainMap":
-        return ChainMap(self.src, self.tgt,
-                        {q: (c * m) % self.alg.p for q, m in self.mats.items()})
-
-    def is_zero(self) -> bool:
-        return all(not np.any(m) for m in self.mats.values())
-
     def shift(self, s: int) -> "ChainMap":
         return ChainMap(self.src.shift(s), self.tgt.shift(s),
                         {q - s: m for q, m in self.mats.items()})
@@ -310,10 +297,6 @@ class ChainMap:
 def chain_identity(x: ProjComplex) -> ChainMap:
     return ChainMap(x, x, {q: aidentity(x.alg, x.summands_at(q))
                            for q in x.degrees()})
-
-
-def chain_zero(src: ProjComplex, tgt: ProjComplex) -> ChainMap:
-    return ChainMap(src, tgt, {})
 
 
 def proj_cone(f: ChainMap) -> ProjComplex:
@@ -440,8 +423,10 @@ class HomPackage:
     def class_coords(self, f) -> np.ndarray:
         return self.reduce(self.coords_of(f))
 
-    def coords_of(self, f: ChainMap) -> np.ndarray:
-        """Generator-image coordinates of a chain map into the target."""
+    def coords_of(self, f) -> np.ndarray:
+        """Generator-image coordinates of a chain map (arrays pass through)."""
+        if isinstance(f, np.ndarray):
+            return f
         blocks, total = self.layout
         out = np.zeros(total, dtype=np.int64)
         for (q, s), (v, sl) in blocks.items():
@@ -463,15 +448,31 @@ class HomPackage:
             mats[q][:, s] = ps.coeffs(coords[sl], v)
         return ChainMap(self.x, ts, mats)
 
+    def combine(self, coeffs, cols: np.ndarray | None = None) -> ChainMap:
+        """The chain map sum_k coeffs[k] * cols[:, k], summed in coordinates.
+
+        ``cols`` holds layout columns and defaults to the class
+        representatives, so ``coeffs`` are then class coordinates.
+        """
+        if cols is None:
+            cols = self._basis[:, self.homotopy_image.shape[1]:]
+        coeffs = np.asarray(coeffs, dtype=np.int64)
+        return self.chainmap_of(cols @ coeffs % self.x.alg.p)
+
     def chain_reps(self) -> list[ChainMap]:
-        return [self.chainmap_of(c) for c in self.rep_coords]
+        """The class representatives, built once; rep k has class e_k."""
+        store, key = memo(self), ("chain_reps",)
+        if key not in store:
+            store[key] = [self.chainmap_of(c) for c in self.rep_coords]
+        return store[key]
 
     def is_nullhomotopic(self, f) -> bool:
+        """Is f, a chain map or its layout coordinates, null-homotopic?"""
         return not np.any(self.class_coords(f))
 
     def nullhomotopy(self, f):
         """Solve f = dh + hd; returns h-coordinates or None."""
-        coords = f if isinstance(f, np.ndarray) else self.coords_of(f)
+        coords = self.coords_of(f)
         try:
             sol = solve_right(self._bmat, coords.reshape(-1, 1), self.x.alg.p)
         except NoSolution:
@@ -561,23 +562,6 @@ def k0_vector(x: ProjComplex) -> np.ndarray:
 
 # -- endomorphisms, decomposition, isomorphism ------------------------------
 
-def chain_endos(x: ProjComplex) -> list[ChainMap]:
-    """A basis of the honest chain endomorphisms (no homotopy quotient)."""
-    pkg = hom_package(x, x, 0)
-    return [pkg.chainmap_of(pkg.chain_space[:, k])
-            for k in range(pkg.chain_space.shape[1])]
-
-
-def _combination(coeffs, maps: list[ChainMap], p: int):
-    """sum coeffs[k] * maps[k], or None when every coefficient is zero."""
-    out = None
-    for c, f in zip(coeffs, maps):
-        if c % p:
-            piece = f.scale(int(c))
-            out = piece if out is None else out.add(piece)
-    return out
-
-
 def _total_matrix(f: ChainMap) -> np.ndarray:
     """Block-diagonal matrix of the expansion over all degrees."""
     fe = f.expand()
@@ -603,15 +587,17 @@ def decompose_complex(x: ProjComplex, seed: int = 0):
     xm = minimize(x)
     if xm.is_zero():
         return []
-    endos = chain_endos(xm)
-    if len(endos) == 1:
+    # the honest chain endomorphisms (no homotopy quotient) span chain_space
+    pkg = hom_package(xm, xm, 0)
+    endos = pkg.chain_space
+    if endos.shape[1] == 1:
         return [(xm, 1)]
     rng = np.random.default_rng(seed)
-    mats = [_total_matrix(f) for f in endos]
+    mats = [_total_matrix(pkg.chainmap_of(c)) for c in endos.T]
     idems = primitive_idempotents(mats, alg.p, rng)
     coords = solve_right(np.column_stack([m.reshape(-1) for m in mats]),
                          np.column_stack([e.reshape(-1) for e in idems]), alg.p)
-    parts = [_split_off(xm, _combination(c, endos, alg.p)) for c in coords.T]
+    parts = [_split_off(xm, pkg.combine(c, endos)) for c in coords.T]
     groups: list[list] = []
     for part in parts:
         for g in groups:
@@ -714,18 +700,16 @@ def _indec_iso_k(x: ProjComplex, y: ProjComplex, want_witness: bool = False):
             ident = pe.class_coords(chain_identity(x))
             uinv = solve_right(left_mult(u), ident.reshape(-1, 1),
                                alg.p)[:, 0]
-            w = _combination(uinv, pe.chain_reps(), alg.p)
-            gc = (w.compose(g) if w is not None
-                  else chain_zero(y, x))
-            if not pe.is_nullhomotopic(
-                    gc.compose(f).add(chain_identity(x).scale(-1))):
-                raise Mismatch("iso witness: bwd o fwd is not homotopic "
-                               "to the identity")
-            pey = hom_package(y, y, 0)
-            if not pey.is_nullhomotopic(
-                    f.compose(gc).add(chain_identity(y).scale(-1))):
-                raise Mismatch("iso witness: fwd o bwd is not homotopic "
-                               "to the identity")
+            gc = pe.combine(uinv).compose(g)
+            # each composite minus the identity, in layout coordinates
+            for name, pkg, loop in (
+                    ("bwd o fwd", pe, gc.compose(f)),
+                    ("fwd o bwd", hom_package(y, y, 0), f.compose(gc))):
+                diff = pkg.coords_of(loop) - pkg.coords_of(
+                    chain_identity(pkg.x))
+                if not pkg.is_nullhomotopic(diff % alg.p):
+                    raise Mismatch(f"iso witness: {name} is not homotopic "
+                                   "to the identity")
             return True, f, gc
     return False, None, None
 
@@ -818,17 +802,14 @@ def _approximation(parts: list[ProjComplex], z: ProjComplex, minimal: bool,
             for l in range(len(parts)):
                 if l == j:
                     rad, _ = end_rads[j]
-                    reps = end_pkgs[j].chain_reps()
-                    us = [_combination(rad[:, k], reps, alg.p)
-                          for k in range(rad.shape[1])]
+                    us = [end_pkgs[j].combine(c) for c in rad.T]
                 else:
                     us = hom(parts[j], parts[l]).chain_reps()
                 fs = packages[l].chain_reps()
                 w_cols += [pj.class_coords(act(u, f)) for u in us for f in fs]
             w = (column_space(np.column_stack(w_cols), alg.p)
                  if w_cols else zeros(pj.dim, 0))
-            for f in pj.chain_reps():
-                coords = pj.class_coords(f)
+            for coords, f in zip(eye(pj.dim), pj.chain_reps()):
                 if in_span(coords, w, alg.p):
                     continue
                 chosen.append((j, f))

@@ -36,28 +36,40 @@ def algebra_from_spec(data: dict) -> tuple[BoundQuiverAlgebra, int | None]:
     "relations": [[arrow ids], ...], "p": ...}), 1-based throughout.
     An optional "d" records the window size; d must be at least 1.
     """
+    if not isinstance(data, dict):
+        raise SpecError("an algebra spec must be a JSON object")
     d = data.get("d")
     if d is not None:
-        d = int(d)
+        d = _spec_int(data, "d")
         if d < 1:
             raise SpecError("d must be at least 1")
-    kwargs = {}
-    if "p" in data:
-        kwargs["p"] = int(data["p"])
+    kwargs = {"p": _spec_int(data, "p")} if "p" in data else {}
     if "catalog" in data:
         name = data["catalog"]
         if name not in _CATALOG:
             raise SpecError(f"unknown catalog algebra {name!r}")
         if "n" in data:
-            kwargs["n"] = int(data["n"])
+            kwargs["n"] = _spec_int(data, "n")
         return _CATALOG[name](**kwargs), d
     try:
         n = int(data["vertices"])
         arrows = [(int(a), int(s), int(t)) for a, s, t in data["arrows"]]
+        relations = [[int(i) for i in rel]
+                     for rel in data.get("relations", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError(f"malformed algebra spec: {exc}") from exc
-    relations = [[int(i) for i in rel] for rel in data.get("relations", [])]
     return build_algebra(n, arrows, relations, **kwargs), d
+
+
+def _spec_int(data: dict, key: str, where: str = "") -> int:
+    """data[key] as an integer, or a SpecError naming the field."""
+    if key not in data:
+        raise SpecError(f"{where}missing {key!r}")
+    try:
+        return int(data[key])
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"{where}{key!r} must be an integer, got "
+                        f"{data[key]!r}") from exc
 
 
 def load_algebra_spec(path) -> tuple[BoundQuiverAlgebra, int | None]:
@@ -92,15 +104,19 @@ def generators_from_spec(alg: BoundQuiverAlgebra, data) -> list[Representation]:
     """
     if isinstance(data, dict):
         data = data.get("generators", [])
+    if not isinstance(data, list):
+        raise SpecError("an object file must list its generators")
     makers = {"projective": projective, "simple": simple,
               "injective": injective}
     out = []
     for k, entry in enumerate(data):
+        if not isinstance(entry, dict):
+            raise SpecError(f"generator {k}: not a JSON object")
         if "kind" in entry:
             kind = entry["kind"]
             if kind not in makers:
                 raise SpecError(f"generator {k}: unknown kind {kind!r}")
-            v = int(entry["vertex"])
+            v = _spec_int(entry, "vertex", f"generator {k}: ")
             if not 1 <= v <= alg.n:
                 raise SpecError(f"generator {k}: vertex {v} out of range")
             out.append(makers[kind](alg, v - 1))
@@ -142,7 +158,8 @@ def objects_from_spec(alg: BoundQuiverAlgebra, data, d: int) -> list[RepComplex]
     reps = generators_from_spec(alg, data)
     out = []
     for k, (entry, rep) in enumerate(zip(entries, reps)):
-        shift = int(entry.get("shift", 0))
+        shift = _spec_int(entry, "shift", f"generator {k}: ") \
+            if "shift" in entry else 0
         if not 0 <= shift <= d - 1:
             raise SpecError(f"generator {k}: homology in degree {-shift} "
                             f"falls outside the window [{-d + 1}, 0]")

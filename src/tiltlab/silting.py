@@ -139,8 +139,8 @@ def _tower_for_vertex(parts: list[ProjComplex], v: int, d: int):
     pkg = hom_package(z0, phi.tgt, 0)
     coords = pkg.coords_of(phi)
     tower = GeneratorTower(v, stages, coords, _p=alg.p)
-    if pkg.is_nullhomotopic(phi):
-        tower.witness = pkg.nullhomotopy(phi)
+    if pkg.is_nullhomotopic(coords):
+        tower.witness = pkg.nullhomotopy(coords)
         tower._bmat = pkg._bmat
         return tower, True
     return tower, False

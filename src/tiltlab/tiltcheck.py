@@ -293,12 +293,8 @@ class QuasiTiltingReport:
 
 
 def _random_class_map(pkg, rng):
-    coords = np.zeros(pkg.chain_space.shape[0], dtype=np.int64)
-    if pkg.dim:
-        weights = rng.integers(0, pkg.x.alg.p, size=pkg.dim)
-        for w, rep in zip(weights, pkg.rep_coords):
-            coords = (coords + int(w) * rep) % pkg.x.alg.p
-    return pkg.chainmap_of(coords)
+    weights = rng.integers(0, pkg.x.alg.p, size=pkg.dim) if pkg.dim else []
+    return pkg.combine(weights)
 
 
 def check_quasi_tilting(m_gens, universe: Universe, sample_budget: int = 100,
@@ -327,10 +323,15 @@ def check_quasi_tilting(m_gens, universe: Universe, sample_budget: int = 100,
             return QuasiTiltingReport("certified_via_silting", air=air)
 
     report = QuasiTiltingReport("verified_on_sample", air=air)
-    in_results = {mem.key: fac_membership(gens, mem.obj, d)
-                  for mem in universe}
+    # one level-(d+1) run per member: its first d stages are the level-d
+    # run, so a failure at stage d+1 leaves the member in at level d
+    levels = {}
     for mem in universe:
-        if not in_results[mem.key]:
+        rd1 = fac_membership(gens, mem.obj, d, s=d + 1)
+        late = not rd1 and bool(rd1.steps) and rd1.steps[-1].stage > d
+        levels[mem.key] = ("in" if late else rd1.verdict, rd1.verdict)
+    for mem in universe:
+        if levels[mem.key][0] != "in":
             continue
         for j, g in enumerate(gens):
             dim = e_ext(g, mem.obj, 1, d)
@@ -376,14 +377,13 @@ def check_quasi_tilting(m_gens, universe: Universe, sample_budget: int = 100,
                 return report
 
     for mem in universe:
-        rd = in_results[mem.key]
-        rd1 = fac_membership(gens, mem.obj, d, s=d + 1)
+        rd, rd1 = levels[mem.key]
         report.qt2_checked += 1
-        if bool(rd) == bool(rd1):
+        if (rd == "in") == (rd1 == "in"):
             continue
         entry = {"axiom": "QT2", "member": int(mem.key),
-                 "level_d": rd.verdict, "level_d1": rd1.verdict}
-        if "not_in" in (rd.verdict, rd1.verdict):
+                 "level_d": rd, "level_d1": rd1}
+        if "not_in" in (rd, rd1):
             report.verdict = "refuted"
             report.witness = entry
             return report
@@ -695,8 +695,6 @@ def verify_bijection(alg, d: int, universe: Universe, seed: int = 0,
             need = len(supports)
             for combo in combinations(sorted(sid), need):
                 if set(combo) == set(supports):
-                    continue
-                if len(core | set(combo)) != len(core) + need:
                     continue
                 cand = [reg.items[i] for i in sorted(core)] + \
                        [reg.items[i] for i in combo]

@@ -91,6 +91,31 @@ def test_matrices_breaking_a_relation_are_a_spec_error(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("spec,entries", [
+    ({"catalog": "linear_an", "n": 2, "d": 1}, [{"kind": "simple"}]),
+    ({"catalog": "linear_an", "n": 2, "d": 1},
+     [{"kind": "simple", "vertex": "x"}]),
+    ({"catalog": "linear_an", "n": 2, "d": 1},
+     [{"kind": "simple", "vertex": 1, "shift": "a"}]),
+    ({"catalog": "linear_an", "n": 2, "d": 1}, [5]),
+    ({"catalog": "linear_an", "n": 2, "d": 1}, {"generators": 5}),
+    ({"catalog": "linear_an", "n": 2, "d": "one"}, []),
+    ({"catalog": "linear_an", "n": "two", "d": 1}, []),
+    ({"catalog": "linear_an", "n": 2, "d": 1, "p": "x"}, []),
+    ([{"catalog": "linear_an", "n": 2, "d": 1}], []),
+    ({"vertices": 2, "arrows": [[1, 1, 2]], "relations": [["a"]], "d": 1},
+     []),
+], ids=["no-vertex", "vertex-x", "shift-a", "entry-5", "generators-5",
+        "d-one", "n-two", "p-x", "spec-list", "relation-a"])
+def test_malformed_input_is_a_spec_error(tmp_path, capsys, spec, entries):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    obj = tmp_path / "obj.json"
+    obj.write_text(json.dumps(entries))
+    assert main(["check", "--spec", str(path), "quasi", str(obj)]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_check_tilting_pass_and_fail(tmp_path, ka2_spec):
     free = write_objects(tmp_path, "free.json",
                          [{"kind": "projective", "vertex": 1},

@@ -290,6 +290,39 @@ def test_map_from_matches_chain_map_expansion(case):
     assert_blocks(f, own)
 
 
+@settings(max_examples=25, deadline=None)
+@given(proj_complex_pairs(), st.integers(0, 2**32 - 1))
+def test_class_combinations_are_made_in_coordinates(case, seed):
+    y, xs = case
+    p = y.alg.p
+    rng = np.random.default_rng(seed)
+    for x in xs:
+        for i in (-1, 0, 1):
+            pkg = hom_package(x, y, i)
+            reps = pkg.chain_reps()
+            assert pkg.chain_reps() is reps
+            for k, f in enumerate(reps):
+                assert np.array_equal(pkg.class_coords(f),
+                                      np.eye(pkg.dim, dtype=np.int64)[k])
+            # combine against the degree-wise sum of the scaled maps, over
+            # the representatives and over the whole chain space
+            endos = [pkg.chainmap_of(c) for c in pkg.chain_space.T]
+            for cols, maps in ((None, reps), (pkg.chain_space, endos)):
+                coeffs = rng.integers(0, p, size=len(maps))
+                f = pkg.combine(coeffs, cols)
+                for q in range(min(x.lo, y.lo - i) - 1,
+                               max(x.hi, y.hi - i) + 2):
+                    want = np.zeros_like(f.map_at(q))
+                    for c, g in zip(coeffs, maps):
+                        want = (want + int(c) * g.map_at(q)) % p
+                    assert np.array_equal(f.map_at(q), want)
+            nulls = [pkg.chainmap_of(c) for c in pkg.homotopy_image.T]
+            mixed = pkg.combine(rng.integers(0, p, size=pkg.dim))
+            for f in reps + nulls + [mixed]:
+                assert (pkg.is_nullhomotopic(pkg.coords_of(f))
+                        == pkg.is_nullhomotopic(f))
+
+
 def test_fac_stage_map_is_the_models_maps_side_by_side(monkeypatch):
     gens = [module_stalk(projective(A3, 0)), module_stalk(injective(A3, 2))]
     x = module_stalk(direct_sum([projective(A3, 0), injective(A3, 2)], A3))

@@ -177,6 +177,27 @@ def test_quasi_projective_nongenerator_is_anomalous(ka2, uni_ka2):
     assert rep.anomalies
 
 
+def test_quasi_runs_each_members_fac_chain_once(nak, monkeypatch):
+    # 15 runs fill the AIR table; then one level-(d+1) run per member gives
+    # both the level-d and the level-(d+1) verdict.  The report is the one
+    # that separate level-d and level-(d+1) runs gave.
+    from tiltlab import tiltcheck
+    uni = build_universe(nak, 2, seed=0)
+    calls = []
+    fac = tiltcheck.fac_membership
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fac(*args, **kwargs)
+
+    monkeypatch.setattr(tiltcheck, "fac_membership", counted)
+    rep = check_quasi_tilting([module_stalk(simple(nak, 0))], uni, seed=0)
+    assert (len(uni), len(calls)) == (15, 30)
+    assert (rep.verdict, rep.witness, rep.anomalies, rep.qt1_checked,
+            rep.qt2_checked, rep.chains_sampled, rep.chains_skipped) == \
+        ("verified_on_sample", None, [], 8, 15, 6, 94)
+
+
 # -- tilting -----------------------------------------------------------------
 
 def test_tilting_free_module(ka2):
