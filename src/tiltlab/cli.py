@@ -94,6 +94,8 @@ def _load(cfg: RunConfig):
         raise SpecError("d must be at least 1")
     if cfg.depth is not None and cfg.depth < 0:
         raise SpecError("--depth must be at least 0")
+    if cfg.universe_dim_bound < 1:
+        raise SpecError("--universe-dim-bound must be at least 1")
     return alg, d
 
 

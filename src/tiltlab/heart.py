@@ -39,8 +39,7 @@ def in_window(c: RepComplex, d: int) -> bool:
 
 def to_window(c: RepComplex, d: int) -> RepComplex:
     """Smart truncation into [-d+1, 0]; homology outside is an error."""
-    hd = homology_dims(c)
-    for q in hd:
+    for q in homology_dims(c):
         if q < -d + 1 or q > 0:
             raise HomologyOutsideWindow(q)
     return truncate_below(truncate_above(c, 0), -d + 1).trim()
@@ -61,47 +60,43 @@ def p_presentation(m, d: int) -> ProjComplex:
 
     Brutal truncation at degree -d of a projective model; accepts a module
     or any complex with homology inside the window.  The round trip is
-    verified degreewise before returning.
+    verified degreewise once, and the result is kept in ``memo(m)``.
     """
+    store, key = memo(m), ("presentation", d)
+    if key in store:
+        return store[key]
     if isinstance(m, Representation):
         out = resolution_of_module(m, d)
         target = stalk_complex(m, 0)
     else:
         target = to_window(m, d)
-        r, complete = _resolution_cached(target, 2 * d + 3)
-        if not complete:
-            raise ResolutionDepthExceeded(
-                "projective model did not terminate inside the depth budget")
-        out = _proj_truncate_at(r, -d)
+        out = projective_model(target, d)
+        if out.lo < -d:     # brutal truncation of the trimmed model
+            cut = -d - out.lo
+            out = ProjComplex(m.alg, -d, out.summands[cut:], out.dmats[cut:])
     got = truncate_window(out, d)
     for q in range(-d + 1, 1):
         if not is_isomorphic(homology_at(got, q), homology_at(target, q)):
             raise SpecError(
                 f"presentation round trip failed in degree {q}")
+    store[key] = out
     return out
-
-
-def _proj_truncate_at(x: ProjComplex, q0: int) -> ProjComplex:
-    """Drop all terms of x below degree q0 (brutal truncation)."""
-    t = x.trim()
-    if t.lo >= q0:
-        return t
-    cut = q0 - t.lo
-    return ProjComplex(t.alg, q0, [list(s) for s in t.summands[cut:]],
-                       [m.copy() for m in t.dmats[cut:]])
 
 
 def truncate_window(s: ProjComplex, d: int) -> RepComplex:
     """The heart object carried by a silting-window complex.
 
     Applies sigma^(>= -d+1) to the expansion; the input must live in
-    degrees [-d, 0].
+    degrees [-d, 0].  The result is kept in ``memo(s)``.
     """
-    t = s.trim()
-    if not t.is_zero() and (t.lo < -d or t.hi > 0):
-        raise WindowViolation(
-            f"complex occupies [{t.lo}, {t.hi}], expected [-{d}, 0]")
-    return truncate_below(s.expansion(), -d + 1).trim()
+    store, key = memo(s), ("truncate_window", d)
+    if key not in store:
+        t = s.trim()
+        if not t.is_zero() and (t.lo < -d or t.hi > 0):
+            raise WindowViolation(
+                f"complex occupies [{t.lo}, {t.hi}], expected [-{d}, 0]")
+        store[key] = truncate_below(s.expansion(), -d + 1).trim()
+    return store[key]
 
 
 # -- resolving arbitrary complexes -----------------------------------------
@@ -176,6 +171,21 @@ def _resolution_cached(x: RepComplex, depth: int):
     return store[key]
 
 
+def projective_model(x, d: int) -> ProjComplex:
+    """The projective model of a heart object, resolved to depth 2d+3.
+
+    Accepts a module complex, or a complex of projectives through its
+    window truncation; an incomplete model raises.
+    """
+    if isinstance(x, ProjComplex):
+        x = truncate_window(x, d)
+    r, complete = _resolution_cached(x, 2 * d + 3)
+    if not complete:
+        raise ResolutionDepthExceeded(
+            "projective model did not terminate inside the depth budget")
+    return r
+
+
 def e_ext(x: RepComplex, y: RepComplex, i: int, d: int,
           depth: int | None = None) -> int:
     """dim Hom_D(X, Y[i]) for heart objects, via a projective model of X."""
@@ -219,23 +229,7 @@ def generator_models(gens, d: int) -> list[ProjComplex]:
     Accepts silting summands (complexes of projectives, modelled through
     their window truncations) or heart objects directly.
     """
-    out = []
-    for g in gens:
-        if isinstance(g, ProjComplex):
-            r, complete = _resolution_cached_proj(g, d)
-        else:
-            r, complete = _resolution_cached(g, 2 * d + 3)
-        if not complete:
-            raise ResolutionDepthExceeded("generator resolution incomplete")
-        out.append(r)
-    return out
-
-
-def _resolution_cached_proj(s: ProjComplex, d: int):
-    store, key = memo(s), ("window_resolution", d)
-    if key not in store:
-        store[key] = resolution_of_complex(truncate_window(s, d), 2 * d + 3)
-    return store[key]
+    return [projective_model(g, d) for g in gens]
 
 
 def fac_membership(gens, x: RepComplex, d: int,
@@ -330,10 +324,12 @@ def f_class_membership(parts: list[ProjComplex], x: RepComplex,
 # -- decomposition inside the heart ----------------------------------------
 
 def decompose_window(x: RepComplex, d: int, seed: int = 0):
-    """Indecomposable heart summands of x, with multiplicities."""
-    r, complete = _resolution_cached(x, 2 * d + 3)
-    if not complete:
-        raise ResolutionDepthExceeded(
-            "cannot decompose: resolution budget exhausted")
-    return [(to_window(c.expansion(), d), mult)
-            for c, mult in decompose_complex(r, seed=seed)]
+    """Indecomposable heart summands of x, with multiplicities.
+
+    Split once per (d, seed) and kept in ``memo(x)``.
+    """
+    store, key = memo(x), ("decompose_window", d, seed)
+    if key not in store:
+        parts = decompose_complex(projective_model(x, d), seed=seed)
+        store[key] = tuple((to_window(c.expansion(), d), m) for c, m in parts)
+    return store[key]

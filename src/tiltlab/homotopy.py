@@ -182,6 +182,9 @@ class ProjComplex:
                 raise AssertionError(f"d^2 != 0 leaving degree {self.lo + k}")
 
     def shift(self, s: int) -> "ProjComplex":
+        """X[s], with differentials scaled by (-1)^s; X[0] is X itself."""
+        if s == 0:
+            return self
         dmats = self.dmats if s % 2 == 0 else [-m for m in self.dmats]
         return ProjComplex(self.alg, self.lo - s, self.summands, dmats)
 
@@ -193,6 +196,7 @@ class ProjComplex:
         return ProjComplex(self.alg, lo, summands, dmats)
 
     def trim(self) -> "ProjComplex":
+        """Drop empty degrees at both ends; self when there are none."""
         k0, k1 = 0, len(self.summands)
         while k0 < k1 and not self.summands[k0]:
             k0 += 1
@@ -200,6 +204,8 @@ class ProjComplex:
             k1 -= 1
         if k0 == k1:
             return ProjComplex(self.alg, 0, [[]], [])
+        if (k0, k1) == (0, len(self.summands)):
+            return self
         return ProjComplex(self.alg, self.lo + k0,
                            self.summands[k0:k1], self.dmats[k0:k1 - 1])
 
@@ -379,18 +385,19 @@ class HomPackage:
         self.chain_space = null_space(self._operator(self.layout, above, 0, -1),
                                       p)
         self._bmat = self._operator(below, self.layout, -1, 1)
-        self.homotopy_image = column_space(self._bmat, p)
-        nb = self.homotopy_image.shape[1]
-        _, piv = rref(np.concatenate([self.homotopy_image, self.chain_space],
-                                     axis=1), p)
+        image = column_space(self._bmat, p)
+        nb = image.shape[1]
+        _, piv = rref(np.concatenate([image, self.chain_space], axis=1), p)
         if len(piv) != self.chain_space.shape[1]:
             raise Mismatch("hom package: the homotopy image is not inside "
                            "the chain space")
         reps = [k - nb for k in piv if k >= nb]
-        self.rep_coords = [self.chain_space[:, k] for k in reps]
         self.dim = len(reps)
-        self._basis = np.concatenate(
-            [self.homotopy_image, self.chain_space[:, reps]], axis=1)
+        # the image and the representatives are views into one array
+        self._basis = np.concatenate([image, self.chain_space[:, reps]],
+                                     axis=1)
+        self.homotopy_image = self._basis[:, :nb]
+        self.rep_coords = list(self._basis[:, nb:].T)
 
     def _operator(self, src, dst, offset: int, sign: int) -> np.ndarray:
         """Matrix of g -> d_C o g + sign * g o d_X.
@@ -521,11 +528,11 @@ def minimize(x: ProjComplex) -> ProjComplex:
 
     Repeatedly cancels differential entries that are invertible algebra
     elements (nonzero scalar part on a matching vertex), then trims empty
-    degrees.
+    degrees.  A minimal x comes back as ``x.trim()``, which is x itself
+    when x has no empty end degree.
     """
     alg = x.alg
-    summands = [list(s) for s in x.summands]
-    dmats = [m.copy() for m in x.dmats]
+    summands, dmats = list(x.summands), list(x.dmats)
     while (found := _find_unit(alg, summands, dmats)) is not None:
         k, r, c = found
         m = dmats[k]
@@ -545,6 +552,8 @@ def minimize(x: ProjComplex) -> ProjComplex:
         summands[k] = [vv for j, vv in enumerate(summands[k]) if j != c]
         summands[k + 1] = [vv for i, vv in enumerate(summands[k + 1])
                            if i != r]
+    if summands == x.summands:      # nothing cancelled
+        return x.trim()
     return ProjComplex(alg, x.lo, summands, dmats).trim()
 
 

@@ -71,7 +71,9 @@ class RepComplex:
                 raise AssertionError(f"d^2 != 0 leaving degree {self.lo + k}")
 
     def shift(self, s: int) -> "RepComplex":
-        """X[s], with (X[s])^q = X^(q+s) and differentials scaled by (-1)^s."""
+        """X[s]: X^(q+s) in degree q, differentials times (-1)^s; X[0] is X."""
+        if s == 0:
+            return self
         diffs = self.diffs if s % 2 == 0 else [d.neg() for d in self.diffs]
         return RepComplex(self.alg, self.lo - s, self.terms, diffs)
 
@@ -87,7 +89,7 @@ class RepComplex:
         return RepComplex(self.alg, lo, terms, diffs)
 
     def trim(self) -> "RepComplex":
-        """Drop zero terms at both ends of the window."""
+        """Drop zero terms at both ends of the window; self when none."""
         k0, k1 = 0, len(self.terms)
         while k0 < k1 and self.terms[k0].is_zero():
             k0 += 1
@@ -95,6 +97,8 @@ class RepComplex:
             k1 -= 1
         if k0 == k1:
             return RepComplex(self.alg, 0, [zero_rep(self.alg)], [])
+        if (k0, k1) == (0, len(self.terms)):
+            return self
         return RepComplex(self.alg, self.lo + k0,
                           self.terms[k0:k1], self.diffs[k0:k1 - 1])
 

@@ -52,24 +52,28 @@ def algebra_from_spec(data: dict) -> tuple[BoundQuiverAlgebra, int | None]:
             kwargs["n"] = _spec_int(data, "n")
         return _CATALOG[name](**kwargs), d
     try:
-        n = int(data["vertices"])
-        arrows = [(int(a), int(s), int(t)) for a, s, t in data["arrows"]]
-        relations = [[int(i) for i in rel]
+        n = _spec_int(data, "vertices")
+        arrows = [tuple(_json_int(x, "an arrow entry") for x in (a, s, t))
+                  for a, s, t in data["arrows"]]
+        relations = [[_json_int(i, "a relation entry") for i in rel]
                      for rel in data.get("relations", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError(f"malformed algebra spec: {exc}") from exc
     return build_algebra(n, arrows, relations, **kwargs), d
 
 
+def _json_int(value, what: str) -> int:
+    """value if it is a JSON integer; floats, booleans and strings raise."""
+    if type(value) is not int:
+        raise SpecError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _spec_int(data: dict, key: str, where: str = "") -> int:
     """data[key] as an integer, or a SpecError naming the field."""
     if key not in data:
         raise SpecError(f"{where}missing {key!r}")
-    try:
-        return int(data[key])
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"{where}{key!r} must be an integer, got "
-                        f"{data[key]!r}") from exc
+    return _json_int(data[key], f"{where}{key!r}")
 
 
 def load_algebra_spec(path) -> tuple[BoundQuiverAlgebra, int | None]:
@@ -122,9 +126,13 @@ def generators_from_spec(alg: BoundQuiverAlgebra, data) -> list[Representation]:
             out.append(makers[kind](alg, v - 1))
             continue
         try:
-            dims = [int(x) for x in entry["dims"]]
-            mats = [np.asarray(m, dtype=np.int64) % alg.p
-                    for m in entry["mats"]]
+            dims = [_json_int(x, f"generator {k}: a dims entry")
+                    for x in entry["dims"]]
+            mats = [np.asarray(m, dtype=object) for m in entry["mats"]]
+            if any(type(x) is not int for m in mats for x in m.flat):
+                raise SpecError(f"generator {k}: matrix entries must be "
+                                "integers")
+            mats = [(m % alg.p).astype(np.int64) for m in mats]
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"generator {k}: malformed entry: {exc}") from exc
         if len(dims) != alg.n or len(mats) != len(alg.quiver.arrows):
@@ -163,8 +171,7 @@ def objects_from_spec(alg: BoundQuiverAlgebra, data, d: int) -> list[RepComplex]
         if not 0 <= shift <= d - 1:
             raise SpecError(f"generator {k}: homology in degree {-shift} "
                             f"falls outside the window [{-d + 1}, 0]")
-        obj = module_stalk(rep)
-        out.append(obj.shift(shift) if shift else obj)
+        out.append(module_stalk(rep).shift(shift))
     return out
 
 

@@ -18,13 +18,12 @@ from .errors import (HomologyOutsideWindow, Mismatch, ResolutionDepthExceeded,
                      SpecError, UndecidedIso)
 from .heart import (_resolution_cached, decompose_window, e_ext,
                     f_class_membership, fac_membership, generator_models,
-                    module_stalk, p_presentation, t_class_membership,
-                    to_window, truncate_window)
+                    module_stalk, p_presentation, projective_model,
+                    t_class_membership, to_window, truncate_window)
 from .homotopy import (ProjComplex, decompose_complex, hom_k, hom_package,
                        iso_k, left_approximation, minimize, proj_cone,
                        proj_direct_sum, proj_stalk, right_approximation)
 from .linalg import zeros
-from .memo import memo
 from .repcat import (ModuleMap, ProjSum, Representation, alg_matrix_of_map,
                      decompose, hom_basis, injective, kernel, simple)
 from .repcomplex import (RepComplex, homology_dims, truncate_above,
@@ -38,14 +37,6 @@ def _as_heart(x) -> RepComplex:
     if isinstance(x, Representation):
         return module_stalk(x)
     return x
-
-
-def _presentation(g: RepComplex, d: int) -> ProjComplex:
-    """The minimized (d+1)-term presentation of g, computed once per g."""
-    store, key = memo(g), ("presentation", d)
-    if key not in store:
-        store[key] = minimize(p_presentation(g, d))
-    return store[key]
 
 
 def _in_window_dims(hd, d: int) -> bool:
@@ -86,6 +77,16 @@ class Universe:
         return len(self.members)
 
 
+def _random_map(src: Representation, tgt: Representation, rng) -> ModuleMap:
+    """A random combination of hom_basis(src, tgt), one draw per basis map."""
+    p = src.alg.p
+    vmaps = [zeros(t, s) for s, t in zip(src.dims, tgt.dims)]
+    for b in hom_basis(src, tgt):
+        c = int(rng.integers(p))
+        vmaps = [(m + c * bm) % p for m, bm in zip(vmaps, b.vmaps)]
+    return ModuleMap(src, tgt, vmaps)
+
+
 def _random_proj_3step(alg, rng) -> ProjComplex:
     """P_{-2} -> P_{-1} -> P_0 with honest differentials.
 
@@ -98,19 +99,9 @@ def _random_proj_3step(alg, rng) -> ProjComplex:
     s1 = [int(rng.integers(alg.n)) for _ in range(1 + int(rng.integers(2)))]
     s2 = [int(rng.integers(alg.n)) for _ in range(1 + int(rng.integers(2)))]
     ps0, ps1, ps2 = (ProjSum.of(alg, s) for s in (s0, s1, s2))
-    vmaps = [zeros(ps0.rep.dims[v], ps1.rep.dims[v]) for v in range(alg.n)]
-    for b in hom_basis(ps1.rep, ps0.rep):
-        c = int(rng.integers(alg.p))
-        for v in range(alg.n):
-            vmaps[v] = (vmaps[v] + c * b.vmaps[v]) % alg.p
-    f = ModuleMap(ps1.rep, ps0.rep, vmaps)
+    f = _random_map(ps1.rep, ps0.rep, rng)
     ker_rep, incl = kernel(f)
-    hmaps = [zeros(ker_rep.dims[v], ps2.rep.dims[v]) for v in range(alg.n)]
-    for b in hom_basis(ps2.rep, ker_rep):
-        c = int(rng.integers(alg.p))
-        for v in range(alg.n):
-            hmaps[v] = (hmaps[v] + c * b.vmaps[v]) % alg.p
-    comp = incl.after(ModuleMap(ps2.rep, ker_rep, hmaps))
+    comp = incl.after(_random_map(ps2.rep, ker_rep, rng))
     return ProjComplex(alg, -2, [s2, s1, s0],
                        [alg_matrix_of_map(comp, ps2, ps1),
                         alg_matrix_of_map(f, ps1, ps0)])
@@ -163,9 +154,8 @@ def build_universe(alg, d: int, seed: int = 0, dim_bound: int = 3,
         for j in range(1, d):
             admit(module_stalk(m).shift(j), "module-shift")
     for _ in range(n_complexes):
-        x = _random_proj_3step(alg, rng)
-        c = truncate_below(truncate_above(x.expansion(), 0), -d + 1)
-        admit(c.trim(), "complex")
+        x = _random_proj_3step(alg, rng).expansion()
+        admit(truncate_below(truncate_above(x, 0), -d + 1), "complex")
     for member in list(uni.members):
         for s, _mult in decompose_window(member.obj, d, seed=seed):
             admit(s, "summand")
@@ -178,9 +168,10 @@ class HeartStore:
     """Certified ids for indecomposable heart objects.
 
     ``class_of`` returns the sorted ids of an object's indecomposable
-    summands; ``window_class`` does the same for the window truncation of
-    a silting summand; both cache per object and keep the objects alive.
-    ``image`` joins the window classes of several summands.
+    summands, cached per object (which it keeps alive); ``window_class``
+    does the same for the window truncation of a silting summand (kept in
+    the summand's memo).  ``image`` joins the window classes of several
+    summands.
     """
 
     def __init__(self, d: int, seed: int = 0):
@@ -197,12 +188,9 @@ class HeartStore:
         if t.is_zero() or not homology_dims(t):
             out: tuple[int, ...] = ()
         else:
-            r, complete = _resolution_cached(t, 2 * self.d + 3)
-            if not complete:
-                raise ResolutionDepthExceeded(
-                    "heart object does not resolve inside the depth budget")
             ids = set()
-            for c, _mult in decompose_complex(r, seed=self.seed):
+            for c, _mult in decompose_complex(projective_model(t, self.d),
+                                              seed=self.seed):
                 i = self.registry.intern(c)
                 self.reps.setdefault(i, to_window(c.expansion(), self.d))
                 ids.add(i)
@@ -211,9 +199,7 @@ class HeartStore:
         return out
 
     def window_class(self, part: ProjComplex) -> tuple[int, ...]:
-        if part not in self._by_obj:
-            self._by_obj[part] = self.class_of(truncate_window(part, self.d))
-        return self._by_obj[part]
+        return self.class_of(truncate_window(part, self.d))
 
     def image(self, parts: list[ProjComplex]) -> tuple[int, ...]:
         """Sorted ids of the heart summands of all the parts' truncations."""
@@ -311,7 +297,7 @@ def check_quasi_tilting(m_gens, universe: Universe, sample_budget: int = 100,
     gens = [_as_heart(g) for g in m_gens]
     air = None
     try:
-        parts = [_presentation(g, d) for g in gens]
+        parts = [minimize(p_presentation(g, d)) for g in gens]
     except ResolutionDepthExceeded:
         parts = None
     if parts is not None:
@@ -433,7 +419,7 @@ def check_tilting(m_gens, d: int, seed: int = 0) -> TiltingReport:
 
     sa = None
     try:
-        parts = [_presentation(g, d) for g in gens]
+        parts = [minimize(p_presentation(g, d)) for g in gens]
         pd_flags = [_pd_within(p) for p in parts]
     except ResolutionDepthExceeded as exc:
         a_verdict = "unknown"
@@ -658,14 +644,6 @@ def verify_bijection(alg, d: int, universe: Universe, seed: int = 0,
     store = HeartStore(d, seed)
     reg = enum.registry
     sid = {reg.intern(proj_stalk(alg, v).shift(d)): v for v in range(alg.n)}
-    pres_cache: dict[int, tuple[int, ...]] = {}
-
-    def pres_class(hid: int) -> tuple[int, ...]:
-        if hid not in pres_cache:
-            pres = minimize(p_presentation(store.reps[hid], d))
-            pres_cache[hid] = reg.state(
-                [c for c, _m in decompose_complex(pres, seed=seed)])
-        return pres_cache[hid]
 
     entries: list[BijectionEntry] = []
     failures: list[dict] = []
@@ -684,9 +662,10 @@ def verify_bijection(alg, d: int, universe: Universe, seed: int = 0,
 
         idset = set(rec.ids)
         supports = tuple(sorted(i for i in idset if i in sid))
-        core: set[int] = set()
-        for hid in image_ids:
-            core.update(pres_class(hid))
+        # decompose_complex minimizes each presentation first
+        core = {reg.intern(c) for hid in image_ids for c, _m in
+                decompose_complex(p_presentation(store.reps[hid], d),
+                                  seed=seed)}
         rederived = core == idset - set(supports)
         if not rederived:
             failures.append({"ids": rec.ids, "stage": "re-presentation",
@@ -910,15 +889,10 @@ def qtilt_closure_trials(m_gens, universe: Universe, n_trials: int = 500,
             return
         conclude(kind, obj, {"y": int(y.key), "z": int(z.key)})
 
-    summand_cache: dict[int, list[RepComplex]] = {}
-
     def summand(kind, rng):
         mem = pool[int(rng.integers(len(pool)))]
-        if mem.key not in summand_cache:
-            summand_cache[mem.key] = [s for s, _m in
-                                      decompose_window(mem.obj, d, seed=seed)]
-        parts = summand_cache[mem.key]
-        s = parts[int(rng.integers(len(parts)))]
+        parts = decompose_window(mem.obj, d, seed=seed)
+        s, _mult = parts[int(rng.integers(len(parts)))]
         conclude(kind, s, {"member": int(mem.key)})
 
     def dfactor(kind, rng):

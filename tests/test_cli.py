@@ -57,6 +57,17 @@ def test_depth_bounds_the_universe(tmp_path, ka2_spec):
                  "--depth", "-1"]) == 3
 
 
+def test_universe_dim_bound_below_one_is_a_spec_error(tmp_path, ka2_spec,
+                                                      capsys):
+    for bound in ("-3", "0"):
+        assert main(["verify", "--spec", ka2_spec, "bijection",
+                     "--universe-dim-bound", bound]) == 3
+        assert "--universe-dim-bound" in capsys.readouterr().err
+    code, rep = run(tmp_path, "verify", "--spec", ka2_spec, "bijection",
+                    "--universe-dim-bound", "1")
+    assert code == 0 and rep["report"]["universe_size"] > 0
+
+
 def test_missing_d_is_a_spec_error(tmp_path):
     path = tmp_path / "nod.json"
     path.write_text(json.dumps({"catalog": "linear_an", "n": 2}))
@@ -105,8 +116,29 @@ def test_matrices_breaking_a_relation_are_a_spec_error(tmp_path, capsys):
     ([{"catalog": "linear_an", "n": 2, "d": 1}], []),
     ({"vertices": 2, "arrows": [[1, 1, 2]], "relations": [["a"]], "d": 1},
      []),
+    # JSON numbers that are not integers, and booleans, are not truncated
+    ({"catalog": "linear_an", "n": 2, "d": 1.5}, []),
+    ({"catalog": "linear_an", "n": True, "d": 1}, []),
+    ({"catalog": "linear_an", "n": 2, "d": 1, "p": 1009.0}, []),
+    ({"vertices": 2.7, "arrows": [[1, 1, 2]], "d": 1}, []),
+    ({"vertices": 2, "arrows": [[1, 1, 2.0]], "d": 1}, []),
+    ({"vertices": 3, "arrows": [[1, 1, 2], [2, 2, 3]],
+      "relations": [[True, 2]], "d": 1}, []),
+    ({"catalog": "linear_an", "n": 2, "d": 1},
+     [{"kind": "simple", "vertex": True}]),
+    ({"catalog": "linear_an", "n": 2, "d": 1},
+     [{"kind": "simple", "vertex": 1, "shift": 0.0}]),
+    ({"catalog": "linear_an", "n": 2, "d": 1},
+     [{"dims": [1.0, 1], "mats": [[[1]]]}]),
+    ({"catalog": "linear_an", "n": 2, "d": 1},
+     [{"dims": [1, 1], "mats": [[[True]]]}]),
+    ({"catalog": "linear_an", "n": 2, "d": 1},
+     [{"dims": [1, 1], "mats": [[[1.5]]]}]),
 ], ids=["no-vertex", "vertex-x", "shift-a", "entry-5", "generators-5",
-        "d-one", "n-two", "p-x", "spec-list", "relation-a"])
+        "d-one", "n-two", "p-x", "spec-list", "relation-a", "d-float",
+        "n-true", "p-float", "vertices-float", "arrow-float", "relation-true",
+        "vertex-true", "shift-float", "dims-float", "mats-true",
+        "mats-float"])
 def test_malformed_input_is_a_spec_error(tmp_path, capsys, spec, entries):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))

@@ -452,3 +452,34 @@ def test_decompose_window(ka2):
     dims = sorted((tuple(sorted(homology_dims(c).items())), m)
                   for c, m in parts)
     assert dims == [(((0, (1, 0)),), 1), (((0, (1, 1)),), 1)]
+
+
+def test_decompose_window_splits_once(ka2, monkeypatch):
+    x = complex_direct_sum(module_stalk(simple(ka2, 0)),
+                           module_stalk(projective(ka2, 0)))
+    calls = []
+    split = heart.decompose_complex
+
+    def counting(r, seed=0):
+        calls.append(r)
+        return split(r, seed=seed)
+
+    monkeypatch.setattr(heart, "decompose_complex", counting)
+    first = decompose_window(x, d=1)
+    assert decompose_window(x, d=1) is first
+    assert len(calls) == 1
+    decompose_window(x, d=1, seed=1)
+    assert len(calls) == 2
+
+
+def test_rep_complex_trim_is_self_when_nothing_is_trimmed(ka2):
+    x = module_stalk(simple(ka2, 0))
+    assert x.trim() is x
+    padded = x.pad(-1, 1)
+    assert padded.trim() is not padded
+    assert padded.trim().degrees() == x.degrees()
+
+
+def test_to_window_returns_a_trimmed_window_complex(nak):
+    x = module_stalk(simple(nak, 0)).shift(1)
+    assert to_window(x, 2) is x

@@ -12,6 +12,7 @@ from tiltlab.catalog import linear_an, nakayama_rad_square_zero
 from tiltlab.heart import generator_models, resolution_of_module
 from tiltlab.homotopy import (
     ChainMap,
+    HomPackage,
     ProjComplex,
     chain_identity,
     decompose_complex,
@@ -409,6 +410,41 @@ def test_minimize_contractible(ka2):
     c = proj_cone(chain_identity(proj_stalk(ka2, 0)))
     assert not is_minimal(c)
     assert minimize(c).is_zero()
+
+
+def test_minimize_returns_a_minimal_trimmed_input(ka3):
+    x = simple_presentation(ka3, 0)
+    assert is_minimal(x)
+    assert minimize(x) is x
+    # empty end degrees are trimmed off into a new complex
+    padded = x.pad(x.lo - 1, x.hi + 1)
+    assert padded.trim() is not padded
+    assert minimize(padded).shape_key() == x.shape_key()
+
+
+def test_trim_is_self_when_nothing_is_trimmed(ka3):
+    x = simple_presentation(ka3, 0)
+    assert x.trim() is x
+    padded = x.pad(x.lo, x.hi + 1)
+    assert padded.trim() is not padded
+    assert padded.trim().degrees() == x.degrees()
+
+
+def test_second_iso_k_builds_no_package(ka3, monkeypatch):
+    # minimize and decompose hand back their minimal, indecomposable
+    # inputs, so every package lives in a memo table of a or b
+    a, b = simple_presentation(ka3, 0), simple_presentation(ka3, 0)
+    assert iso_k(a, b).verdict == "yes"
+    built = []
+    init = HomPackage.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(HomPackage, "__init__", counting)
+    assert iso_k(a, b).verdict == "yes"
+    assert built == []
 
 
 def test_minimize_strips_contractible_summand(ka2):

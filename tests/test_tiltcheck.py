@@ -256,15 +256,17 @@ def test_equivalence_projective_nongenerator(ka2, uni_ka2):
 
 def test_equivalence_presents_each_generator_once(ka2, uni_ka2,
                                                   monkeypatch):
-    from tiltlab import tiltcheck
-    present = tiltcheck.p_presentation
+    # p_presentation keeps its result in memo(g), so count the round-trip
+    # checks it makes while building one (one per window degree, d = 1)
+    from tiltlab import heart
+    check_iso = heart.is_isomorphic
     calls = []
 
-    def counting(g, d):
-        calls.append(g)
-        return present(g, d)
+    def counting(a, b):
+        calls.append(a)
+        return check_iso(a, b)
 
-    monkeypatch.setattr(tiltcheck, "p_presentation", counting)
+    monkeypatch.setattr(heart, "is_isomorphic", counting)
     check_equivalence([projective(ka2, 0), projective(ka2, 1)], uni_ka2,
                       seed=0, sample_budget=20)
     assert len(calls) == 2
