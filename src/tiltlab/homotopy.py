@@ -588,12 +588,21 @@ def _total_matrix(f: ChainMap) -> np.ndarray:
 def decompose_complex(x: ProjComplex, seed: int = 0):
     """Indecomposable summands of a complex, with multiplicities.
 
-    Returns a list of (ProjComplex, multiplicity), canonically ordered.
+    Returns a tuple of (ProjComplex, multiplicity), canonically ordered.
     The input is minimized first; idempotents of the chain endomorphism
-    algebra split the minimized complex degreewise.
+    algebra split the minimized complex degreewise.  The result is kept in
+    ``memo()`` of the minimized complex per seed, so a repeat returns the
+    same summand objects.
     """
-    alg = x.alg
     xm = minimize(x)
+    store, key = memo(xm), ("decompose_complex", seed)
+    if key not in store:
+        store[key] = tuple(_decompose_minimal(xm, seed))
+    return store[key]
+
+
+def _decompose_minimal(xm: ProjComplex, seed: int):
+    alg = xm.alg
     if xm.is_zero():
         return []
     # the honest chain endomorphisms (no homotopy quotient) span chain_space

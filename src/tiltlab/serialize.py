@@ -137,8 +137,12 @@ def generators_from_spec(alg: BoundQuiverAlgebra, data) -> list[Representation]:
             raise SpecError(f"generator {k}: malformed entry: {exc}") from exc
         if len(dims) != alg.n or len(mats) != len(alg.quiver.arrows):
             raise SpecError(f"generator {k}: wrong dims/mats arity")
-        for a, m in zip(alg.quiver.arrows, mats):
-            if m.shape != (dims[a.tgt], dims[a.src]):
+        for i, (a, m) in enumerate(zip(alg.quiver.arrows, mats)):
+            shape = (dims[a.tgt], dims[a.src])
+            if m.size == 0 and 0 in shape:
+                # JSON writes every matrix without entries as [] or [[]]
+                mats[i] = m.reshape(shape)
+            elif m.shape != shape:
                 raise SpecError(f"generator {k}: matrix for arrow {a.ident} "
                                 f"has shape {m.shape}")
         rep = Representation(alg, dims, mats)

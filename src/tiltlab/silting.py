@@ -2,9 +2,13 @@
 
 A candidate is a list of complexes of projectives supported in degrees
 [-d, 0].  ``is_silting`` certifies the silting property constructively:
-besides the vanishing conditions it builds, for every indecomposable
+besides the vanishing conditions it shows that the summands generate
+K^b(proj A).  A candidate with no history gets, for every indecomposable
 projective P(i), a tower of approximation triangles whose composite
-connecting map is null-homotopic; the homotopy is kept as a witness.
+connecting map is null-homotopic; the homotopy is kept as a witness.  A
+class the mutation search reached from a certified class carries a
+``MutationLineage`` instead: mutation keeps the thick closure, and the
+lineage replays the one mutation that produced it.
 
 Two independent enumerators produce the complete list of silting objects
 up to isomorphism: a mutation search and, for hereditary algebras, a
@@ -106,11 +110,44 @@ class GeneratorTower:
 
 
 @dataclass
+class MutationLineage:
+    """Certificate that a class is one silting mutation of a certified class.
+
+    The exchange triangle X_k -> E -> Y -> X_k[1] of a left mutation, with
+    E in add of the other summands, puts X_k in thick(T/X_k + Y); the
+    right mutation is dual.  Splitting Y into indecomposables keeps the
+    thick closure, so the mutated class generates K^b(proj A) when its
+    parent does (Aihara-Iyama, *Silting mutation in triangulated
+    categories*, 2012, 2.6), and generation follows by induction along the
+    path back to a tower-certified seed.
+    """
+    parent: tuple[int, ...]           # registry state of the parent class
+    k: int                            # mutated index into the parent's parts
+    side: str                         # "left" | "right"
+    d: int
+    ids: tuple[int, ...] = ()         # the class's own state, once interned
+
+    def replay(self, registry: "ComplexRegistry",
+               parent: "ClusterRecord") -> bool:
+        """Re-run the mutation from the parent's parts and compare states."""
+        if parent.ids != self.parent:
+            return False
+        mutate = left_mutation if self.side == "left" else right_mutation
+        try:
+            parts = mutate(parent.parts, self.k, self.d, registry.seed)
+        except WindowViolation:
+            return False
+        ids = [registry.find(x) for x in parts]
+        return None not in ids and tuple(sorted(ids)) == self.ids
+
+
+@dataclass
 class SiltingResult:
     verdict: str                      # "yes" | "no" | "unknown"
     reason: str = ""
     towers: list[GeneratorTower] = field(default_factory=list)
     refutation: dict | None = None
+    lineage: MutationLineage | None = None
 
     def __bool__(self):
         return self.verdict == "yes"
@@ -146,13 +183,16 @@ def _tower_for_vertex(parts: list[ProjComplex], v: int, d: int):
     return tower, False
 
 
-def is_silting(parts: list[ProjComplex], d: int) -> SiltingResult:
+def is_silting(parts: list[ProjComplex], d: int,
+               lineage: MutationLineage | None = None) -> SiltingResult:
     """Certify or refute the silting property for a window candidate.
 
     "no" answers carry a refutation (a nonvanishing hom or a K0 failure);
-    "yes" answers carry one generation tower per vertex.  "unknown" means
-    all checks passed except that some tower composite was not recognized
-    as null-homotopic.
+    "yes" answers carry one generation tower per vertex, or, when the
+    caller built the candidate by the mutation that ``lineage`` names from
+    a certified class, that lineage in place of the towers.  "unknown"
+    means all checks passed except that some tower composite was not
+    recognized as null-homotopic.
     """
     if not parts:
         return SiltingResult("no", "empty candidate")
@@ -178,6 +218,8 @@ def is_silting(parts: list[ProjComplex], d: int) -> SiltingResult:
         return SiltingResult(
             "no", "summand classes are not a Z-basis of K0",
             refutation={"kind": "k0", **refut})
+    if lineage is not None:
+        return SiltingResult("yes", "certified", lineage=lineage)
     towers = []
     for v in range(alg.n):
         tower, certified = _tower_for_vertex(basic.items, v, d)
@@ -276,7 +318,8 @@ class EnumerationResult:
 
 
 def _new_class(parts: list[ProjComplex], d: int, registry: ComplexRegistry,
-               seen: set, stats: dict) -> ClusterRecord | None:
+               seen: set, stats: dict,
+               lineage: MutationLineage | None = None) -> ClusterRecord | None:
     """Certify a candidate and return its record when its class is new.
 
     The candidate's state is looked up first (``find`` interns nothing),
@@ -285,17 +328,19 @@ def _new_class(parts: list[ProjComplex], d: int, registry: ComplexRegistry,
     the class.  Only an unseen state runs ``is_silting``, so each class is
     certified once.  A refuted candidate is counted as "not_silting" and
     gives None; a new class has its parts interned and is added to
-    ``seen``.
+    ``seen``, and its lineage, if any, learns the class's state.
     """
     ids = [registry.find(x) for x in parts]
     if None not in ids and tuple(sorted(ids)) in seen:
         return None
-    res = is_silting(parts, d)
+    res = is_silting(parts, d, lineage=lineage)
     if res.verdict == "no":
         stats["not_silting"] += 1
         return None
     state = registry.state(parts)
     seen.add(state)
+    if res.lineage is not None:
+        res.lineage.ids = state
     return ClusterRecord(state, [registry.items[i] for i in state], res)
 
 
@@ -308,7 +353,11 @@ def _seed_clusters(alg: BoundQuiverAlgebra, d: int):
 
 def enumerate_mutation(alg: BoundQuiverAlgebra, d: int,
                        seed: int = 0) -> EnumerationResult:
-    """Breadth-first mutation search from the shifted-projective seeds."""
+    """Breadth-first mutation search from the shifted-projective seeds.
+
+    Seeds are certified with generation towers; a class first reached by
+    mutating a certified class is certified by that mutation's lineage.
+    """
     registry = ComplexRegistry(seed)
     queue: deque = deque()
     visited: set = set()
@@ -317,8 +366,8 @@ def enumerate_mutation(alg: BoundQuiverAlgebra, d: int,
     stats = {"mutations": 0, "window_rejected": 0, "not_silting": 0,
              "seeds_accepted": 0}
 
-    def admit(parts) -> None:
-        rec = _new_class(parts, d, registry, visited, stats)
+    def admit(parts, lineage=None) -> None:
+        rec = _new_class(parts, d, registry, visited, stats, lineage)
         if rec is not None and rec.result.verdict == "unknown":
             unknowns.append(rec)
         elif rec is not None:
@@ -338,14 +387,15 @@ def enumerate_mutation(alg: BoundQuiverAlgebra, d: int,
             break
         rec = queue.popleft()
         for k in range(len(rec.parts)):
-            for mutate in (left_mutation, right_mutation):
+            for side, mutate in (("left", left_mutation),
+                                 ("right", right_mutation)):
                 stats["mutations"] += 1
                 try:
                     new_parts = mutate(rec.parts, k, d, seed)
                 except WindowViolation:
                     stats["window_rejected"] += 1
                     continue
-                admit(new_parts)
+                admit(new_parts, MutationLineage(rec.ids, k, side, d))
 
     records.sort(key=lambda r: r.ids)
     return EnumerationResult("mutation", d, records, unknowns, len(visited),

@@ -25,7 +25,8 @@ from .homotopy import (ProjComplex, decompose_complex, hom_k, hom_package,
                        proj_direct_sum, proj_stalk, right_approximation)
 from .linalg import zeros
 from .repcat import (ModuleMap, ProjSum, Representation, alg_matrix_of_map,
-                     decompose, hom_basis, injective, kernel, simple)
+                     decompose, hom_basis, injective, kernel, module_iso,
+                     simple)
 from .repcomplex import (RepComplex, homology_dims, truncate_above,
                          truncate_below)
 from .silting import (ComplexRegistry, SiltingResult, _k0_is_basis,
@@ -139,6 +140,10 @@ def build_universe(alg, d: int, seed: int = 0, dim_bound: int = 3,
         uni.members.append(member)
         return member
 
+    # every indecomposable part tried so far, by dimension vector: a part
+    # isomorphic to one of them has the same resolution and registry
+    # class, so admitting it could only return None
+    tried: dict[tuple[int, ...], list[Representation]] = {}
     modules: list[Representation] = []
     for dims in product(range(dim_bound + 1), repeat=alg.n):
         if not any(dims):
@@ -148,6 +153,10 @@ def build_universe(alg, d: int, seed: int = 0, dim_bound: int = 3,
             if draw.broken_relation() is not None:
                 continue
             for m, _mult in decompose(draw, seed=seed):
+                bucket = tried.setdefault(tuple(m.dims), [])
+                if any(module_iso(m, o) is not None for o in bucket):
+                    continue
+                bucket.append(m)
                 if admit(module_stalk(m), "module") is not None:
                     modules.append(m)
     for m in modules:

@@ -164,6 +164,25 @@ def test_check_tilting_pass_and_fail(tmp_path, ka2_spec):
     assert rep["report"]["detail"]["reason"].startswith("T2")
 
 
+def test_zero_vertex_matrices_may_be_empty(tmp_path, ka2_spec):
+    # S_1 of A_2 has dims (1, 0): its arrow matrix has shape (0, 1), and
+    # JSON can only write it as []
+    by_kind = write_objects(tmp_path, "kind.json",
+                            [{"kind": "simple", "vertex": 1}])
+    for mats in ([[]], [[[]]]):
+        by_mats = write_objects(tmp_path, "mats.json",
+                                [{"dims": [1, 0], "mats": mats}])
+        for target in ("tilting", "quasi", "air"):
+            want = run(tmp_path, "check", "--spec", ka2_spec, target, by_kind)
+            got = run(tmp_path, "check", "--spec", ka2_spec, target, by_mats)
+            assert got[0] != 3
+            assert got == want
+    # an entry-free matrix where the shape needs entries is still an error
+    wrong = write_objects(tmp_path, "wrong.json",
+                          [{"dims": [1, 1], "mats": [[]]}])
+    assert main(["check", "--spec", ka2_spec, "tilting", wrong]) == 3
+
+
 def test_check_air_rank_deficient_fails(tmp_path, ka2_spec):
     single = write_objects(tmp_path, "s.json",
                            [{"kind": "simple", "vertex": 2}])

@@ -447,6 +447,28 @@ def test_second_iso_k_builds_no_package(ka3, monkeypatch):
     assert built == []
 
 
+def test_decompose_complex_splits_once_per_seed(ka3, monkeypatch):
+    x = proj_direct_sum([proj_stalk(ka3, 0), proj_stalk(ka3, 1)])
+    y = proj_direct_sum([proj_stalk(ka3, 1), proj_stalk(ka3, 0)])
+    assert iso_k(x, y).verdict == "yes"
+    first = decompose_complex(x)
+    built = []
+    init = HomPackage.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(HomPackage, "__init__", counting)
+    assert iso_k(x, y).verdict == "yes"
+    again = decompose_complex(x)
+    assert built == []
+    assert again is first and len(first) == 2
+    assert all(a is b for (a, _), (b, _) in zip(first, again))
+    # another seed splits again
+    assert decompose_complex(x, seed=1) is not first
+
+
 def test_minimize_strips_contractible_summand(ka2):
     x = simple_presentation(ka2, 0)
     c = proj_cone(chain_identity(proj_stalk(ka2, 1)))

@@ -1,5 +1,6 @@
 """Silting certification and the two independent enumerators."""
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -136,7 +137,8 @@ def test_enumerate_ka3_both_methods(ka3):
     assert not mut.unknown and not cli.unknown
 
 
-@pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (4, 1), (5, 1), (3, 3)])
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (4, 1), (5, 1), (3, 3),
+                                 (4, 2)])
 def test_linear_counts_match_fuss_catalan(n, d):
     assert enumerate_silting(linear_an(n), d).count == fuss_catalan(n, d)
 
@@ -187,15 +189,81 @@ def test_each_class_certified_once(monkeypatch, alg, d, not_silting,
     calls = []
     certify = silting.is_silting
 
-    def counted(parts, d):
+    def counted(parts, d, **kwargs):
         calls.append(len(parts))
-        return certify(parts, d)
+        return certify(parts, d, **kwargs)
 
     monkeypatch.setattr(silting, "is_silting", counted)
     res = enumerate_silting(alg, d)
     assert res.stats["not_silting"] == not_silting
     assert len(calls) == res.count + not_silting + len(res.unknown)
     assert len(calls) == certified
+
+
+# -- lineage certificates ----------------------------------------------------
+
+@pytest.fixture(scope="module", params=[
+    (linear_an(4), 1), (linear_an(3), 2), (nakayama_rad_square_zero(3), 2),
+], ids=["A4-d1", "A3-d2", "Nak3-d2"])
+def mutation_search(request):
+    alg, d = request.param
+    return alg, d, enumerate_silting(alg, d)
+
+
+def test_seeds_carry_towers_and_mutants_carry_lineages(mutation_search):
+    alg, d, res = mutation_search
+    seeds = [rec for rec in res.clusters if rec.result.lineage is None]
+    assert len(seeds) == res.stats["seeds_accepted"]
+    for rec in seeds:
+        assert len(rec.result.towers) == alg.n
+        assert all(t.replay() for t in rec.result.towers)
+    for rec in res.clusters:
+        lin = rec.result.lineage
+        if lin is not None:
+            assert (rec.result.verdict, rec.result.reason) == \
+                ("yes", "certified")
+            assert rec.result.towers == []
+            assert (lin.ids, lin.d) == (rec.ids, d)
+
+
+def test_lineage_classes_pass_the_full_towers(mutation_search):
+    alg, d, res = mutation_search
+    for rec in res.clusters:
+        if rec.result.lineage is not None:
+            full = is_silting(rec.parts, d)
+            assert full.verdict == "yes"
+            assert len(full.towers) == alg.n
+            assert all(t.replay() for t in full.towers)
+
+
+def test_lineages_replay_and_planted_ones_fail(mutation_search):
+    alg, d, res = mutation_search
+    reg = res.registry
+    by_ids = {rec.ids: rec for rec in res.clusters}
+    for rec in res.clusters:
+        lin = rec.result.lineage
+        if lin is None:
+            continue
+        parent = by_ids[lin.parent]
+        assert lin.replay(reg, parent)
+        other_side = "right" if lin.side == "left" else "left"
+        assert not replace(lin, side=other_side).replay(reg, parent)
+        assert not replace(lin, k=(lin.k + 1) % alg.n).replay(reg, parent)
+        # no single mutation of a class sharing fewer than n - 1 summands
+        # can give rec
+        stranger = next(r for r in res.clusters
+                        if len(set(r.ids) & set(rec.ids)) < alg.n - 1)
+        assert not replace(lin, parent=stranger.ids).replay(reg, stranger)
+        assert not lin.replay(reg, stranger)
+
+
+def test_clique_records_carry_towers(ka3):
+    res = enumerate_silting(ka3, 1, method="clique")
+    assert res.count == 14
+    for rec in res.clusters:
+        assert rec.result.lineage is None
+        assert len(rec.result.towers) == ka3.n
+        assert all(t.replay() for t in rec.result.towers)
 
 
 def test_enumerate_nakayama_mutation(nak):

@@ -98,6 +98,65 @@ def test_universe_closed_under_summands(uni_nak, nak):
             assert uni_nak.registry.intern(r) in keys
 
 
+def module_stage(alg, d, monkeypatch, same_class=None):
+    """Build a universe, recording the module stage of the harvest.
+
+    Returns (members as (key, tag, homology dims), the module stalks
+    resolved, the module isoclasses among the harvested parts).  With
+    ``same_class`` given, ``tiltcheck.module_iso`` is replaced by it.
+    """
+    from tiltlab import tiltcheck
+    from tiltlab.repcat import module_iso
+
+    parts, stalks, resolved = [], set(), []
+    split, stalk = tiltcheck.decompose, tiltcheck.module_stalk
+    resolve = tiltcheck._resolution_cached
+
+    def split_recorded(m, **kw):
+        out = split(m, **kw)
+        parts.extend(c for c, _mult in out)
+        return out
+
+    def stalk_recorded(m):
+        x = stalk(m)
+        stalks.add(id(x))
+        return x
+
+    def resolve_recorded(x, depth):
+        if id(x) in stalks:
+            resolved.append(x)
+        return resolve(x, depth)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(tiltcheck, "decompose", split_recorded)
+        mp.setattr(tiltcheck, "module_stalk", stalk_recorded)
+        mp.setattr(tiltcheck, "_resolution_cached", resolve_recorded)
+        if same_class is not None:
+            mp.setattr(tiltcheck, "module_iso", same_class)
+        uni = build_universe(alg, d, seed=0)
+    classes: list = []
+    for m in parts:
+        if not any(module_iso(m, c) is not None for c in classes):
+            classes.append(m)
+    members = [(m.key, m.tag, tuple(sorted(homology_dims(m.obj).items())))
+               for m in uni]
+    return members, resolved, classes
+
+
+@pytest.mark.parametrize("alg,d", [
+    (linear_an(3), 1), (nakayama_rad_square_zero(3), 2), (linear_an(4), 1),
+], ids=["A3-d1", "Nak3-d2", "A4-d1"])
+def test_universe_resolves_each_module_isoclass_once(alg, d, monkeypatch):
+    members, resolved, classes = module_stage(alg, d, monkeypatch)
+    assert len(resolved) <= len(classes)
+    # without the isomorphism test every harvested part is resolved again,
+    # and the universe is the same
+    plain, resolved_all, _ = module_stage(alg, d, monkeypatch,
+                                          same_class=lambda m, n: None)
+    assert plain == members
+    assert len(resolved_all) > len(classes)
+
+
 def test_universe_shifts_appear(ka2):
     uni = build_universe(ka2, 2, seed=0)
     assert len(uni) == 7
@@ -118,6 +177,10 @@ def test_air_tilting_free_module(ka2, uni_ka2):
     rep = check_air_tilting(gens, parts, uni_ka2)
     assert rep.verdict == "yes"
     assert not rep.mismatches
+    # a candidate with no mutation history is certified by its towers
+    assert rep.silting.lineage is None
+    assert len(rep.silting.towers) == ka2.n
+    assert all(t.replay() for t in rep.silting.towers)
     # the free module generates everything in one step
     assert all(row["t_class"] and row["fac"] == "in" for row in rep.table)
 
