@@ -585,6 +585,34 @@ def decompose(m: Representation, seed: int = 0):
     return [(g[0], len(g)) for g in groups]
 
 
+def in_add(m: Representation, parts: list[Representation], rng) -> bool:
+    """One-sided certificate that M lies in add(parts); False proves nothing.
+
+    Let e: X -> M be the evaluation map of X = sum of x^Hom(x, M) over the
+    parts x.  Each f in the hom basis of Hom(x, M) gets its own random
+    combination g_f of the hom basis of Hom(M, x); if s = sum f o g_f is an
+    automorphism of M then e is a split epi and M is a summand of X.  When
+    M is in add(parts), e is split and a random g succeeds with high
+    probability.  Parts whose dimension vector exceeds M's somewhere are
+    not summands and are left out.
+    """
+    p = m.alg.p
+    s = [zeros(d, d) for d in m.dims]
+    for x in parts:
+        if any(a > b for a, b in zip(x.dims, m.dims)):
+            continue
+        fs = hom_basis(x, m)
+        gs = hom_basis(m, x) if fs else []
+        if not gs:
+            continue
+        for f in fs:
+            coeffs = [int(c) for c in rng.integers(0, p, size=len(gs))]
+            for v, sv in enumerate(s):
+                g = sum(c * h.vmaps[v] for c, h in zip(coeffs, gs)) % p
+                s[v] = (sv + f.vmaps[v] @ g) % p
+    return ModuleMap(m, m, s).is_iso()
+
+
 def is_indecomposable(m: Representation, seed: int = 0) -> bool:
     parts = decompose(m, seed=seed)
     return len(parts) == 1 and parts[0][1] == 1

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from .algebra import BoundQuiverAlgebra
 from .linalg import column_space, rank, solve_right, zeros
+from .memo import memo
 from .repcat import (
     ModuleMap,
     Representation,
@@ -71,11 +72,17 @@ class RepComplex:
                 raise AssertionError(f"d^2 != 0 leaving degree {self.lo + k}")
 
     def shift(self, s: int) -> "RepComplex":
-        """X[s]: X^(q+s) in degree q, differentials times (-1)^s; X[0] is X."""
+        """X[s]: X^(q+s) in degree q, differentials times (-1)^s; X[0] is X.
+
+        Built once per s and kept in ``memo(self)``.
+        """
         if s == 0:
             return self
-        diffs = self.diffs if s % 2 == 0 else [d.neg() for d in self.diffs]
-        return RepComplex(self.alg, self.lo - s, self.terms, diffs)
+        store, key = memo(self), ("shift", s)
+        if key not in store:
+            diffs = self.diffs if s % 2 == 0 else [d.neg() for d in self.diffs]
+            store[key] = RepComplex(self.alg, self.lo - s, self.terms, diffs)
+        return store[key]
 
     def pad(self, lo: int, hi: int) -> "RepComplex":
         """The same complex on an enlarged window, padded with zero terms."""

@@ -25,8 +25,8 @@ from .homotopy import (ProjComplex, decompose_complex, hom_k, hom_package,
                        proj_direct_sum, proj_stalk, right_approximation)
 from .linalg import zeros
 from .repcat import (ModuleMap, ProjSum, Representation, alg_matrix_of_map,
-                     decompose, hom_basis, injective, kernel, module_iso,
-                     simple)
+                     decompose, hom_basis, in_add, injective, kernel,
+                     module_iso, simple)
 from .repcomplex import (RepComplex, homology_dims, truncate_above,
                          truncate_below)
 from .silting import (ComplexRegistry, SiltingResult, _k0_is_basis,
@@ -116,8 +116,12 @@ def build_universe(alg, d: int, seed: int = 0, dim_bound: int = 3,
     Indecomposable modules are harvested by decomposing random
     representations over the dimension-vector grid (draws that break a
     relation are not modules and are skipped); each gets its window
-    shifts.  Random three-step projective complexes are truncated into the
-    window, and the whole family is closed under direct summands.
+    shifts.  Each module isoclass is resolved once: a draw that
+    ``repcat.in_add`` certifies to lie in add(parts found so far) is not
+    decomposed, and a part isomorphic to one found earlier is dropped.
+    Neither skip changes the members.  Random three-step projective
+    complexes are truncated into the window, and the whole family is
+    closed under direct summands.
     """
     rng = np.random.default_rng(seed)
     registry = ComplexRegistry(seed)
@@ -140,10 +144,13 @@ def build_universe(alg, d: int, seed: int = 0, dim_bound: int = 3,
         uni.members.append(member)
         return member
 
-    # every indecomposable part tried so far, by dimension vector: a part
-    # isomorphic to one of them has the same resolution and registry
-    # class, so admitting it could only return None
-    tried: dict[tuple[int, ...], list[Representation]] = {}
+    # every indecomposable part tried so far: a part isomorphic to one of
+    # them has the same resolution and registry class, so admitting it
+    # could only return None.  A draw that in_add places in add(tried) has
+    # only such parts and is not decomposed; in_add draws from a generator
+    # of its own, so the draws and their parts never depend on its answers.
+    tried: list[Representation] = []
+    cert_rng = np.random.default_rng([seed, 1])
     modules: list[Representation] = []
     for dims in product(range(dim_bound + 1), repeat=alg.n):
         if not any(dims):
@@ -152,11 +159,13 @@ def build_universe(alg, d: int, seed: int = 0, dim_bound: int = 3,
             draw = _random_rep(alg, dims, rng)
             if draw.broken_relation() is not None:
                 continue
+            if in_add(draw, tried, cert_rng):
+                continue
             for m, _mult in decompose(draw, seed=seed):
-                bucket = tried.setdefault(tuple(m.dims), [])
-                if any(module_iso(m, o) is not None for o in bucket):
+                if any(o.dims == m.dims and module_iso(m, o) is not None
+                       for o in tried):
                     continue
-                bucket.append(m)
+                tried.append(m)
                 if admit(module_stalk(m), "module") is not None:
                     modules.append(m)
     for m in modules:

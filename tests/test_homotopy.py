@@ -31,7 +31,7 @@ from tiltlab.homotopy import (
     right_mutation,
     _layout,
 )
-from tiltlab.linalg import (column_space, in_span, null_space, rref,
+from tiltlab.linalg import (column_space, in_span, null_space, rank, rref,
                             solve_right, span_union)
 from tiltlab.memo import memo
 from tiltlab.repcat import (direct_sum, ext_dim, hom_dim, injective,
@@ -92,6 +92,16 @@ def test_cone_shifts_homology(ka2):
     shifted = e.shift(2)
     shifted.validate()
     assert homology_dims(shifted) == {-2: (1, 0)}
+
+
+def test_shift_is_built_once(ka2):
+    x = simple_presentation(ka2, 0).expansion()
+    assert x.shift(1) is x.shift(1)
+    assert x.shift(0) is x
+    twice = x.shift(2)
+    assert twice.lo == x.lo - 2
+    for a, b in zip(twice.diffs, x.diffs):
+        assert all(np.array_equal(u, w) for u, w in zip(a.vmaps, b.vmaps))
 
 
 def test_truncations(nak):
@@ -345,6 +355,51 @@ def test_generator_coordinates_round_trip(use_nak, seed, i):
     again = pkg.chainmap_of(pkg.coords_of(f))
     for q in range(x.lo - 1, x.hi + 2):
         assert np.array_equal(again.map_at(q), f.map_at(q))
+
+
+def euler_char(c) -> list[int]:
+    """Per-vertex alternating sum of the homology dimensions of c."""
+    hdd = homology_dims(c)
+    return [sum((-1) ** q * dims[v] for q, dims in hdd.items())
+            for v in range(c.alg.n)]
+
+
+def homology_rank(f, q: int, v: int) -> int:
+    """Rank at vertex v of the map H^q(f) that f induces on homology."""
+    p = f.src.alg.p
+    cycles = null_space(f.src.diff_at(q).vmaps[v], p)
+    bounds = f.tgt.diff_at(q - 1).vmaps[v]
+    images = f.map_at(q).vmaps[v] @ cycles % p
+    return (rank(np.concatenate([images, bounds], axis=1), p)
+            - rank(bounds, p))
+
+
+@settings(max_examples=20, deadline=None)
+@given(monomial_algebras(), st.integers(0, 2**32 - 1),
+       st.sampled_from([-1, 0, 1]))
+def test_cone_homology_obeys_the_long_exact_sequence(alg, seed, i):
+    # H^q(X) -> H^q(Y) -> H^q(cone f) -> H^(q+1)(X) -> H^(q+1)(Y) is exact
+    rng = np.random.default_rng(seed)
+    pkg = hom_package(_random_proj_3step(alg, rng),
+                      _random_proj_3step(alg, rng), i)
+    space = pkg.chain_space
+    f = pkg.chainmap_of(space @ rng.integers(0, alg.p, space.shape[1])
+                        % alg.p).expand()
+    f.validate()
+    cone = complex_cone(f)
+    cone.validate()
+    x, y, c = (homology_dims(e) for e in (f.src, f.tgt, cone))
+    assert euler_char(cone) == [b - a for a, b in zip(euler_char(f.src),
+                                                       euler_char(f.tgt))]
+    zero = (0,) * alg.n
+    for q in range(cone.lo, cone.hi + 1):
+        for v in range(alg.n):
+            assert (c.get(q, zero)[v]
+                    <= y.get(q, zero)[v] + x.get(q + 1, zero)[v])
+            # exactness: H^q(cone f) = coker H^q(f) + ker H^(q+1)(f)
+            assert c.get(q, zero)[v] == (
+                y.get(q, zero)[v] - homology_rank(f, q, v)
+                + x.get(q + 1, zero)[v] - homology_rank(f, q + 1, v))
 
 
 def planted_image_raises() -> str:

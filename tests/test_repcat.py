@@ -11,10 +11,11 @@ from tiltlab.cli import main
 from tiltlab.endsplit import trace_radical
 from tiltlab.errors import FieldTooSmall
 from tiltlab.homotopy import ProjComplex, proj_stalk
+from tiltlab.linalg import inv, is_invertible
 from tiltlab.repcat import (ProjSum, Representation, alg_matrix_of_map,
                             cokernel, decompose, direct_sum, end_algebra_mats,
-                            ext_dim, hom_basis, hom_dim, image, injective,
-                            is_isomorphic, kernel, map_of_alg_matrix,
+                            ext_dim, hom_basis, hom_dim, image, in_add,
+                            injective, is_isomorphic, kernel, map_of_alg_matrix,
                             minimal_resolution, module_iso, projective,
                             projective_cover, simple, top, zero_map, zero_rep)
 from tiltlab.repcomplex import stalk_complex
@@ -187,6 +188,66 @@ def test_is_isomorphic_matches_summands(ka2):
     # equal dimension vectors (1, 1), different summands
     assert not is_isomorphic(direct_sum([s1, s2]), p1)
     assert not is_isomorphic(s1, s2)
+
+
+def twisted(m, rng):
+    """M with every vertex space given a random new basis."""
+    p = m.alg.p
+    ts = []
+    for d in m.dims:
+        t = rng.integers(0, p, (d, d))
+        while not is_invertible(t, p):
+            t = rng.integers(0, p, (d, d))
+        ts.append(t)
+    return Representation(m.alg, m.dims, [
+        ts[a.tgt] @ mat @ inv(ts[a.src], p) % p if mat.size else mat
+        for a, mat in zip(m.alg.quiver.arrows, m.mats)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.just(linear_an(3)), st.just(nakayama_rad_square_zero(3)),
+                 monomial_algebras()),
+       st.data(), st.integers(0, 2**32 - 1))
+def test_in_add_true_means_every_summand_is_a_part(alg, data, seed):
+    rng = np.random.default_rng(seed)
+    pool = [f(alg, v) for f in (projective, injective, simple)
+            for v in range(alg.n)]
+    dims = rng.integers(0, 3, alg.n)
+    draw = Representation(alg, dims, [
+        rng.integers(0, alg.p, (dims[a.tgt], dims[a.src]))
+        for a in alg.quiver.arrows])
+    is_module = draw.broken_relation() is None
+    if is_module:
+        pool += [c for c, _mult in decompose(draw)]
+    index = st.integers(0, len(pool) - 1)
+    if is_module and data.draw(st.booleans()):
+        m = draw
+    else:
+        m = twisted(direct_sum([pool[i] for i in data.draw(
+            st.lists(index, min_size=1, max_size=4))]), rng)
+    parts = [pool[i] for i in data.draw(st.lists(index, max_size=4))]
+    if in_add(m, parts, rng):
+        for c, _mult in decompose(m):
+            assert any(module_iso(c, x) is not None for x in parts)
+
+
+def test_in_add_finds_a_sum_of_parts(ka3):
+    p1, s2 = projective(ka3, 0), simple(ka3, 1)
+    m = twisted(direct_sum([p1, s2, s2]), np.random.default_rng(1))
+    assert in_add(m, [p1, s2], np.random.default_rng(0))
+    # parts that are not summands, too large to fit in M or not, do no harm
+    assert in_add(m, [projective(ka3, 1), direct_sum([p1, p1]), p1, s2],
+                  np.random.default_rng(0))
+
+
+def test_in_add_rejects_a_missing_summand(ka3):
+    p1, s2, s3 = projective(ka3, 0), simple(ka3, 1), simple(ka3, 2)
+    m = direct_sum([p1, s2, s3])
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        assert not in_add(twisted(m, rng), [p1, s2], rng)
+    assert not in_add(s3, [], np.random.default_rng(0))
+    assert in_add(zero_rep(ka3), [], np.random.default_rng(0))
 
 
 def test_trace_radical_of_end_a2(ka2):

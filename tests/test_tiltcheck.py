@@ -98,22 +98,27 @@ def test_universe_closed_under_summands(uni_nak, nak):
             assert uni_nak.registry.intern(r) in keys
 
 
-def module_stage(alg, d, monkeypatch, same_class=None):
+def module_stage(alg, d, monkeypatch, **patches):
     """Build a universe, recording the module stage of the harvest.
 
-    Returns (members as (key, tag, homology dims), the module stalks
-    resolved, the module isoclasses among the harvested parts).  With
-    ``same_class`` given, ``tiltcheck.module_iso`` is replaced by it.
+    Returns a namespace with the members (key, tag, homology dims), the
+    registry items (lo, summands, differentials), the number of
+    ``decompose`` calls, the module stalks resolved and the module
+    isoclasses among the harvested parts.  Each keyword argument replaces
+    the ``tiltcheck`` function of that name.
     """
+    from types import SimpleNamespace
+
     from tiltlab import tiltcheck
     from tiltlab.repcat import module_iso
 
-    parts, stalks, resolved = [], set(), []
+    parts, stalks, resolved, splits = [], set(), [], []
     split, stalk = tiltcheck.decompose, tiltcheck.module_stalk
     resolve = tiltcheck._resolution_cached
 
     def split_recorded(m, **kw):
         out = split(m, **kw)
+        splits.append(m)
         parts.extend(c for c, _mult in out)
         return out
 
@@ -131,8 +136,8 @@ def module_stage(alg, d, monkeypatch, same_class=None):
         mp.setattr(tiltcheck, "decompose", split_recorded)
         mp.setattr(tiltcheck, "module_stalk", stalk_recorded)
         mp.setattr(tiltcheck, "_resolution_cached", resolve_recorded)
-        if same_class is not None:
-            mp.setattr(tiltcheck, "module_iso", same_class)
+        for name, fn in patches.items():
+            mp.setattr(tiltcheck, name, fn)
         uni = build_universe(alg, d, seed=0)
     classes: list = []
     for m in parts:
@@ -140,21 +145,47 @@ def module_stage(alg, d, monkeypatch, same_class=None):
             classes.append(m)
     members = [(m.key, m.tag, tuple(sorted(homology_dims(m.obj).items())))
                for m in uni]
-    return members, resolved, classes
+    items = [(x.lo, x.summands, [m.tolist() for m in x.dmats])
+             for x in uni.registry.items]
+    return SimpleNamespace(members=members, items=items, splits=len(splits),
+                           resolved=resolved, classes=classes)
 
 
-@pytest.mark.parametrize("alg,d", [
+UNIVERSE_CASES = pytest.mark.parametrize("alg,d", [
     (linear_an(3), 1), (nakayama_rad_square_zero(3), 2), (linear_an(4), 1),
 ], ids=["A3-d1", "Nak3-d2", "A4-d1"])
+
+
+@UNIVERSE_CASES
 def test_universe_resolves_each_module_isoclass_once(alg, d, monkeypatch):
-    members, resolved, classes = module_stage(alg, d, monkeypatch)
-    assert len(resolved) <= len(classes)
-    # without the isomorphism test every harvested part is resolved again,
-    # and the universe is the same
-    plain, resolved_all, _ = module_stage(alg, d, monkeypatch,
-                                          same_class=lambda m, n: None)
-    assert plain == members
-    assert len(resolved_all) > len(classes)
+    stage = module_stage(alg, d, monkeypatch)
+    assert len(stage.resolved) <= len(stage.classes)
+    # without the add certificate and the isomorphism test every harvested
+    # part is resolved again, and the universe is the same
+    plain = module_stage(alg, d, monkeypatch,
+                         in_add=lambda m, parts, rng: False,
+                         module_iso=lambda m, n: None)
+    assert plain.members == stage.members
+    assert len(plain.resolved) > len(stage.classes)
+
+
+@UNIVERSE_CASES
+def test_universe_does_not_depend_on_the_add_certificate(alg, d, monkeypatch):
+    stage = module_stage(alg, d, monkeypatch)
+    plain = module_stage(alg, d, monkeypatch,
+                         in_add=lambda m, parts, rng: False)
+    assert plain.members == stage.members
+    assert plain.items == stage.items
+    assert stage.splits < plain.splits
+
+
+def test_universe_decomposes_only_draws_with_new_parts(monkeypatch):
+    # A_3 d=1, seed 0: 126 draws reach the module stage, and only 6 of them
+    # hold a part that no earlier draw had
+    stage = module_stage(linear_an(3), 1, monkeypatch)
+    plain = module_stage(linear_an(3), 1, monkeypatch,
+                         in_add=lambda m, parts, rng: False)
+    assert (stage.splits, plain.splits) == (6, 126)
 
 
 def test_universe_shifts_appear(ka2):
