@@ -9,6 +9,7 @@ generators; ``_map_from`` is the one place that builds them.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +18,7 @@ from .errors import HomologyOutsideWindow, ResolutionDepthExceeded, \
     SpecError, WindowViolation
 from .homotopy import ProjComplex, decompose_complex, hom_k, hom_package, \
     minimize, proj_direct_sum, proj_zero
-from .linalg import rank, solve_right
+from .linalg import solve_right
 from .memo import memo
 from .repcat import (ModuleMap, ProjSum, Representation, alg_matrix_of_map,
                      cokernel, is_isomorphic, kernel, minimal_resolution,
@@ -122,7 +123,7 @@ def resolution_of_complex(c: RepComplex, depth: int):
     """
     alg = c.alg
     cur = c.trim()
-    if cur.is_zero() or not homology_dims(cur):
+    if not homology_dims(cur):
         return proj_zero(alg), True
     if cur.hi != 0:
         s, complete = resolution_of_complex(cur.shift(cur.hi), depth)
@@ -209,7 +210,7 @@ def heart_hom(x: RepComplex, y: RepComplex, d: int) -> int:
 class FacStep:
     stage: int
     middle: list[tuple[int, int]]       # (generator index, multiplicity)
-    kernel_dims: dict
+    kernel_dims: Mapping[int, tuple]    # homology_dims, read-only
     surjective: bool
 
 
@@ -236,11 +237,15 @@ def fac_membership(gens, x: RepComplex, d: int,
                    s: int | None = None) -> FacResult:
     """Decide whether x is an s-factor of the generators inside the heart.
 
-    Builds the chain of universal right approximations; at every stage
-    the approximation must be surjective on degree-zero homology.  A
-    first-stage failure certifies non-membership (every quotient
-    extriangle factors through the universal approximation); failures on
-    deeper cocones are only approximate evidence.
+    Builds the chain of universal right approximations f: E -> C; at
+    every stage f must be onto H^0(C).  The generator models have no term
+    above degree 0, so H^1(E) = 0 and the long exact sequence of the
+    cocone k gives H^1(k) = coker H^0(f): f is onto exactly when H^1(k)
+    vanishes.  A generator model with a term above degree 0 breaks that
+    argument and raises ``WindowViolation``.  A first-stage failure
+    certifies non-membership (every quotient extriangle factors through
+    the universal approximation); failures on deeper cocones are only
+    approximate evidence.
     """
     if s is None:
         s = d
@@ -248,10 +253,12 @@ def fac_membership(gens, x: RepComplex, d: int,
         models = generator_models(gens, d)
     except ResolutionDepthExceeded as exc:
         return FacResult("not_in_approx", detail=str(exc))
+    if any(g.trim().hi > 0 for g in models):
+        raise WindowViolation("a generator model has a term above degree 0")
     cur = x.trim()
     out_steps: list[FacStep] = []
     for stage in range(1, s + 1):
-        if cur.is_zero() or not homology_dims(cur):
+        if not homology_dims(cur):
             break
         pkgs = [hom_package(g, cur, 0) for g in models]
         middle = [(gi, pkg.dim) for gi, pkg in enumerate(pkgs) if pkg.dim]
@@ -264,13 +271,13 @@ def fac_membership(gens, x: RepComplex, d: int,
                 for (q, _), (_, sl) in pkg.layout[0].items():
                     images.setdefault(q, []).append(coords[sl])
         f = _map_from(proj_direct_sum(chosen, cur.alg), cur, images)
-        if not _h0_surjective(f, cur):
+        k = complex_cone(f).shift(-1)
+        if 1 in homology_dims(k):
             out_steps.append(FacStep(stage, middle, homology_dims(cur), False))
             verdict = "not_in" if stage == 1 else "not_in_approx"
             return FacResult(
                 verdict, out_steps,
                 detail=f"approximation not surjective on H^0 at stage {stage}")
-        k = complex_cone(f).shift(-1)
         try:
             nxt = to_window(k, d)
         except HomologyOutsideWindow as exc:
@@ -280,25 +287,6 @@ def fac_membership(gens, x: RepComplex, d: int,
         out_steps.append(FacStep(stage, middle, homology_dims(nxt), True))
         cur = nxt
     return FacResult("in", out_steps)
-
-
-def _h0_surjective(f: ComplexMap, cur: RepComplex) -> bool:
-    """Does f^0 map onto H^0(cur)?
-
-    The models live in degrees <= 0, so f^0 lands in the cycles.  It is
-    onto H^0 exactly when, at each vertex, the boundaries and its image
-    together span the cycles.
-    """
-    alg = cur.alg
-    d_in, d_out, f0 = cur.diff_at(-1), cur.diff_at(0), f.map_at(0)
-    for v in range(alg.n):
-        cycles = cur.term_at(0).dims[v] - rank(d_out.vmaps[v], alg.p)
-        if cycles == 0:
-            continue
-        span = np.concatenate([d_in.vmaps[v], f0.vmaps[v]], axis=1)
-        if rank(span, alg.p) != cycles:
-            return False
-    return True
 
 
 def t_class_membership(parts: list[ProjComplex], x: RepComplex,

@@ -6,6 +6,8 @@ representations; the projective / homotopy-category layer builds on top.
 """
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from .algebra import BoundQuiverAlgebra
 from .linalg import column_space, rank, solve_right, zeros
 from .memo import memo
@@ -176,27 +178,20 @@ def _coker_of(g: ModuleMap):
 
 
 def homology_at(c: RepComplex, q: int) -> Representation:
-    """H^q(c) as a representation: the cycles modulo the boundaries."""
-    alg, p = c.alg, c.alg.p
-    term = c.term_at(q)
-    if c.lo < q <= c.hi:
-        bounds = [column_space(m, p) for m in c.diff_at(q - 1).vmaps]
-    else:
-        bounds = [zeros(term.dims[v], 0) for v in range(alg.n)]
-    if not c.lo <= q < c.hi:
-        # no differential leaves degree q: every element is a cycle
-        return quotient_by_subspaces(term, bounds)[0]
-    cyc, incl = kernel(c.diff_at(q))
-    return quotient_by_subspaces(
-        cyc, [solve_right(incl.vmaps[v], bounds[v], p)
-              for v in range(alg.n)])[0]
+    """H^q(c) as a representation: both smart truncations at q."""
+    return truncate_below(truncate_above(c, q), q).term_at(q)
 
 
-def homology_dims(c: RepComplex) -> dict[int, tuple[int, ...]]:
+def homology_dims(c: RepComplex) -> MappingProxyType[int, tuple]:
     """Nonzero homology dimension vectors, read off vertexwise ranks.
 
-    dim H^q_v = dim C^q_v - rk d^q_v - rk d^(q-1)_v.
+    dim H^q_v = dim C^q_v - rk d^q_v - rk d^(q-1)_v.  Counted once per
+    complex and kept in ``memo(c)``; the result is read-only, since every
+    caller shares it.
     """
+    store, key = memo(c), ("homology_dims",)
+    if key in store:
+        return store[key]
     alg = c.alg
     out = {}
     entering = [0] * alg.n
@@ -210,7 +205,8 @@ def homology_dims(c: RepComplex) -> dict[int, tuple[int, ...]]:
         if any(dims):
             out[c.lo + k] = dims
         entering = leaving
-    return out
+    store[key] = MappingProxyType(out)
+    return store[key]
 
 
 def truncate_above(c: RepComplex, qmax: int,

@@ -242,6 +242,10 @@ class ComplexRegistry:
     an object up again is one dict lookup, so an object the registry has
     resolved must not be mutated in place afterwards -- the invariant that
     ``ProjSum.of`` relies on too.  The dict keeps these objects alive.
+    It stays on the registry rather than in ``memo``: ``is_silting``
+    builds a throwaway registry on every call, and the CLI a throwaway
+    ``HeartStore`` per record, so a memo key per registry would leave a
+    dead entry per call in the memo table of every long-lived object.
     """
 
     def __init__(self, seed: int = 0):

@@ -131,7 +131,7 @@ def build_universe(alg, d: int, seed: int = 0, dim_bound: int = 3,
 
     def admit(obj: RepComplex, tag: str) -> UniverseMember | None:
         t = obj.trim()
-        if t.is_zero() or not homology_dims(t):
+        if not homology_dims(t):
             return None
         r, complete = _resolution_cached(t, depth)
         if not complete:
@@ -203,7 +203,7 @@ class HeartStore:
         if x in self._by_obj:
             return self._by_obj[x]
         t = x.trim()
-        if t.is_zero() or not homology_dims(t):
+        if not homology_dims(t):
             out: tuple[int, ...] = ()
         else:
             ids = set()

@@ -413,6 +413,14 @@ def test_fac_not_in_certified_at_stage_one(ka2):
     assert res.steps[0].stage == 1 and not res.steps[0].surjective
 
 
+def test_fac_membership_rejects_a_generator_above_degree_zero(ka2):
+    # S(0)[-1] sits in degree 1, so its model has H^1 and the cocone's H^1
+    # no longer measures the cokernel of H^0(f)
+    gen = module_stalk(simple(ka2, 0)).shift(-1)
+    with pytest.raises(WindowViolation):
+        fac_membership([gen], module_stalk(simple(ka2, 0)), d=1)
+
+
 def test_p_presentation_of_window_complex(nak):
     c = complex_direct_sum(module_stalk(simple(nak, 0)),
                            stalk_complex(simple(nak, 2), -1))

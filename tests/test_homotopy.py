@@ -126,9 +126,19 @@ def test_homology_dims_match_homology_modules(ka3, nak, use_nak, seed):
     e = _random_proj_3step(alg, np.random.default_rng(seed)).expansion()
     for c in (e, truncate_above(e, -1), truncate_below(e, -1),
               e.shift(1), e.shift(-2)):
-        modules = {q: homology_at(c, q) for q in c.degrees()}
+        modules = {q: homology_at(c, q) for q in range(c.lo - 1, c.hi + 2)}
         assert homology_dims(c) == {q: h.dims for q, h in modules.items()
                                     if not h.is_zero()}
+
+
+def test_homology_dims_is_counted_once_and_read_only(ka3):
+    c = _random_proj_3step(ka3, np.random.default_rng(0)).expansion()
+    first = homology_dims(c)
+    with mock.patch("tiltlab.repcomplex.rank",
+                    side_effect=AssertionError("counted again")):
+        assert homology_dims(c) is first
+    with pytest.raises(TypeError):
+        first[0] = (0, 0, 0)
 
 
 def test_complex_cone_long_exact(ka2):
@@ -400,6 +410,10 @@ def test_cone_homology_obeys_the_long_exact_sequence(alg, seed, i):
             assert c.get(q, zero)[v] == (
                 y.get(q, zero)[v] - homology_rank(f, q, v)
                 + x.get(q + 1, zero)[v] - homology_rank(f, q + 1, v))
+    # f.src has no term above degree 0, so H^1 of the cocone is coker H^0(f);
+    # fac_membership reads surjectivity on H^0 this way
+    assert (1 in homology_dims(cone.shift(-1))) == any(
+        homology_rank(f, 0, v) < y.get(0, zero)[v] for v in range(alg.n))
 
 
 def planted_image_raises() -> str:
