@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import HomologyOutsideWindow, ResolutionDepthExceeded, \
     SpecError, WindowViolation
-from .homotopy import ProjComplex, decompose_complex, hom_k, hom_package, \
-    minimize, proj_direct_sum, proj_zero
+from .homotopy import HomPackage, ProjComplex, decompose_complex, hom_k, \
+    hom_package, minimize, proj_direct_sum, proj_zero
 from .linalg import solve_right
 from .memo import memo
 from .repcat import (ModuleMap, ProjSum, Representation, alg_matrix_of_map,
@@ -233,6 +233,41 @@ def generator_models(gens, d: int) -> list[ProjComplex]:
     return [projective_model(g, d) for g in gens]
 
 
+def _fac_stage(cur: RepComplex, used: list[tuple[ProjComplex, HomPackage]],
+               d: int):
+    """One approximation stage over cur: (onto, nxt, exc), in ``memo(cur)``.
+
+    ``used`` pairs each generator model with Hom(model, cur) != 0 with its
+    hom package, in model order.  ``onto`` says whether the universal
+    approximation f: E -> cur is onto H^0; ``nxt`` is its cocone moved
+    into the window, or None when f is not onto or the cocone has
+    homology outside the window, which ``exc`` then holds.
+    """
+    store = memo(cur)
+    key = ("fac_stage", tuple(g for g, _ in used), d)
+    if key in store:
+        return store[key]
+    # one copy of a model per class representative, with its images
+    chosen: list[ProjComplex] = []
+    images: dict[int, list[np.ndarray]] = {}
+    for g, pkg in used:
+        for coords in pkg.rep_coords:
+            chosen.append(g)
+            for (q, _), (_, sl) in pkg.layout[0].items():
+                images.setdefault(q, []).append(coords[sl])
+    f = _map_from(proj_direct_sum(chosen, cur.alg), cur, images)
+    k = complex_cone(f).shift(-1)
+    out = (False, None, None)
+    if 1 not in homology_dims(k):
+        try:
+            out = (True, to_window(k, d), None)
+        except HomologyOutsideWindow as exc:
+            # without its traceback, whose frames hold f and the cocone
+            out = (True, None, exc.with_traceback(None))
+    store[key] = out
+    return out
+
+
 def fac_membership(gens, x: RepComplex, d: int,
                    s: int | None = None) -> FacResult:
     """Decide whether x is an s-factor of the generators inside the heart.
@@ -246,6 +281,16 @@ def fac_membership(gens, x: RepComplex, d: int,
     certifies non-membership (every quotient extriangle factors through
     the universal approximation); failures on deeper cocones are only
     approximate evidence.
+
+    A stage is kept in ``memo(C)`` under ``("fac_stage", used, d)``, with
+    ``used`` the generator models g with Hom(g, C) != 0, in model order.
+    A model with Hom(g, C) = 0 adds no column to f, and the hom packages
+    are deterministic and kept in ``memo(C)`` by model, so f, its cocone
+    and the truncation depend on (C, used, d) alone: generator lists that
+    differ only by models with no map into C share the stage.  The memo
+    value is (onto, ``to_window`` of the cocone or None, the
+    ``HomologyOutsideWindow`` or None); f and its source are not kept.
+    The steps, verdict and detail are built per call.
     """
     if s is None:
         s = d
@@ -262,25 +307,15 @@ def fac_membership(gens, x: RepComplex, d: int,
             break
         pkgs = [hom_package(g, cur, 0) for g in models]
         middle = [(gi, pkg.dim) for gi, pkg in enumerate(pkgs) if pkg.dim]
-        # one copy of a model per class representative, with its images
-        chosen: list[ProjComplex] = []
-        images: dict[int, list[np.ndarray]] = {}
-        for g, pkg in zip(models, pkgs):
-            for coords in pkg.rep_coords:
-                chosen.append(g)
-                for (q, _), (_, sl) in pkg.layout[0].items():
-                    images.setdefault(q, []).append(coords[sl])
-        f = _map_from(proj_direct_sum(chosen, cur.alg), cur, images)
-        k = complex_cone(f).shift(-1)
-        if 1 in homology_dims(k):
+        onto, nxt, exc = _fac_stage(
+            cur, [(g, pkg) for g, pkg in zip(models, pkgs) if pkg.dim], d)
+        if not onto:
             out_steps.append(FacStep(stage, middle, homology_dims(cur), False))
             verdict = "not_in" if stage == 1 else "not_in_approx"
             return FacResult(
                 verdict, out_steps,
                 detail=f"approximation not surjective on H^0 at stage {stage}")
-        try:
-            nxt = to_window(k, d)
-        except HomologyOutsideWindow as exc:
+        if exc is not None:
             out_steps.append(FacStep(stage, middle, homology_dims(cur), True))
             return FacResult("not_in_approx", out_steps,
                              detail=f"cocone left the window: {exc}")

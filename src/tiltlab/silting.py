@@ -315,6 +315,9 @@ class EnumerationResult:
     budget_exceeded: bool
     registry: ComplexRegistry
     stats: dict = field(default_factory=dict)
+    # mutation search: (state, summand id, side) -> the state that edge
+    # reaches, or WindowViolation; filled from the edges it computed
+    edges: dict = field(default_factory=dict)
 
     @property
     def count(self) -> int:
@@ -361,6 +364,19 @@ def enumerate_mutation(alg: BoundQuiverAlgebra, d: int,
 
     Seeds are certified with generation towers; a class first reached by
     mutating a certified class is certified by that mutation's lineage.
+
+    Each exchange edge is walked once.  Silting mutation is invertible:
+    if T' = mu^L_X(T) with new summand Y, then mu^R_Y(T') = T, and dually
+    (Aihara-Iyama, *Silting mutation in triangulated categories*, 2012,
+    Thm 2.35).  So every computed edge fills ``edges`` at its far end with
+    (state, summand id, side) -> the state it reaches, and the search
+    skips a dequeued edge found there: it leads back to a visited class,
+    where ``admit`` would stop.  At d=1 exactly one of mu^L_X(T) and
+    mu^R_X(T) is 2-term (Adachi-Iyama-Reiten, *tau-tilting theory*, 2014,
+    Thm 2.18 with Cor. 3.8), so once one side of (T, X) is known to stay
+    in the window the other is recorded as leaving it.  A skipped edge
+    is counted under the outcome it is known to have, so ``stats`` match
+    a search that computes every edge.
     """
     registry = ComplexRegistry(seed)
     queue: deque = deque()
@@ -369,6 +385,8 @@ def enumerate_mutation(alg: BoundQuiverAlgebra, d: int,
     unknowns: list[ClusterRecord] = []
     stats = {"mutations": 0, "window_rejected": 0, "not_silting": 0,
              "seeds_accepted": 0}
+    edges: dict = {}
+    other = {"left": "right", "right": "left"}
 
     def admit(parts, lineage=None) -> None:
         rec = _new_class(parts, d, registry, visited, stats, lineage)
@@ -390,20 +408,35 @@ def enumerate_mutation(alg: BoundQuiverAlgebra, d: int,
             budget_exceeded = True
             break
         rec = queue.popleft()
-        for k in range(len(rec.parts)):
+        for k, x_id in enumerate(rec.ids):
             for side, mutate in (("left", left_mutation),
                                  ("right", right_mutation)):
                 stats["mutations"] += 1
+                if (rec.ids, x_id, side) in edges:
+                    if edges[(rec.ids, x_id, side)] is WindowViolation:
+                        stats["window_rejected"] += 1
+                    continue
                 try:
                     new_parts = mutate(rec.parts, k, d, seed)
                 except WindowViolation:
                     stats["window_rejected"] += 1
                     continue
                 admit(new_parts, MutationLineage(rec.ids, k, side, d))
+                if d == 1:
+                    edges[(rec.ids, x_id, other[side])] = WindowViolation
+                # the state T' reached and its new summand Y
+                ids = [registry.find(y) for y in new_parts]
+                new_ids = set(ids) - set(rec.ids)
+                state = tuple(sorted(ids)) if None not in ids else None
+                if state in visited and len(new_ids) == 1:
+                    y_id, = new_ids
+                    edges[(state, y_id, other[side])] = rec.ids
+                    if d == 1:
+                        edges[(state, y_id, side)] = WindowViolation
 
     records.sort(key=lambda r: r.ids)
     return EnumerationResult("mutation", d, records, unknowns, len(visited),
-                             budget_exceeded, registry, stats)
+                             budget_exceeded, registry, stats, edges)
 
 
 # -- rigid pool + clique search (hereditary algebras) ------------------------

@@ -84,3 +84,39 @@ def fuss_catalan(n, d):
     count, rest = divmod(binom, d * (n + 1) + 1)
     assert rest == 0
     return count
+
+
+def dynkin_exponents(kind, n):
+    """(Coxeter number h, exponents) of the simply-laced Dynkin type kind_n.
+
+    Written out from the standard tables (Bourbaki, Lie groups, ch. VI).
+    """
+    if kind == "A" and n >= 1:
+        return n + 1, list(range(1, n + 1))
+    if kind == "D" and n >= 4:
+        return 2 * n - 2, list(range(1, 2 * n - 2, 2)) + [n - 1]
+    tables = {6: (12, [1, 4, 5, 7, 8, 11]),
+              7: (18, [1, 5, 7, 9, 11, 13, 17]),
+              8: (30, [1, 7, 11, 13, 17, 19, 23, 29])}
+    if kind == "E" and n in tables:
+        return tables[n]
+    raise ValueError(f"no simply-laced Dynkin type {kind}_{n}")
+
+
+def dynkin_silting_count(kind, n, d):
+    """Number of (d+1)-term silting classes of a Dynkin quiver of type kind_n.
+
+    They match the d-cluster tilting objects (Buan-Reiten-Thomas, *Three
+    kinds of mutation*, 2011), whose number is the product over the
+    exponents e of (d h + e + 1) / (e + 1) (Fomin-Reading, *Generalized
+    cluster complexes and Coxeter combinatorics*, 2005), for every
+    orientation.  Plain integer arithmetic: the product is divided once.
+    """
+    h, exps = dynkin_exponents(kind, n)
+    top = bottom = 1
+    for e in exps:
+        top *= d * h + e + 1
+        bottom *= e + 1
+    count, rest = divmod(top, bottom)
+    assert rest == 0
+    return count

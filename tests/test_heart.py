@@ -29,7 +29,8 @@ from tiltlab.repcat import (ModuleMap, Representation, direct_sum, ext_dim,
                             hom_dim, injective, is_isomorphic, module_iso,
                             projective, simple)
 from tiltlab.repcomplex import RepComplex, homology_dims, stalk_complex
-from tiltlab.tiltcheck import _random_proj_3step
+from tiltlab.silting import enumerate_silting
+from tiltlab.tiltcheck import HeartStore, _random_proj_3step
 
 from test_homotopy import simple_presentation
 
@@ -419,6 +420,72 @@ def test_fac_membership_rejects_a_generator_above_degree_zero(ka2):
     gen = module_stalk(simple(ka2, 0)).shift(-1)
     with pytest.raises(WindowViolation):
         fac_membership([gen], module_stalk(simple(ka2, 0)), d=1)
+
+
+# -- the Fac-stage memo -------------------------------------------------------
+
+def cold_copy(c: RepComplex) -> RepComplex:
+    """c rebuilt from its matrices, so no memo table is shared with c."""
+    terms = [Representation(c.alg, t.dims, t.mats) for t in c.terms]
+    diffs = [ModuleMap(terms[k], terms[k + 1], f.vmaps)
+             for k, f in enumerate(c.diffs)]
+    return RepComplex(c.alg, c.lo, terms, diffs)
+
+
+def fac_summary(res):
+    return (res.verdict, res.detail,
+            [(st.stage, st.middle, dict(st.kernel_dims), st.surjective)
+             for st in res.steps])
+
+
+@pytest.fixture(scope="module", params=[(A3, 1), (NAK3, 2)],
+                ids=["A3-d1", "Nak3-d2"])
+def heart_reps(request):
+    """The indecomposable heart objects of every silting class's image."""
+    alg, d = request.param
+    store = HeartStore(d)
+    for rec in enumerate_silting(alg, d).clusters:
+        store.image(rec.parts)
+    return d, [store.reps[i] for i in sorted(store.reps)]
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_fac_stage_memo_matches_cold_runs(heart_reps, data):
+    # the reps stay shared across lists and examples, so later runs read
+    # stages that earlier runs kept in the reps' and cocones' memos
+    d, reps = heart_reps
+    idx = st.integers(0, len(reps) - 1)
+    for _ in range(data.draw(st.integers(2, 4))):
+        gens = data.draw(st.lists(idx, min_size=1, max_size=3))
+        x = data.draw(idx)
+        s = data.draw(st.sampled_from([d, d + 1]))
+        warm = fac_membership([reps[i] for i in gens], reps[x], d, s=s)
+        cold = fac_membership([cold_copy(reps[i]) for i in gens],
+                              cold_copy(reps[x]), d, s=s)
+        assert fac_summary(warm) == fac_summary(cold)
+
+
+def test_fac_stage_is_shared_by_lists_differing_by_a_zero_hom_generator(
+        monkeypatch):
+    x = module_stalk(simple(A3, 0))
+    g, zero = module_stalk(projective(A3, 0)), module_stalk(simple(A3, 1))
+    [zero_model] = generator_models([zero], 2)
+    assert hom_k(zero_model, x.trim()) == 0
+    built = []
+
+    def spy(e, c, images):
+        built.append(c)
+        return real(e, c, images)
+    real = heart._map_from
+    monkeypatch.setattr(heart, "_map_from", spy)
+    alone = fac_membership([g], x, d=2)
+    both = fac_membership([zero, g], x, d=2)
+    assert [c for c in built if c is x.trim()] == [x.trim()]
+    a, b = fac_summary(alone)[2][0], fac_summary(both)[2][0]
+    # the steps are per call: the middle names each list's own indices
+    assert (a[1], b[1]) == ([(0, 1)], [(1, 1)])
+    assert (a[0], a[2:]) == (b[0], b[2:])
 
 
 def test_p_presentation_of_window_complex(nak):

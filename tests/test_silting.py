@@ -1,14 +1,17 @@
 """Silting certification and the two independent enumerators."""
+import hashlib
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
 
 from tiltlab import silting
+from tiltlab.algebra import build_algebra
 from tiltlab.catalog import linear_an, nakayama_rad_square_zero
-from tiltlab.errors import PoolConstructionUnsupported
+from tiltlab.errors import PoolConstructionUnsupported, WindowViolation
 from tiltlab.homotopy import (chain_identity, hom_k, proj_cone,
                               proj_direct_sum, proj_stalk)
 from tiltlab.linalg import int_det
@@ -23,7 +26,7 @@ from tiltlab.silting import (
     rigid_pool,
 )
 
-from oracles import fuss_catalan
+from oracles import dynkin_exponents, dynkin_silting_count, fuss_catalan
 
 
 @pytest.fixture(scope="module")
@@ -255,6 +258,135 @@ def test_lineages_replay_and_planted_ones_fail(mutation_search):
                         if len(set(r.ids) & set(rec.ids)) < alg.n - 1)
         assert not replace(lin, parent=stranger.ids).replay(reg, stranger)
         assert not lin.replay(reg, stranger)
+
+
+# -- each exchange edge walked once ------------------------------------------
+
+# frozen from the search that computed every edge: count, stats and a
+# SHA-256 prefix of [(ids, lineage parent, k, side)] over the records
+EDGE_WALK_FROZEN = {
+    "A4-d1": (42, {"mutations": 336, "window_rejected": 168,
+                   "not_silting": 11, "seeds_accepted": 5}, "8264c99b2bb2"),
+    "A3-d2": (55, {"mutations": 330, "window_rejected": 110,
+                   "not_silting": 4, "seeds_accepted": 4}, "068b46fb246e"),
+    "Nak3-d2": (49, {"mutations": 294, "window_rejected": 100,
+                     "not_silting": 4, "seeds_accepted": 4}, "8ef3f48bbbe5"),
+}
+
+
+@pytest.fixture(scope="module", params=[
+    ("A4-d1", linear_an(4), 1), ("A3-d2", linear_an(3), 2),
+    ("Nak3-d2", nakayama_rad_square_zero(3), 2),
+], ids=["A4-d1", "A3-d2", "Nak3-d2"])
+def edge_walk(request):
+    """A mutation search with the (parts, k, side) of every edge it built."""
+    label, alg, d = request.param
+    computed = set()
+
+    def spy(side):
+        real = getattr(silting, f"{side}_mutation")
+
+        def mutate(parts, k, d, seed=0):
+            computed.add((id(parts), k, side))
+            return real(parts, k, d, seed)
+        return mutate
+
+    with pytest.MonkeyPatch.context() as m:
+        for side in ("left", "right"):
+            m.setattr(silting, f"{side}_mutation", spy(side))
+        res = enumerate_silting(alg, d)
+    return label, alg, d, res, computed
+
+
+def test_each_skipped_edge_reaches_its_recorded_state(edge_walk):
+    label, alg, d, res, computed = edge_walk
+    reg = res.registry
+    states = {rec.ids for rec in res.clusters}
+    assert not res.unknown
+    skipped = rejected = 0
+    for rec in res.clusters:
+        for k, x_id in enumerate(rec.ids):
+            for side, mutate in (("left", silting.left_mutation),
+                                 ("right", silting.right_mutation)):
+                try:
+                    parts = mutate(rec.parts, k, d, reg.seed)
+                except WindowViolation:
+                    parts = None
+                rejected += parts is None
+                if (id(rec.parts), k, side) in computed:
+                    continue
+                skipped += 1
+                want = res.edges[(rec.ids, x_id, side)]
+                if want is WindowViolation:
+                    assert d == 1 and parts is None
+                else:
+                    assert parts is not None and want in states
+                    assert tuple(sorted(reg.find(y) for y in parts)) == want
+    assert skipped and skipped + len(computed) == 2 * alg.n * res.count
+    # the stats are those of a search that computes every edge
+    assert res.stats["mutations"] == 2 * alg.n * res.count
+    assert res.stats["window_rejected"] == rejected
+
+
+def test_edge_walk_keeps_the_frozen_records(edge_walk):
+    label, alg, d, res, _ = edge_walk
+    count, stats, digest = EDGE_WALK_FROZEN[label]
+    if alg.is_hereditary():
+        assert count == fuss_catalan(alg.n, d)
+    assert (res.count, res.stats) == (count, stats)
+    rows = [(rec.ids, rec.result.lineage and (
+        rec.result.lineage.parent, rec.result.lineage.k,
+        rec.result.lineage.side)) for rec in res.clusters]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest()[:12] == digest
+    by_ids = {rec.ids: rec for rec in res.clusters}
+    for rec in res.clusters:
+        lin = rec.result.lineage
+        assert lin is None or lin.replay(res.registry, by_ids[lin.parent])
+
+
+# -- Dynkin quivers in any orientation ---------------------------------------
+
+def test_dynkin_oracle_matches_known_counts():
+    for n in range(1, 8):
+        for d in (1, 2, 3):
+            assert dynkin_silting_count("A", n, d) == fuss_catalan(n, d)
+    # type D_n clusters: (3n - 2)/n * C(2n - 2, n - 1) (Fomin-Zelevinsky)
+    for n in range(4, 9):
+        assert n * dynkin_silting_count("D", n, 1) == \
+            (3 * n - 2) * comb(2 * n - 2, n - 1)
+    assert [dynkin_silting_count("E", n, 1) for n in (6, 7, 8)] == \
+        [833, 4160, 25080]
+    with pytest.raises(ValueError):
+        dynkin_exponents("D", 3)
+
+
+@pytest.mark.parametrize("kind,n,arrows,d,want", [
+    # 1 -> 2 <- 3 -> 4
+    ("A", 4, [(1, 2), (3, 2), (3, 4)], 1, 42),
+    # three arrows into the centre 2
+    ("D", 4, [(1, 2), (3, 2), (4, 2)], 1, 50),
+    ("D", 4, [(1, 2), (3, 2), (4, 2)], 2, 336),
+], ids=["A4-alternating-d1", "D4-sink-d1", "D4-sink-d2"])
+def test_dynkin_counts_match_the_exponent_product(kind, n, arrows, d, want):
+    alg = build_algebra(n, [(i + 1, s, t) for i, (s, t) in enumerate(arrows)])
+    assert dynkin_silting_count(kind, n, d) == want
+    res = enumerate_silting(alg, d)
+    assert res.count == want and not res.unknown
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("kind,n,edges", [
+    ("A", 4, [(1, 2), (2, 3), (3, 4)]),
+    ("D", 4, [(1, 2), (2, 3), (2, 4)]),
+], ids=["A4", "D4"])
+def test_dynkin_count_does_not_depend_on_the_orientation(kind, n, edges,
+                                                         seed):
+    rng = np.random.default_rng(seed)
+    arrows = [(i + 1, *(e if rng.integers(2) else e[::-1]))
+              for i, e in enumerate(edges)]
+    res = enumerate_silting(build_algebra(n, arrows), 1)
+    assert res.count == dynkin_silting_count(kind, n, 1)
+    assert not res.unknown
 
 
 def test_clique_records_carry_towers(ka3):
