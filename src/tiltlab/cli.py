@@ -2,8 +2,9 @@
 
 Exit codes: 0 success/pass, 1 checker failure or hard mismatch, 2 search
 budget exceeded, 3 spec or parse error, 4 undecided verdict, 5 internal
-error (an exception that is not a ``TiltlabError``: a bug).  Identical
-configurations (including the seed) produce byte-identical JSON reports.
+error (a bug: an exception that is not a ``TiltlabError``, or one of
+``NOT_INPUT_ERRORS``).  Identical configurations (including the seed)
+produce byte-identical JSON reports.
 """
 from __future__ import annotations
 
@@ -12,8 +13,9 @@ import sys
 import traceback
 from dataclasses import asdict, dataclass
 
-from .errors import (BudgetExceeded, Mismatch, ResolutionDepthExceeded,
-                     SpecError, TiltlabError)
+from .errors import (BudgetExceeded, HomologyOutsideWindow, Mismatch,
+                     NoSolution, ResolutionDepthExceeded, SpecError,
+                     TiltlabError, WindowViolation)
 from .heart import p_presentation
 from .homotopy import minimize
 from .repcat import simple
@@ -31,6 +33,11 @@ EXIT_BUDGET = 2
 EXIT_SPEC = 3
 EXIT_UNKNOWN = 4
 EXIT_INTERNAL = 5
+
+# Library errors that parsed input cannot cause: the library catches each
+# one where it can arise (an inconsistent system, a mutation or homology
+# leaving the window), so one that escapes a command is a bug, not bad input.
+NOT_INPUT_ERRORS = (NoSolution, WindowViolation, HomologyOutsideWindow)
 
 
 @dataclass(frozen=True)
@@ -253,6 +260,14 @@ def cmd_verify(cfg: RunConfig, theorem: str) -> tuple[int, dict]:
             report)
 
 
+def _internal_error() -> int:
+    """Report the exception being handled as a bug; no report is written."""
+    # a bug must not pass for a verdict or for bad input: its own exit code
+    print("internal error:", file=sys.stderr)
+    traceback.print_exc()
+    return EXIT_INTERNAL
+
+
 def main(argv=None) -> int:
     ns = _parser().parse_args(argv)
     cfg = RunConfig(
@@ -276,13 +291,12 @@ def main(argv=None) -> int:
         print(f"hard mismatch: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except TiltlabError as exc:
+        if isinstance(exc, NOT_INPUT_ERRORS):
+            return _internal_error()
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
     except Exception:
-        # a bug must not pass for a verdict, so it gets its own exit code
-        print("internal error:", file=sys.stderr)
-        traceback.print_exc()
-        return EXIT_INTERNAL
+        return _internal_error()
     _emit(cfg, title, report)
     return code
 

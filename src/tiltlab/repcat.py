@@ -225,27 +225,32 @@ def hom_space_matrix(m: Representation, n: Representation) -> np.ndarray:
     """Constraint matrix whose kernel is Hom(M, N) in flattened coordinates.
 
     Coordinates: row-major flattenings of the vertex matrices f_v, vertex by
-    vertex.  One block row of constraints per arrow.
+    vertex.  One block row of constraints per arrow a: u -> w, the entries
+    of N_a f_u - f_w M_a: the Kronecker products N_a (x) I on the f_u
+    columns minus I (x) M_a^T on the f_w columns, written by broadcasting
+    into one array.
     """
     alg = m.alg
-    sizes = [n.dims[v] * m.dims[v] for v in range(alg.n)]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    total = int(offsets[-1])
-    rows = []
-    for ai, a in enumerate(alg.quiver.arrows):
+    offsets = [0]
+    for v in range(alg.n):
+        offsets.append(offsets[-1] + n.dims[v] * m.dims[v])
+    arrows = alg.quiver.arrows
+    out = zeros(sum(n.dims[a.tgt] * m.dims[a.src] for a in arrows),
+                offsets[-1])
+    r = 0
+    for ai, a in enumerate(arrows):
         u, w = a.src, a.tgt
         nrow = n.dims[w] * m.dims[u]
         if nrow == 0:
             continue
-        block = zeros(nrow, total)
-        # N_a f_u : vec(N_a X) = kron(N_a, I) vec(X)
-        block[:, offsets[u]:offsets[u + 1]] = np.kron(n.mats[ai], eye(m.dims[u]))
-        # f_w M_a : vec(X M_a) = kron(I, M_a^T) vec(X)
-        block[:, offsets[w]:offsets[w + 1]] -= np.kron(eye(n.dims[w]), m.mats[ai].T)
-        rows.append(block % alg.p)
-    if not rows:
-        return zeros(0, total)
-    return np.concatenate(rows, axis=0)
+        out[r:r + nrow, offsets[u]:offsets[u + 1]] = (
+            n.mats[ai][:, None, :, None] * eye(m.dims[u])[None, :, None, :]
+        ).reshape(nrow, -1)
+        out[r:r + nrow, offsets[w]:offsets[w + 1]] -= (
+            eye(n.dims[w])[:, None, :, None] * m.mats[ai].T[None, :, None, :]
+        ).reshape(nrow, -1)
+        r += nrow
+    return out % alg.p
 
 
 def _unflatten(m: Representation, n: Representation, vec) -> ModuleMap:
@@ -597,20 +602,40 @@ def in_add(m: Representation, parts: list[Representation], rng) -> bool:
     not summands and are left out.
     """
     p = m.alg.p
+    return all(not sv.size or is_invertible(sv, p)
+               for sv in _add_endomorphism(m, parts, rng))
+
+
+def _add_endomorphism(m: Representation, parts: list[Representation],
+                      rng) -> list[np.ndarray]:
+    """The vertex matrices of the endomorphism s of M that ``in_add`` tests.
+
+    The hom bases are kernel columns of ``hom_space_matrix``: vertex v's
+    block of a column is f_v row-major, (M_v, x_v) for Hom(x, M) and
+    (x_v, M_v) for Hom(M, x).  Row f of one draw C combines g_f.
+    """
+    p = m.alg.p
     s = [zeros(d, d) for d in m.dims]
     for x in parts:
         if any(a > b for a, b in zip(x.dims, m.dims)):
             continue
-        fs = hom_basis(x, m)
-        gs = hom_basis(m, x) if fs else []
-        if not gs:
+        kf = null_space(hom_space_matrix(x, m), p)
+        if not kf.shape[1]:
             continue
-        for f in fs:
-            coeffs = [int(c) for c in rng.integers(0, p, size=len(gs))]
-            for v, sv in enumerate(s):
-                g = sum(c * h.vmaps[v] for c, h in zip(coeffs, gs)) % p
-                s[v] = (sv + f.vmaps[v] @ g) % p
-    return ModuleMap(m, m, s).is_iso()
+        kg = null_space(hom_space_matrix(m, x), p)
+        if not kg.shape[1]:
+            continue
+        c = rng.integers(0, p, size=(kf.shape[1], kg.shape[1]))
+        g = kg @ c.T % p
+        at = 0
+        for v, (d, xv) in enumerate(zip(m.dims, x.dims)):
+            size = d * xv
+            if size:
+                f_v = kf[at:at + size].reshape(d, xv, -1)
+                g_v = g[at:at + size].reshape(xv, d, -1)
+                s[v] = (s[v] + np.einsum("aif,ibf->ab", f_v, g_v)) % p
+            at += size
+    return s
 
 
 def is_indecomposable(m: Representation, seed: int = 0) -> bool:

@@ -2,8 +2,11 @@
 
 Deliberately share no code with the library: plain Python lists and a naive
 mod-p elimination, plus the Euler-form shortcut for first extensions over
-hereditary algebras.
+hereditary algebras, and the hom system written with numpy's Kronecker
+product.
 """
+
+import numpy as np
 
 
 def _gauss_rank(rows, p):
@@ -55,6 +58,33 @@ def oracle_hom_dim(m, n, p):
     if not rows:
         return total
     return total - _gauss_rank(rows, p)
+
+
+def kron_hom_space_matrix(m, n, p):
+    """The Hom(M, N) constraint matrix from the Kronecker-product formula.
+
+    Columns are the row-major entries of the vertex maps f_v, vertex by
+    vertex; one block row per arrow a: u -> w with nonzero N_w (x) M_u,
+    holding vec(N_a f_u - f_w M_a) = (N_a (x) I) vec(f_u) - (I (x) M_a^T)
+    vec(f_w).
+    """
+    sizes = [n.dims[v] * m.dims[v] for v in range(len(m.dims))]
+    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+    rows = []
+    for ai, arrow in enumerate(m.alg.quiver.arrows):
+        u, w = arrow.src, arrow.tgt
+        nrow = n.dims[w] * m.dims[u]
+        if nrow == 0:
+            continue
+        block = np.zeros((nrow, offsets[-1]), dtype=np.int64)
+        block[:, offsets[u]:offsets[u + 1]] = np.kron(
+            n.mats[ai], np.eye(m.dims[u], dtype=np.int64))
+        block[:, offsets[w]:offsets[w + 1]] -= np.kron(
+            np.eye(n.dims[w], dtype=np.int64), m.mats[ai].T)
+        rows.append(block % p)
+    if not rows:
+        return np.zeros((0, offsets[-1]), dtype=np.int64)
+    return np.concatenate(rows, axis=0)
 
 
 def euler_form(alg, dv, dw):

@@ -262,6 +262,28 @@ def test_internal_error_has_its_own_exit_code(tmp_path, ka2_spec,
     assert "ValueError: broken checker" in err
 
 
+@pytest.mark.parametrize("error, code", [
+    ("NoSolution", 5), ("WindowViolation", 5), ("HomologyOutsideWindow", 5),
+    ("NotAdmissible", 3), ("FieldTooSmall", 3),
+    ("PoolConstructionUnsupported", 3)])
+def test_library_errors_that_input_cannot_cause_are_internal(
+        tmp_path, ka2_spec, monkeypatch, capsys, error, code):
+    from tiltlab import cli, errors
+    exc = getattr(errors, error)
+
+    def broken(*args, **kwargs):
+        raise exc(1) if exc is errors.HomologyOutsideWindow else exc("raised")
+
+    monkeypatch.setattr(cli, "enumerate_silting", broken)
+    assert run(tmp_path, "enumerate", "--spec", ka2_spec) == (code, None)
+    err = capsys.readouterr().err
+    if code == 5:
+        assert err.startswith("internal error:")
+        assert f"{error}: " in err
+    else:
+        assert err.startswith("error: ")
+
+
 def test_out_of_window_object_rejected(tmp_path, ka2_spec):
     shifted = write_objects(tmp_path, "sh.json",
                             [{"kind": "simple", "vertex": 1, "shift": 2}])

@@ -7,22 +7,25 @@ from hypothesis import strategies as st
 
 from tiltlab import repcat
 from tiltlab.catalog import linear_an, nakayama_rad_square_zero
+from tiltlab.algebra import build_algebra
 from tiltlab.cli import main
 from tiltlab.endsplit import trace_radical
 from tiltlab.errors import FieldTooSmall
 from tiltlab.homotopy import ProjComplex, proj_stalk
-from tiltlab.linalg import inv, is_invertible
-from tiltlab.repcat import (ProjSum, Representation, alg_matrix_of_map,
-                            cokernel, decompose, direct_sum, end_algebra_mats,
-                            ext_dim, hom_basis, hom_dim, image, in_add,
-                            injective, is_isomorphic, kernel, map_of_alg_matrix,
+from tiltlab.linalg import inv, is_invertible, null_space
+from tiltlab.repcat import (ModuleMap, ProjSum, Representation,
+                            alg_matrix_of_map, cokernel, decompose, direct_sum,
+                            end_algebra_mats, ext_dim, hom_basis, hom_dim,
+                            hom_space_matrix, image, in_add, injective,
+                            is_isomorphic, kernel, map_of_alg_matrix,
                             minimal_resolution, module_iso, projective,
                             projective_cover, simple, top, zero_map, zero_rep)
 from tiltlab.repcomplex import stalk_complex
 from tiltlab.silting import euler_form
 
 from oracles import euler_form as oracle_euler_form
-from oracles import oracle_ext1_hereditary, oracle_hom_dim
+from oracles import (kron_hom_space_matrix, oracle_ext1_hereditary,
+                     oracle_hom_dim)
 from test_algebra import monomial_algebras
 
 
@@ -248,6 +251,101 @@ def test_in_add_rejects_a_missing_summand(ka3):
         assert not in_add(twisted(m, rng), [p1, s2], rng)
     assert not in_add(s3, [], np.random.default_rng(0))
     assert in_add(zero_rep(ka3), [], np.random.default_rng(0))
+
+
+def reference_in_add(m, parts, rng):
+    """The certificate as a loop over hom basis maps: (answer, s)."""
+    p = m.alg.p
+    s = [np.zeros((d, d), dtype=np.int64) for d in m.dims]
+    for x in parts:
+        if any(a > b for a, b in zip(x.dims, m.dims)):
+            continue
+        fs = hom_basis(x, m)
+        gs = hom_basis(m, x) if fs else []
+        if not gs:
+            continue
+        for f in fs:
+            coeffs = [int(c) for c in rng.integers(0, p, size=len(gs))]
+            for v, sv in enumerate(s):
+                g = sum(c * h.vmaps[v] for c, h in zip(coeffs, gs)) % p
+                s[v] = (sv + f.vmaps[v] @ g) % p
+    return ModuleMap(m, m, s).is_iso(), s
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.just(linear_an(3)), st.just(nakayama_rad_square_zero(3)),
+                 monomial_algebras()),
+       st.data(), st.integers(0, 2**32 - 1))
+def test_in_add_matches_the_per_map_loop(alg, data, seed):
+    rng = np.random.default_rng(seed)
+    pool = [f(alg, v) for f in (projective, injective, simple)
+            for v in range(alg.n)]
+    index = st.integers(0, len(pool) - 1)
+    dims = rng.integers(0, 3, alg.n)
+    m = Representation(alg, dims, [
+        rng.integers(0, alg.p, (dims[a.tgt], dims[a.src]))
+        for a in alg.quiver.arrows])
+    if m.broken_relation() is not None or data.draw(st.booleans()):
+        m = twisted(direct_sum([pool[i] for i in data.draw(
+            st.lists(index, min_size=1, max_size=4))]), rng)
+    parts = [pool[i] for i in data.draw(st.lists(index, max_size=4))]
+    draws = data.draw(st.integers(0, 2**32 - 1))
+    ref_rng, rng_s, rng_answer = (np.random.default_rng(draws)
+                                  for _ in range(3))
+    want, want_s = reference_in_add(m, parts, ref_rng)
+    s = repcat._add_endomorphism(m, parts, rng_s)
+    assert in_add(m, parts, rng_answer) == want
+    assert all(np.array_equal(a, b) for a, b in zip(s, want_s))
+    # the same draws: the generator is left where the loop leaves it
+    assert rng_s.bit_generator.state == ref_rng.bit_generator.state
+    assert rng_answer.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("p", [2, 1009, 2_097_143])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (4, 1), (3, 7)])
+def test_one_2d_draw_is_the_row_by_row_draws(p, shape):
+    # in_add draws all its coefficients for one part at once; that must be
+    # the stream of one draw per hom basis map, or its answers change
+    for seed in range(5):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        rows = [b.integers(0, p, size=shape[1]) for _ in range(shape[0])]
+        assert np.array_equal(a.integers(0, p, size=shape), np.stack(rows))
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+def hom_test_algebras():
+    """A_3, Nak_3, random monomial algebras, and quivers with no arrow or
+    with an oriented cycle (a loop, a 2-cycle), so u == w blocks occur."""
+    return st.one_of(
+        st.just(linear_an(3)), st.just(nakayama_rad_square_zero(3)),
+        monomial_algebras(), st.just(build_algebra(2, [])),
+        st.just(build_algebra(1, [(1, 1, 1)], [[1, 1]])),
+        st.just(build_algebra(2, [(1, 1, 2), (2, 2, 1)], [[1, 2], [2, 1]])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hom_test_algebras(), st.data())
+def test_hom_space_matrix_matches_the_kronecker_formula(alg, data):
+    def module():
+        if data.draw(st.booleans()):
+            kind = data.draw(st.sampled_from([projective, injective, simple]))
+            return kind(alg, data.draw(st.integers(0, alg.n - 1)))
+        # any representation, zero-dimensional vertices included: the
+        # system is defined whether or not the relations hold
+        dims = data.draw(st.lists(st.integers(0, 2), min_size=alg.n,
+                                  max_size=alg.n))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        return Representation(alg, dims, [
+            rng.integers(0, alg.p, (dims[a.tgt], dims[a.src]))
+            for a in alg.quiver.arrows])
+    m, n = module(), module()
+    got = hom_space_matrix(m, n)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, kron_hom_space_matrix(m, n, alg.p))
+    if alg.is_hereditary():
+        hom = null_space(got, alg.p).shape[1]
+        assert hom - ext_dim(m, n, 1) == oracle_euler_form(alg, m.dims,
+                                                           n.dims)
 
 
 def test_trace_radical_of_end_a2(ka2):

@@ -492,3 +492,27 @@ def test_registry_interning(ka2, monkeypatch):
     assert reg.find(proj_direct_sum([proj_stalk(ka2, 1).shift(1),
                                      proj_cone(chain_identity(p0))])) == i
     assert iso_calls
+
+
+def test_intern_goes_on_from_a_find_miss(ka2, monkeypatch):
+    reg = ComplexRegistry()
+    p0 = proj_stalk(ka2, 0)
+    reg.intern(p0)
+    x = p0.shift(1)
+    y = proj_direct_sum([p0.shift(1), proj_cone(chain_identity(p0))])
+    misses = {}
+    assert reg.find(x, misses) is None and reg.find(y, misses) is None
+    assert set(misses) == {x, y}
+    scanned = []
+    minimize = silting.minimize
+
+    def counted(z):
+        scanned.append(z)
+        return minimize(z)
+
+    monkeypatch.setattr(silting, "minimize", counted)
+    # x becomes a new item; y, isomorphic to x, is matched with that item
+    # though it was scanned before x was interned
+    assert reg.state([x, y], misses) == (1, 1)
+    assert scanned == [] and misses == {}
+    assert reg.find(y) == 1
