@@ -1,9 +1,10 @@
 """Command-line front end: enumeration, checking, theorem verification.
 
 Exit codes: 0 success/pass, 1 checker failure or hard mismatch, 2 search
-budget exceeded, 3 spec or parse error, 4 undecided verdict, 5 internal
-error (a bug: an exception that is not a ``TiltlabError``, or one of
-``NOT_INPUT_ERRORS``).  Identical configurations (including the seed)
+budget exceeded (one of ``BUDGET_ERRORS``), 3 spec or parse error, 4
+undecided verdict (also an ``UndecidedIso`` that escapes a command), 5
+internal error (a bug: an exception that is not a ``TiltlabError``, or one
+of ``NOT_INPUT_ERRORS``).  Identical configurations (including the seed)
 produce byte-identical JSON reports.
 """
 from __future__ import annotations
@@ -14,8 +15,9 @@ import traceback
 from dataclasses import asdict, dataclass
 
 from .errors import (BudgetExceeded, HomologyOutsideWindow, Mismatch,
-                     NoSolution, ResolutionDepthExceeded, SpecError,
-                     TiltlabError, WindowViolation)
+                     NoSolution, RandomBudgetExhausted,
+                     ResolutionDepthExceeded, SpecError, TiltlabError,
+                     UndecidedIso, WindowViolation)
 from .heart import p_presentation
 from .homotopy import minimize
 from .repcat import simple
@@ -38,6 +40,11 @@ EXIT_INTERNAL = 5
 # one where it can arise (an inconsistent system, a mutation or homology
 # leaving the window), so one that escapes a command is a bug, not bad input.
 NOT_INPUT_ERRORS = (NoSolution, WindowViolation, HomologyOutsideWindow)
+
+# Budgets that ran out: the node budget of a search, the retries of a
+# randomized search and the size bound of a projective resolution.
+BUDGET_ERRORS = (BudgetExceeded, RandomBudgetExhausted,
+                 ResolutionDepthExceeded)
 
 
 @dataclass(frozen=True)
@@ -284,12 +291,15 @@ def main(argv=None) -> int:
         else:
             code, report = cmd_verify(cfg, ns.theorem)
             title = f"Verification report: {ns.theorem}"
-    except BudgetExceeded as exc:
+    except BUDGET_ERRORS as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except Mismatch as exc:
         print(f"hard mismatch: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    except UndecidedIso as exc:
+        print(f"undecided: {exc}", file=sys.stderr)
+        return EXIT_UNKNOWN
     except TiltlabError as exc:
         if isinstance(exc, NOT_INPUT_ERRORS):
             return _internal_error()

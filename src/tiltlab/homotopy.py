@@ -361,9 +361,12 @@ class HomPackage:
     Maps out of X live in generator-image coordinates (``_layout``).  The
     operator g -> d_C g + sign g d_X at degree 0, sign -1 has the chain
     maps as kernel (``chain_space``); at degree -1, sign +1 it is the
-    homotopy operator ``_bmat`` with image ``homotopy_image``.  The pivot
-    columns of [homotopy_image | chain_space] past the image leave the span
-    of all columns before them: they are the class representatives.
+    homotopy operator ``_bmat``.  One elimination of [_bmat | chain_space]
+    picks both bases: its pivot columns in ``_bmat`` span the homotopy image
+    (``homotopy_image``), and those past ``_bmat`` leave the span of all
+    columns before them: they are the class representatives.  The pivots
+    depend only on the spans before each column, so these are the columns a
+    pivot pass over [any basis of the image | chain_space] would pick.
     ``dim`` is the hom space in the homotopy (= derived) category.
     """
 
@@ -373,31 +376,37 @@ class HomPackage:
         self.target = target
         self.i = i
         self.cs = cs
-        below, self.layout = _layout(x, cs, -1), _layout(x, cs, 0)
+        self.layout = _layout(x, cs, 0)
         if not self.layout[1]:
             # no generator of X has an image in C: the hom space is zero
             # and nothing needs eliminating
-            self._bmat = zeros(0, below[1])
+            self._bmat = zeros(0, _layout(x, cs, -1)[1])
             self.chain_space = self.homotopy_image = self._basis = zeros(0, 0)
             self.rep_coords, self.dim = [], 0
             return
-        above = _layout(x, cs, 1)
-        self.chain_space = null_space(self._operator(self.layout, above, 0, -1),
-                                      p)
+        below, above = _layout(x, cs, -1), _layout(x, cs, 1)
+        z = self.chain_space = null_space(
+            self._operator(self.layout, above, 0, -1), p)
         self._bmat = self._operator(below, self.layout, -1, 1)
-        image = column_space(self._bmat, p)
-        nb = image.shape[1]
-        _, piv = rref(np.concatenate([image, self.chain_space], axis=1), p)
-        if len(piv) != self.chain_space.shape[1]:
+        nb = self._bmat.shape[1]
+        if not np.any(self._bmat):
+            # the columns of Z are independent: each is a pivot
+            piv = list(range(nb, nb + z.shape[1]))
+        elif z.shape[1]:
+            _, piv = rref(np.concatenate([self._bmat, z], axis=1), p)
+        else:
+            piv = None
+        if piv is None or len(piv) != z.shape[1]:
             raise Mismatch("hom package: the homotopy image is not inside "
                            "the chain space")
+        image = [k for k in piv if k < nb]
         reps = [k - nb for k in piv if k >= nb]
         self.dim = len(reps)
         # the image and the representatives are views into one array
-        self._basis = np.concatenate([image, self.chain_space[:, reps]],
+        self._basis = np.concatenate([self._bmat[:, image], z[:, reps]],
                                      axis=1)
-        self.homotopy_image = self._basis[:, :nb]
-        self.rep_coords = list(self._basis[:, nb:].T)
+        self.homotopy_image = self._basis[:, :len(image)]
+        self.rep_coords = list(self._basis[:, len(image):].T)
 
     def _operator(self, src, dst, offset: int, sign: int) -> np.ndarray:
         """Matrix of g -> d_C o g + sign * g o d_X.

@@ -284,6 +284,31 @@ def test_library_errors_that_input_cannot_cause_are_internal(
         assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("error, code, prefix", [
+    ("UndecidedIso", 4, "undecided: "),
+    ("RandomBudgetExhausted", 2, "budget exceeded: "),
+    ("ResolutionDepthExceeded", 2, "budget exceeded: ")])
+@pytest.mark.parametrize("command", ["enumerate", "check"])
+def test_escaped_verdict_and_budget_errors_are_not_bad_input(
+        tmp_path, ka2_spec, monkeypatch, capsys, error, code, prefix,
+        command):
+    # an undecided isomorphism is an undecided verdict, and an exhausted
+    # random or resolution budget is a budget; neither comes from the input
+    from tiltlab import cli, errors
+
+    def broken(*args, **kwargs):
+        raise getattr(errors, error)("raised")
+
+    monkeypatch.setattr(cli, "enumerate_silting", broken)
+    monkeypatch.setattr(cli, "check_tilting", broken)
+    obj = write_objects(tmp_path, "p1.json",
+                        [{"kind": "projective", "vertex": 1}])
+    args = ["check", "--spec", ka2_spec, "tilting", obj] \
+        if command == "check" else ["enumerate", "--spec", ka2_spec]
+    assert run(tmp_path, *args) == (code, None)
+    assert capsys.readouterr().err == f"{prefix}raised\n"
+
+
 def test_out_of_window_object_rejected(tmp_path, ka2_spec):
     shifted = write_objects(tmp_path, "sh.json",
                             [{"kind": "simple", "vertex": 1, "shift": 2}])

@@ -321,6 +321,34 @@ def test_representatives_match_greedy_selection(use_nak, sx, sy):
                     assert np.array_equal(got, ref)
 
 
+@settings(max_examples=12, deadline=None)
+@given(st.booleans(), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+def test_class_coordinates_match_a_column_space_basis(use_nak, sx, sy):
+    # the package picks its image basis among the columns of the homotopy
+    # operator; class coordinates must be those over the canonical basis
+    # column_space(_bmat) of the same image, with the same representatives
+    alg = nakayama_rad_square_zero(3) if use_nak else linear_an(3)
+    p = alg.p
+    rng = np.random.default_rng(sx)
+    x = _random_proj_3step(alg, rng)
+    y = _random_proj_3step(alg, np.random.default_rng(sy))
+    for src in (x, x.shift(1)):
+        for tgt in (y, y.shift(-1), x):
+            for i in (-1, 0, 1):
+                pkg = hom_package(src, tgt, i)
+                image = column_space(pkg._bmat, p)
+                nb = pkg.homotopy_image.shape[1]
+                assert nb == image.shape[1] == rank(pkg._bmat, p)
+                ref = np.concatenate([image, pkg._basis[:, nb:]], axis=1)
+                for k in range(pkg.chain_space.shape[1]):
+                    c = pkg.chain_space[:, k]
+                    want = solve_right(ref, c.reshape(-1, 1), p)[nb:, 0]
+                    assert np.array_equal(pkg.reduce(c), want)
+                    h = rng.integers(0, p, pkg._bmat.shape[1])
+                    moved = (c + pkg._bmat @ h) % p
+                    assert np.array_equal(pkg.reduce(moved), want)
+
+
 @st.composite
 def algebra_with_modules(draw):
     """A monomial algebra and two modules: sums of P(v), I(v) and S(v)."""
@@ -416,36 +444,47 @@ def test_cone_homology_obeys_the_long_exact_sequence(alg, seed, i):
         homology_rank(f, 0, v) < y.get(0, zero)[v] for v in range(alg.n))
 
 
-def planted_image_raises() -> str:
-    """Message of the Mismatch for a homotopy image outside the chain space.
+def planted_image_raises() -> list[str]:
+    """Messages of the Mismatch for a homotopy image outside the chain space.
 
-    Hom(P(1), C) for C = (P(1) -> P(1)) in degrees 0, 1 has no nonzero
-    chain map, so a planted unit column in the image cannot lie in the
-    chain space.
+    The planted homotopy operator gains a unit column.  Hom(P(1), C) for
+    C = (P(1) -> P(1)) in degrees 0, 1 has no nonzero chain map, so the
+    column cannot lie in the chain space and the package raises without
+    eliminating.  Hom(X, cone(1_P(1))), with X the presentation of S(1),
+    has a one-dimensional chain space that misses the unit column, so the
+    elimination of [homotopy operator | chain space] finds it.
     """
-    from tiltlab import homotopy
     from tiltlab.errors import Mismatch
     alg = linear_an(2)
     p0 = proj_stalk(alg, 0)
-    c = proj_cone(chain_identity(p0)).shift(-1)
-    real = homotopy.column_space
+    cone = proj_cone(chain_identity(p0))
+    real = HomPackage._operator
 
-    def planted(a, p):
-        img = real(a, p)
-        unit = np.zeros((img.shape[0], 1), dtype=np.int64)
-        unit[0] = 1
-        return np.concatenate([img, unit], axis=1)
+    def planted(self, src, dst, offset, sign):
+        out = real(self, src, dst, offset, sign)
+        if offset == -1:                        # the homotopy operator
+            unit = np.zeros((out.shape[0], 1), dtype=np.int64)
+            unit[0] = 1
+            out = np.concatenate([out, unit], axis=1)
+        return out
 
-    with mock.patch.object(homotopy, "column_space", planted):
-        try:
-            hom_package(p0, c, 0)
-        except Mismatch as exc:
-            return str(exc)
-    raise AssertionError("a planted homotopy image raised no Mismatch")
+    messages = []
+    with mock.patch.object(HomPackage, "_operator", planted):
+        for x, c in ((p0, cone.shift(-1)), (simple_presentation(alg, 0), cone)):
+            try:
+                hom_package(x, c, 0)
+            except Mismatch as exc:
+                messages.append(str(exc))
+            else:
+                raise AssertionError("a planted homotopy image raised no "
+                                     "Mismatch")
+    return messages
 
 
 def test_planted_homotopy_image_survives_optimize():
-    assert "not inside the chain space" in planted_image_raises()
+    messages = planted_image_raises()
+    assert len(messages) == 2
+    assert all("not inside the chain space" in m for m in messages)
     run_optimized("test_homotopy", "planted_image_raises")
 
 

@@ -1,10 +1,12 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tiltlab import linalg
 from tiltlab.errors import NoSolution
@@ -81,6 +83,66 @@ def test_rref_idempotent():
     r1, piv1 = linalg.rref(a, 5)
     r2, piv2 = linalg.rref(r1, 5)
     assert np.array_equal(r1, r2) and piv1 == piv2
+
+
+@st.composite
+def rref_inputs(draw):
+    """(a, p): up to 20 x 20 or 1-D, entries negative or past p, often
+    sparse or of low rank, on both sides of ``SMALL_RREF_ENTRIES``."""
+    p = draw(st.sampled_from([2, 3, 7, 1009]))
+    entries = st.integers(-2 * p, 2 * p)
+    if draw(st.booleans()):
+        return draw(arrays(np.int64, st.integers(0, 30), elements=entries)), p
+    r, c = draw(st.integers(0, 20)), draw(st.integers(0, 20))
+    if r and c and draw(st.booleans()):
+        # rank at most k: a product of r x k and k x c factors
+        k = draw(st.integers(0, min(r, c)))
+        left = draw(arrays(np.int64, (r, k), elements=entries))
+        return left @ draw(arrays(np.int64, (k, c), elements=entries)), p
+    a = draw(arrays(np.int64, (r, c), elements=entries))
+    return a * draw(arrays(np.bool_, (r, c))), p
+
+
+def rref_by_kernel(a, p: int):
+    """``rref`` forced through the numpy kernel, then the Python-int one."""
+    out = []
+    for limit in (0, a.size):
+        before = a.copy()
+        with mock.patch.object(linalg, "SMALL_RREF_ENTRIES", limit):
+            out.append(linalg.rref(a, p))
+        assert np.array_equal(a, before), "rref wrote into its input"
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(rref_inputs())
+@example((np.zeros((0, 3), dtype=np.int64), 7))
+@example((np.zeros((3, 0), dtype=np.int64), 7))
+@example((np.array([[7]]), 7))
+@example((np.array([[-1]]), 7))
+@example((np.array([3, 0, -4]), 7))
+@example((np.ones((12, 12), dtype=np.int64), 1009))   # at the crossover
+@example((np.ones((13, 12), dtype=np.int64), 1009))   # just past it
+def test_rref_kernels_agree(case):
+    a, p = case
+    (r1, piv1), (r2, piv2) = rref_by_kernel(a, p)
+    assert np.array_equal(r1, r2) and piv1 == piv2
+    assert r1.dtype == r2.dtype == np.int64
+    r, piv = linalg.rref(a, p)
+    assert np.array_equal(r, r1) and piv == piv1
+    m = linalg.modmat(a, p)
+    assert r.shape == m.shape and r is not a
+    # R is the reduced row echelon form of a: unit pivot columns, zeros
+    # left of each pivot and below the rank, and the same row space
+    rank = len(piv)
+    assert piv == sorted(set(piv))
+    for i, c in enumerate(piv):
+        assert not np.any(r[i, :c])
+        assert np.array_equal(r[:, c], np.eye(r.shape[0], dtype=np.int64)[i])
+    assert not np.any(r[rank:])
+    if m.size:
+        assert linalg.rank(np.concatenate([r[:rank], m]), p) == rank
+        assert not np.any(m @ linalg.null_space(r, p) % p)
 
 
 def leibniz_det(m):
