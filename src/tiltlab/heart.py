@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import HomologyOutsideWindow, ResolutionDepthExceeded, \
-    SpecError, WindowViolation
+from .errors import HomologyOutsideWindow, Mismatch, \
+    ResolutionDepthExceeded, WindowViolation
 from .homotopy import HomPackage, ProjComplex, decompose_complex, hom_k, \
     hom_package, minimize, proj_direct_sum, proj_zero
 from .linalg import solve_right
@@ -78,7 +78,7 @@ def p_presentation(m, d: int) -> ProjComplex:
     got = truncate_window(out, d)
     for q in range(-d + 1, 1):
         if not is_isomorphic(homology_at(got, q), homology_at(target, q)):
-            raise SpecError(
+            raise Mismatch(
                 f"presentation round trip failed in degree {q}")
     store[key] = out
     return out
@@ -235,13 +235,12 @@ def generator_models(gens, d: int) -> list[ProjComplex]:
 
 def _fac_stage(cur: RepComplex, used: list[tuple[ProjComplex, HomPackage]],
                d: int):
-    """One approximation stage over cur: (onto, nxt, exc), in ``memo(cur)``.
+    """One approximation stage over cur, kept in ``memo(cur)``.
 
     ``used`` pairs each generator model with Hom(model, cur) != 0 with its
-    hom package, in model order.  ``onto`` says whether the universal
-    approximation f: E -> cur is onto H^0; ``nxt`` is its cocone moved
-    into the window, or None when f is not onto or the cocone has
-    homology outside the window, which ``exc`` then holds.
+    hom package, in model order.  Returns the cocone of the universal
+    approximation f: E -> cur moved into the window, or None when f is not
+    onto H^0.
     """
     store = memo(cur)
     key = ("fac_stage", tuple(g for g, _ in used), d)
@@ -257,13 +256,7 @@ def _fac_stage(cur: RepComplex, used: list[tuple[ProjComplex, HomPackage]],
                 images.setdefault(q, []).append(coords[sl])
     f = _map_from(proj_direct_sum(chosen, cur.alg), cur, images)
     k = complex_cone(f).shift(-1)
-    out = (False, None, None)
-    if 1 not in homology_dims(k):
-        try:
-            out = (True, to_window(k, d), None)
-        except HomologyOutsideWindow as exc:
-            # without its traceback, whose frames hold f and the cocone
-            out = (True, None, exc.with_traceback(None))
+    out = None if 1 in homology_dims(k) else to_window(k, d)
     store[key] = out
     return out
 
@@ -272,14 +265,17 @@ def fac_membership(gens, x: RepComplex, d: int,
                    s: int | None = None) -> FacResult:
     """Decide whether x is an s-factor of the generators inside the heart.
 
-    Builds the chain of universal right approximations f: E -> C; at
-    every stage f must be onto H^0(C).  The generator models have no term
-    above degree 0, so H^1(E) = 0 and the long exact sequence of the
-    cocone k gives H^1(k) = coker H^0(f): f is onto exactly when H^1(k)
-    vanishes.  A generator model with a term above degree 0 breaks that
-    argument and raises ``WindowViolation``.  A first-stage failure
-    certifies non-membership (every quotient extriangle factors through
-    the universal approximation); failures on deeper cocones are only
+    x and the generators must lie in the heart: a generator model with a
+    term above degree 0 raises ``WindowViolation``, and for an x outside
+    the heart, such as a stalk in degree 1, ``to_window`` may raise
+    ``HomologyOutsideWindow``.  Builds the chain of universal right
+    approximations f: E -> C; at every stage f must be onto H^0(C).  The
+    long exact sequence of the cocone k -> E -> C puts H^q(k) in
+    [-d+1, 1] when E and C lie in the heart, with H^1(k) = coker H^0(f):
+    f is onto exactly when H^1(k) vanishes, and then ``to_window(k, d)``
+    is the next C and cannot raise.  A first-stage failure certifies
+    non-membership (every quotient extriangle factors through the
+    universal approximation); failures on deeper cocones are only
     approximate evidence.
 
     A stage is kept in ``memo(C)`` under ``("fac_stage", used, d)``, with
@@ -288,9 +284,8 @@ def fac_membership(gens, x: RepComplex, d: int,
     are deterministic and kept in ``memo(C)`` by model, so f, its cocone
     and the truncation depend on (C, used, d) alone: generator lists that
     differ only by models with no map into C share the stage.  The memo
-    value is (onto, ``to_window`` of the cocone or None, the
-    ``HomologyOutsideWindow`` or None); f and its source are not kept.
-    The steps, verdict and detail are built per call.
+    value is the next C, or None when f is not onto H^0; f and its source
+    are not kept.  The steps, verdict and detail are built per call.
     """
     if s is None:
         s = d
@@ -307,18 +302,14 @@ def fac_membership(gens, x: RepComplex, d: int,
             break
         pkgs = [hom_package(g, cur, 0) for g in models]
         middle = [(gi, pkg.dim) for gi, pkg in enumerate(pkgs) if pkg.dim]
-        onto, nxt, exc = _fac_stage(
+        nxt = _fac_stage(
             cur, [(g, pkg) for g, pkg in zip(models, pkgs) if pkg.dim], d)
-        if not onto:
+        if nxt is None:
             out_steps.append(FacStep(stage, middle, homology_dims(cur), False))
             verdict = "not_in" if stage == 1 else "not_in_approx"
             return FacResult(
                 verdict, out_steps,
                 detail=f"approximation not surjective on H^0 at stage {stage}")
-        if exc is not None:
-            out_steps.append(FacStep(stage, middle, homology_dims(cur), True))
-            return FacResult("not_in_approx", out_steps,
-                             detail=f"cocone left the window: {exc}")
         out_steps.append(FacStep(stage, middle, homology_dims(nxt), True))
         cur = nxt
     return FacResult("in", out_steps)

@@ -355,6 +355,16 @@ def _layout(x: ProjComplex, c: RepComplex, offset: int):
     return blocks, total
 
 
+def _width(x: ProjComplex, c: RepComplex, offset: int) -> int:
+    """The coordinate count of ``_layout(x, c, offset)``, without its slices."""
+    total = 0
+    for q in x.degrees():
+        dims = c.term_at(q + offset).dims
+        for v in x.summands_at(q):
+            total += dims[v]
+    return total
+
+
 class HomPackage:
     """Hom(X, C[i]) for X a complex of projectives.
 
@@ -376,14 +386,15 @@ class HomPackage:
         self.target = target
         self.i = i
         self.cs = cs
-        self.layout = _layout(x, cs, 0)
-        if not self.layout[1]:
+        if not _width(x, cs, 0):
             # no generator of X has an image in C: the hom space is zero
             # and nothing needs eliminating
-            self._bmat = zeros(0, _layout(x, cs, -1)[1])
+            self.layout = ({}, 0)
+            self._bmat = zeros(0, _width(x, cs, -1))
             self.chain_space = self.homotopy_image = self._basis = zeros(0, 0)
             self.rep_coords, self.dim = [], 0
             return
+        self.layout = _layout(x, cs, 0)
         below, above = _layout(x, cs, -1), _layout(x, cs, 1)
         z = self.chain_space = null_space(
             self._operator(self.layout, above, 0, -1), p)

@@ -302,8 +302,6 @@ def quotient_by_subspaces(m: Representation, bases: list[np.ndarray]):
     projs, secs = [], []
     for v in range(alg.n):
         b = modmat(bases[v], alg.p) if bases[v] is not None else zeros(m.dims[v], 0)
-        if b.ndim == 1:
-            b = b.reshape(m.dims[v], -1)
         red, piv = rref(b.T, alg.p)
         b = red[: len(piv)].T  # canonical basis of the subspace
         r = b.shape[1]

@@ -42,10 +42,6 @@ class RepComplex:
     def hi(self) -> int:
         return self.lo + len(self.terms) - 1
 
-    @property
-    def total_dim(self) -> int:
-        return sum(t.total_dim for t in self.terms)
-
     def is_zero(self) -> bool:
         return all(t.is_zero() for t in self.terms)
 

@@ -259,20 +259,11 @@ class ComplexRegistry:
         hdd = tuple(sorted(homology_dims(xm.expansion()).items()))
         return (xm.shape_key(), hdd)
 
-    def _scan(self, x: ProjComplex, miss=None):
-        """(minimized x, its fingerprint, id of its class or None).
-
-        ``miss``, left by an earlier ``find`` of x, is (minimized x,
-        fingerprint, item count then): only items added since are compared.
-        """
-        if miss is None:
-            xm = minimize(x)
-            fp, start = self.fingerprint(xm), 0
-        else:
-            xm, fp, start = miss
+    def _scan(self, x: ProjComplex):
+        """(minimized x, its fingerprint, id of its class or None)."""
+        xm = minimize(x)
+        fp = self.fingerprint(xm)
         for idx in self._by_fp.get(fp, ()):
-            if idx < start:
-                continue
             r = iso_k(self.items[idx], xm, seed=self.seed)
             if r.verdict == "unknown":
                 raise UndecidedIso(r.reason)
@@ -280,25 +271,19 @@ class ComplexRegistry:
                 return xm, fp, idx
         return xm, fp, None
 
-    def find(self, x: ProjComplex, misses: dict | None = None) -> int | None:
-        """The id of x's class, or None when it has not been interned.
-
-        The registry does not remember a miss, but leaves it in the
-        caller's dict ``misses``, if given, for ``intern(x, misses)``.
-        """
+    def find(self, x: ProjComplex) -> int | None:
+        """The id of x's class, or None when it has not been interned."""
         idx = self._by_obj.get(x)
         if idx is None:
-            xm, fp, idx = self._scan(x)
+            idx = self._scan(x)[2]
             if idx is not None:
                 self._by_obj[x] = idx
-            elif misses is not None:
-                misses[x] = (xm, fp, len(self.items))
         return idx
 
-    def intern(self, x: ProjComplex, misses: dict | None = None) -> int:
+    def intern(self, x: ProjComplex) -> int:
         if x in self._by_obj:
             return self._by_obj[x]
-        xm, fp, idx = self._scan(x, misses.pop(x, None) if misses else None)
+        xm, fp, idx = self._scan(x)
         if idx is None:
             idx = len(self.items)
             self.items.append(xm)
@@ -307,9 +292,8 @@ class ComplexRegistry:
         self._by_obj[x] = idx
         return idx
 
-    def state(self, parts: list[ProjComplex],
-              misses: dict | None = None) -> tuple[int, ...]:
-        return tuple(sorted(self.intern(x, misses) for x in parts))
+    def state(self, parts: list[ProjComplex]) -> tuple[int, ...]:
+        return tuple(sorted(self.intern(x) for x in parts))
 
 
 # -- enumeration -------------------------------------------------------------
@@ -351,18 +335,16 @@ def _new_class(parts: list[ProjComplex], d: int, registry: ComplexRegistry,
     the class.  Only an unseen state runs ``is_silting``, so each class is
     certified once.  A refuted candidate is counted as "not_silting" and
     gives None; a new class has its parts interned and is added to
-    ``seen``, and its lineage, if any, learns the class's state.  Interning
-    goes on from the lookup's misses, so no part is scanned twice.
+    ``seen``, and its lineage, if any, learns the class's state.
     """
-    misses: dict = {}
-    ids = [registry.find(x, misses) for x in parts]
+    ids = [registry.find(x) for x in parts]
     if None not in ids and tuple(sorted(ids)) in seen:
         return None
     res = is_silting(parts, d, lineage=lineage)
     if res.verdict == "no":
         stats["not_silting"] += 1
         return None
-    state = registry.state(parts, misses)
+    state = registry.state(parts)
     seen.add(state)
     if res.lineage is not None:
         res.lineage.ids = state

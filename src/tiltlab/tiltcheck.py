@@ -210,7 +210,8 @@ class HeartStore:
             for c, _mult in decompose_complex(projective_model(t, self.d),
                                               seed=self.seed):
                 i = self.registry.intern(c)
-                self.reps.setdefault(i, to_window(c.expansion(), self.d))
+                if i not in self.reps:
+                    self.reps[i] = to_window(c.expansion(), self.d)
                 ids.add(i)
             out = tuple(sorted(ids))
         self._by_obj[x] = out

@@ -37,10 +37,12 @@ def test_missing_spec_file_is_a_spec_error(tmp_path):
     assert main(["enumerate", "--spec", str(tmp_path / "nope.json")]) == 3
 
 
-def test_d_zero_rejected_at_parse(tmp_path):
+def test_d_zero_rejected_at_parse(tmp_path, ka2_spec):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"catalog": "linear_an", "n": 2, "d": 0}))
     assert main(["enumerate", "--spec", str(path)]) == 3
+    # the same bound on the command line's --d
+    assert main(["enumerate", "--spec", ka2_spec, "--d", "0"]) == 3
 
 
 def test_depth_bounds_the_universe(tmp_path, ka2_spec):
@@ -227,6 +229,25 @@ def test_decomposable_generator_gets_its_summands_verdicts(tmp_path,
             assert (code, rep["report"]["verdict"]) == (1, verdict)
 
 
+def test_failed_presentation_round_trip_is_a_hard_mismatch(
+        tmp_path, ka2_spec, monkeypatch, capsys):
+    # parsed input cannot make the round trip fail: it is a self-check
+    from tiltlab import heart
+    from tiltlab.catalog import linear_an
+    from tiltlab.errors import Mismatch
+    from tiltlab.repcat import simple
+
+    monkeypatch.setattr(heart, "is_isomorphic", lambda a, b: False)
+    with pytest.raises(Mismatch, match="presentation round trip"):
+        heart.p_presentation(simple(linear_an(2), 0), 1)
+    obj = write_objects(tmp_path, "p1.json",
+                        [{"kind": "projective", "vertex": 1}])
+    code, rep = run(tmp_path, "check", "--spec", ka2_spec, "air", obj)
+    assert (code, rep) == (1, None)
+    assert capsys.readouterr().err.startswith(
+        "hard mismatch: presentation round trip failed")
+
+
 def test_enumeration_disagreement_is_a_hard_mismatch(tmp_path, ka2_spec,
                                                      monkeypatch, capsys):
     from tiltlab import silting
@@ -328,6 +349,22 @@ def test_verify_torsion_passes(tmp_path, ka2_spec):
     rows = rep["report"]["clusters"]
     assert len(rows) == 5
     assert sum(r["tilting_case"] for r in rows) == 2
+
+
+def test_verify_qtilt_passes(tmp_path, ka2_spec):
+    out = tmp_path / "r.json"
+    assert main(["verify", "--spec", ka2_spec, "qtilt",
+                 "--out", str(out)]) == 0
+    first = out.read_bytes()
+    rows = json.loads(first)["report"]["classes"]
+    assert len(rows) == 5
+    kinds = {"cocone", "dfactor", "extension", "kernel", "summand"}
+    for row in rows:
+        assert row["ok"] is True and set(row["trials"]) == kinds
+        assert all(k["failures"] == [] for k in row["trials"].values())
+    assert main(["verify", "--spec", ka2_spec, "qtilt",
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == first
 
 
 def test_verify_equiv_consistent(tmp_path, ka2_spec):

@@ -422,6 +422,14 @@ def test_fac_membership_rejects_a_generator_above_degree_zero(ka2):
         fac_membership([gen], module_stalk(simple(ka2, 0)), d=1)
 
 
+def test_fac_membership_raises_for_an_x_outside_the_heart(ka2):
+    # S(0)[-1] sits in degree 1: no generator maps to it, and the cocone of
+    # the zero approximation has its homology in degree 2
+    x = module_stalk(simple(ka2, 0)).shift(-1)
+    with pytest.raises(HomologyOutsideWindow):
+        fac_membership([proj_stalk(ka2, 0)], x, d=1)
+
+
 # -- the Fac-stage memo -------------------------------------------------------
 
 def cold_copy(c: RepComplex) -> RepComplex:

@@ -259,13 +259,16 @@ def test_nullhomotopic_detection(ka2):
 
 def test_empty_layout_package_matches_full_elimination(ka2):
     # P(1)[1] has nothing in degree 0, so Hom(P(1), P(1)[1]) is built
-    # without elimination; it answers as the full three-rref path does
+    # without elimination or layouts; it answers as the full three-rref
+    # path does
     x = proj_stalk(ka2, 0)
     y = x.shift(1)
     with mock.patch("tiltlab.homotopy.rref", side_effect=AssertionError), \
             mock.patch("tiltlab.homotopy.null_space",
                        side_effect=AssertionError), \
             mock.patch("tiltlab.homotopy.column_space",
+                       side_effect=AssertionError), \
+            mock.patch("tiltlab.homotopy._layout",
                        side_effect=AssertionError):
         pkg = hom_package(x, y, 0)
     p, cs = ka2.p, pkg.cs
