@@ -38,11 +38,16 @@ def in_window(c: RepComplex, d: int) -> bool:
     return t.is_zero() or (t.lo >= -d + 1 and t.hi <= 0)
 
 
-def to_window(c: RepComplex, d: int) -> RepComplex:
-    """Smart truncation into [-d+1, 0]; homology outside is an error."""
+def _check_homology_window(c: RepComplex, d: int) -> None:
+    """Raise ``HomologyOutsideWindow`` unless H^q(c) = 0 off [-d+1, 0]."""
     for q in homology_dims(c):
         if q < -d + 1 or q > 0:
             raise HomologyOutsideWindow(q)
+
+
+def to_window(c: RepComplex, d: int) -> RepComplex:
+    """Smart truncation into [-d+1, 0]; homology outside is an error."""
+    _check_homology_window(c, d)
     return truncate_below(truncate_above(c, 0), -d + 1).trim()
 
 
@@ -266,17 +271,21 @@ def fac_membership(gens, x: RepComplex, d: int,
     """Decide whether x is an s-factor of the generators inside the heart.
 
     x and the generators must lie in the heart: a generator model with a
-    term above degree 0 raises ``WindowViolation``, and for an x outside
-    the heart, such as a stalk in degree 1, ``to_window`` may raise
-    ``HomologyOutsideWindow``.  Builds the chain of universal right
-    approximations f: E -> C; at every stage f must be onto H^0(C).  The
-    long exact sequence of the cocone k -> E -> C puts H^q(k) in
-    [-d+1, 1] when E and C lie in the heart, with H^1(k) = coker H^0(f):
-    f is onto exactly when H^1(k) vanishes, and then ``to_window(k, d)``
-    is the next C and cannot raise.  A first-stage failure certifies
-    non-membership (every quotient extriangle factors through the
-    universal approximation); failures on deeper cocones are only
-    approximate evidence.
+    term above degree 0 raises ``WindowViolation``, and an x with homology
+    outside [-d+1, 0] raises ``HomologyOutsideWindow`` on entry (one
+    memoized ``homology_dims``).  Without that check the first stage could
+    certify a verdict for such an x: for S(0) in degrees 0 and 1 over A_2
+    and the generator P(1), f = 0 is not onto H^0, and the stage stops
+    before any truncation sees the cocone's H^2.
+
+    Builds the chain of universal right approximations f: E -> C; at every
+    stage f must be onto H^0(C).  The long exact sequence of the cocone
+    k -> E -> C puts H^q(k) in [-d+1, 1] when E and C lie in the heart,
+    with H^1(k) = coker H^0(f): f is onto exactly when H^1(k) vanishes,
+    and then ``to_window(k, d)`` is the next C and cannot raise.  A
+    first-stage failure certifies non-membership (every quotient
+    extriangle factors through the universal approximation); failures on
+    deeper cocones are only approximate evidence.
 
     A stage is kept in ``memo(C)`` under ``("fac_stage", used, d)``, with
     ``used`` the generator models g with Hom(g, C) != 0, in model order.
@@ -289,6 +298,7 @@ def fac_membership(gens, x: RepComplex, d: int,
     """
     if s is None:
         s = d
+    _check_homology_window(x, d)
     try:
         models = generator_models(gens, d)
     except ResolutionDepthExceeded as exc:

@@ -8,10 +8,14 @@ to the source summand's vertex.  Expanding everything to honest
 representations is available but most computations stay in algebra
 coordinates, which keeps hom spaces, cones and Gaussian elimination small.
 
-A hom space Hom(X, C[i]) is a ``HomPackage``: maps out of X are recorded
-by the images of X's summand generators, one operator g -> d g +- g d gives
-both the chain-map equations and the null-homotopies, and one pivot pass
-picks the class representatives.
+Maps out of X are recorded by the images of X's summand generators.  In
+these coordinates ``hom_differential`` builds the differential D^n: g ->
+d_Y g - (-1)^n g d_X of the total Hom complex Hom(X, Y), once per degree,
+and keeps (dim Hom^n, rk D^n, (-1)^n D^n) in ``memo(Y)`` under
+``("hom_differential", x, n)``.  ``hom_k`` reads dim Hom(X, Y[i]) =
+dim Hom^i - rk D^i - rk D^(i-1) off those ranks.  A ``HomPackage`` takes
+its chain-map operator and homotopy operator from the same entries, and
+one pivot pass picks its class representatives.
 """
 from __future__ import annotations
 
@@ -21,8 +25,8 @@ from .algebra import BoundQuiverAlgebra
 from .endsplit import primitive_idempotents, trace_radical
 from .errors import (FieldTooSmall, Mismatch, NoSolution,
                      RandomBudgetExhausted, WindowViolation)
-from .linalg import (column_space, eye, in_span, inv, null_space, rref,
-                     solve_right, span_union, zeros)
+from .linalg import (column_space, eye, in_span, inv, null_space, rank,
+                     rref, solve_right, span_union, zeros)
 from .memo import memo
 from .repcat import (
     ModuleMap,
@@ -358,47 +362,110 @@ def _layout(x: ProjComplex, c: RepComplex, offset: int):
 def _width(x: ProjComplex, c: RepComplex, offset: int) -> int:
     """The coordinate count of ``_layout(x, c, offset)``, without its slices."""
     total = 0
-    for q in x.degrees():
-        dims = c.term_at(q + offset).dims
-        for v in x.summands_at(q):
-            total += dims[v]
+    for q in range(max(x.lo, c.lo - offset), min(x.hi, c.hi - offset) + 1):
+        dims = c.terms[q + offset - c.lo].dims
+        total += sum(dims[v] for v in x.summands[q - x.lo])
     return total
+
+
+def _hom_target(target) -> RepComplex:
+    """The complex of representations that maps into ``target`` land in."""
+    return target.expansion() if isinstance(target, ProjComplex) else target
+
+
+def _hom_operator(x: ProjComplex, ys: RepComplex, n: int) -> np.ndarray:
+    """Matrix of g -> d_Y[n] o g - g o d_X, which is (-1)^n D^n.
+
+    It takes maps X^q -> Y^(q+n) (``_layout(x, ys, n)``) to maps
+    X^q -> Y^(q+n+1) (``_layout(x, ys, n + 1)``); Y[n] has differential
+    (-1)^n d_Y.
+    """
+    sblocks, ncols = _layout(x, ys, n)
+    dblocks, nrows = _layout(x, ys, n + 1)
+    sign = -1 if n % 2 else 1
+    out = zeros(nrows, ncols)
+    for (q, s), (v, rows) in dblocks.items():
+        if rows.start == rows.stop:
+            continue
+        cols = sblocks[(q, s)][1]
+        if cols.start != cols.stop:
+            out[rows, cols] += sign * ys.diff_at(q + n).vmaps[v]
+        term = ys.term_at(q + n + 1)
+        dx = x.dmat_at(q)
+        for r, vr in enumerate(x.summands_at(q + 1)):
+            cols = sblocks[(q + 1, r)][1]
+            if cols.start != cols.stop and np.any(dx[r, s]):
+                out[rows, cols] -= term.act_elem(dx[r, s], vr, v)
+    return out % x.alg.p
+
+
+def hom_differential(x: ProjComplex, target, n: int):
+    """(dim Hom^n, rk D^n, (-1)^n D^n) of the total Hom complex Hom(X, Y).
+
+    Hom^n(X, Y) is the product of the Hom(X^q, Y^(q+n)), in
+    generator-image coordinates (``_layout``), and D^n: g -> d_Y g -
+    (-1)^n g d_X is its differential.  The matrix kept is (-1)^n D^n, the
+    operator g -> d_Y[n] g - g d_X: the chain operator of Hom(X, Y[n]),
+    whose kernel is the chain maps.  The homotopy operator of Hom(X, Y[n+1]),
+    h -> d_Y[n+1] h + h d_X, is minus the same matrix; an overall sign
+    changes neither spans nor pivots.  So dim Hom_K(X, Y[n]) = dim Hom^n -
+    rk D^n - rk D^(n-1), and one entry serves both shifts that touch it.
+
+    Kept in ``memo(target)`` under ``("hom_differential", x, n)``.  D^n
+    D^(n-1) = 0 is checked once for each adjacent pair of degrees built,
+    when the second of the two is built; a failure raises ``Mismatch``.
+    """
+    store, key = memo(target), ("hom_differential", x, n)
+    if key in store:
+        return store[key]
+    ys, p = _hom_target(target), x.alg.p
+    below, above = (store.get(("hom_differential", x, m))
+                    for m in (n - 1, n + 1))
+    ncols = below[2].shape[0] if below else _width(x, ys, n)
+    nrows = above[0] if above else _width(x, ys, n + 1)
+    if ncols and nrows:
+        mat = _hom_operator(x, ys, n)
+        rk = rank(mat, p)
+    else:
+        mat, rk = zeros(nrows, ncols), 0
+    # a matrix of rank 0 is zero, and so is its product with any other
+    if rk and ((below and below[1] and np.any(mat @ below[2] % p))
+               or (above and above[1] and np.any(above[2] @ mat % p))):
+        raise Mismatch(f"hom differential: D^2 != 0 next to degree {n}")
+    store[key] = (ncols, rk, mat)
+    return store[key]
 
 
 class HomPackage:
     """Hom(X, C[i]) for X a complex of projectives.
 
-    Maps out of X live in generator-image coordinates (``_layout``).  The
-    operator g -> d_C g + sign g d_X at degree 0, sign -1 has the chain
-    maps as kernel (``chain_space``); at degree -1, sign +1 it is the
-    homotopy operator ``_bmat``.  One elimination of [_bmat | chain_space]
-    picks both bases: its pivot columns in ``_bmat`` span the homotopy image
-    (``homotopy_image``), and those past ``_bmat`` leave the span of all
-    columns before them: they are the class representatives.  The pivots
-    depend only on the spans before each column, so these are the columns a
-    pivot pass over [any basis of the image | chain_space] would pick.
+    Maps out of X live in generator-image coordinates (``_layout``).  Both
+    operators come from ``hom_differential``: the chain maps are the kernel
+    of its degree-i matrix (``chain_space``), and the homotopy operator
+    ``_bmat``, h -> d_C h + h d_X, is minus its degree-(i-1) matrix.  One
+    elimination of [_bmat | chain_space] picks both bases: its pivot
+    columns in ``_bmat`` span the homotopy image (``homotopy_image``), and
+    those past ``_bmat`` leave the span of all columns before them: they
+    are the class representatives.  The pivots depend only on the spans
+    before each column, so these are the columns a pivot pass over [any
+    basis of the image | chain_space] would pick.
     ``dim`` is the hom space in the homotopy (= derived) category.
     """
 
-    def __init__(self, x: ProjComplex, target, i: int, cs: RepComplex):
+    def __init__(self, x: ProjComplex, target, i: int):
         p = x.alg.p
-        self.x = x
-        self.target = target
-        self.i = i
-        self.cs = cs
-        if not _width(x, cs, 0):
+        self.x, self.target, self.i = x, target, i
+        width, _, chain_op = hom_differential(x, target, i)
+        self._bmat = (-hom_differential(x, target, i - 1)[2]) % p
+        if not width:
             # no generator of X has an image in C: the hom space is zero
             # and nothing needs eliminating
             self.layout = ({}, 0)
-            self._bmat = zeros(0, _width(x, cs, -1))
             self.chain_space = self.homotopy_image = self._basis = zeros(0, 0)
             self.rep_coords, self.dim = [], 0
             return
-        self.layout = _layout(x, cs, 0)
-        below, above = _layout(x, cs, -1), _layout(x, cs, 1)
-        z = self.chain_space = null_space(
-            self._operator(self.layout, above, 0, -1), p)
-        self._bmat = self._operator(below, self.layout, -1, 1)
+        self.layout = _layout(x, _hom_target(target), i)
+        z = self.chain_space = null_space(chain_op, p)
         nb = self._bmat.shape[1]
         if not np.any(self._bmat):
             # the columns of Z are independent: each is a pivot
@@ -418,29 +485,6 @@ class HomPackage:
                                      axis=1)
         self.homotopy_image = self._basis[:, :len(image)]
         self.rep_coords = list(self._basis[:, len(image):].T)
-
-    def _operator(self, src, dst, offset: int, sign: int) -> np.ndarray:
-        """Matrix of g -> d_C o g + sign * g o d_X.
-
-        It takes maps X^q -> C^(q+offset) (layout ``src``) to maps
-        X^q -> C^(q+offset+1) (layout ``dst``).
-        """
-        x, cs = self.x, self.cs
-        (sblocks, ncols), (dblocks, nrows) = src, dst
-        out = zeros(nrows, ncols)
-        for (q, s), (v, rows) in dblocks.items():
-            if rows.start == rows.stop:
-                continue
-            cols = sblocks[(q, s)][1]
-            if cols.start != cols.stop:
-                out[rows, cols] += cs.diff_at(q + offset).vmaps[v]
-            term = cs.term_at(q + offset + 1)
-            dx = x.dmat_at(q)
-            for r, vr in enumerate(x.summands_at(q + 1)):
-                cols = sblocks[(q + 1, r)][1]
-                if cols.start != cols.stop and np.any(dx[r, s]):
-                    out[rows, cols] += sign * term.act_elem(dx[r, s], vr, v)
-        return out % x.alg.p
 
     def reduce(self, coords: np.ndarray) -> np.ndarray:
         """Coordinates of a chain map's homotopy class in the chosen basis."""
@@ -515,15 +559,18 @@ def hom_package(x: ProjComplex, target, i: int = 0) -> HomPackage:
     """
     store, key = memo(target), ("hom_package", x, i)
     if key not in store:
-        cs = (target.expansion() if isinstance(target, ProjComplex)
-              else target).shift(i)
-        store[key] = HomPackage(x, target, i, cs)
+        store[key] = HomPackage(x, target, i)
     return store[key]
 
 
 def hom_k(x: ProjComplex, target, i: int = 0) -> int:
-    """dim Hom(X, target[i]) in the homotopy (= derived) category."""
-    return hom_package(x, target, i).dim
+    """dim Hom(X, target[i]) in the homotopy (= derived) category.
+
+    Read off ranks of the total Hom complex (``hom_differential``):
+    dim Hom^i - rk D^i - rk D^(i-1); no package is built.
+    """
+    width, rk, _ = hom_differential(x, target, i)
+    return width - rk - hom_differential(x, target, i - 1)[1]
 
 
 # -- minimization (Gaussian elimination on invertible entries) --------------

@@ -27,7 +27,7 @@ from tiltlab.homotopy import (hom_k, hom_package, iso_k, proj_direct_sum,
                               proj_stalk)
 from tiltlab.repcat import (ModuleMap, Representation, direct_sum, ext_dim,
                             hom_dim, injective, is_isomorphic, module_iso,
-                            projective, simple)
+                            projective, simple, zero_map)
 from tiltlab.repcomplex import RepComplex, homology_dims, stalk_complex
 from tiltlab.silting import enumerate_silting
 from tiltlab.tiltcheck import HeartStore, _random_proj_3step
@@ -429,6 +429,17 @@ def test_fac_membership_raises_for_an_x_outside_the_heart(ka2):
     with pytest.raises(HomologyOutsideWindow):
         fac_membership([proj_stalk(ka2, 0)], x, d=1)
 
+
+
+def test_fac_membership_checks_the_heart_before_any_stage(ka2):
+    # S(0) in degrees 0 and 1 with zero differential: no map from P(1) is
+    # onto H^0, so a first stage would certify "not_in" before any
+    # truncation saw the cocone's H^2; the entry check refuses x instead
+    s0 = simple(ka2, 0)
+    x = RepComplex(ka2, 0, [s0, s0], [zero_map(s0, s0)])
+    with pytest.raises(HomologyOutsideWindow) as exc:
+        fac_membership([proj_stalk(ka2, 1)], x, d=1)
+    assert exc.value.degree == 1
 
 # -- the Fac-stage memo -------------------------------------------------------
 

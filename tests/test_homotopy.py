@@ -14,8 +14,10 @@ from tiltlab.homotopy import (
     ChainMap,
     HomPackage,
     ProjComplex,
+    aidentity,
     chain_identity,
     decompose_complex,
+    hom_differential,
     hom_k,
     hom_package,
     iso_k,
@@ -29,6 +31,7 @@ from tiltlab.homotopy import (
     proj_stalk,
     right_approximation,
     right_mutation,
+    _hom_operator,
     _layout,
 )
 from tiltlab.linalg import (column_space, in_span, null_space, rank, rref,
@@ -36,8 +39,9 @@ from tiltlab.linalg import (column_space, in_span, null_space, rank, rref,
 from tiltlab.memo import memo
 from tiltlab.repcat import (direct_sum, ext_dim, hom_dim, injective,
                             minimal_resolution, projective, simple)
-from tiltlab.repcomplex import (complex_cone, homology_at, homology_dims,
-                                stalk_complex, truncate_above, truncate_below)
+from tiltlab.repcomplex import (RepComplex, complex_cone, homology_at,
+                                homology_dims, stalk_complex, truncate_above,
+                                truncate_below)
 from tiltlab.tiltcheck import _random_proj_3step
 
 from run_optimized import run_optimized
@@ -237,11 +241,74 @@ def test_shared_target_packages_match_fresh_ones(use_nak, seed):
     sources = [_random_proj_3step(alg, rng).shift(s) for s in (-1, 0, 1)]
     sources += [sources[0], proj_stalk(alg, 0), simple_presentation(alg, 1)]
     got = [hom_k(x, y, i) for x in sources for i in (-1, 0, 1)]
-    packages = [k for k in memo(y) if k[0] == "hom_package"]
-    assert len(packages) == 3 * (len(sources) - 1)    # sources[3] repeats
+    # shifts -1..1 read D^-2..D^1: one entry per source and degree, and
+    # no package
+    degrees = [k for k in memo(y) if k[0] == "hom_differential"]
+    assert len(degrees) == 4 * (len(sources) - 1)    # sources[3] repeats
+    assert not any(k[0] == "hom_package" for k in memo(y))
     want = [hom_k(x, ProjComplex(alg, y.lo, y.summands, y.dmats), i)
             for x in sources for i in (-1, 0, 1)]
     assert got == want
+
+
+def fresh_copy(y):
+    """The same complex as a new object, with an empty memo table."""
+    if isinstance(y, ProjComplex):
+        return ProjComplex(y.alg, y.lo, y.summands, y.dmats)
+    return RepComplex(y.alg, y.lo, y.terms, y.diffs)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.booleans(), st.integers(0, 2**32 - 1))
+def test_rank_hom_k_matches_fresh_packages(use_nak, seed):
+    # hom_k reads ranks of the total Hom complex; a package on a fresh copy
+    # of the target eliminates [homotopy operator | chain space] instead
+    alg = nakayama_rad_square_zero(3) if use_nak else linear_an(3)
+    rng = np.random.default_rng(seed)
+    x = _random_proj_3step(alg, rng)
+    y = _random_proj_3step(alg, rng)
+    v = int(rng.integers(alg.n))
+    targets = [y, y.shift(1), x, y.expansion(),
+               truncate_below(truncate_above(y.expansion(), 0), -1),
+               stalk_complex(simple(alg, v), -1)]
+    for src in (x, x.shift(-1), proj_stalk(alg, v)):
+        for tgt in targets:
+            for i in range(-2, 4):
+                assert hom_k(src, tgt, i) == hom_package(
+                    src, fresh_copy(tgt), i).dim
+    assert not any(k[0] == "hom_package" for t in targets for k in memo(t))
+
+
+def planted_square_raises() -> list[str]:
+    """Messages of ``hom_k`` into targets whose differential squares to 1.
+
+    Y = P(1) -> P(1) -> P(1) in degrees 0..2 with identity differentials,
+    as a complex of projectives and expanded.  Hom(P(1), Y[1]) reads D^1
+    and D^0, whose product is -d_Y^2 != 0 on maps P(1) -> Y^0.  The failed
+    degree is not kept, so asking again raises again.
+    """
+    from tiltlab.errors import Mismatch
+    alg = linear_an(2)
+    unit = aidentity(alg, [0])
+    y = ProjComplex(alg, 0, [[0], [0], [0]], [unit, unit])
+    x = proj_stalk(alg, 0)
+    messages = []
+    for tgt in (y, y.expansion(), y):
+        try:
+            hom_k(x, tgt, 1)
+        except Mismatch as exc:
+            messages.append(str(exc))
+        else:
+            raise AssertionError("a differential with d^2 != 0 raised no "
+                                 "Mismatch")
+    return messages
+
+
+def test_planted_square_survives_optimize():
+    messages = planted_square_raises()
+    assert len(messages) == 3
+    assert all("D^2 != 0" in m for m in messages)
+    run_optimized("test_homotopy", "planted_square_raises")
 
 
 def test_nullhomotopic_detection(ka2):
@@ -259,8 +326,8 @@ def test_nullhomotopic_detection(ka2):
 
 def test_empty_layout_package_matches_full_elimination(ka2):
     # P(1)[1] has nothing in degree 0, so Hom(P(1), P(1)[1]) is built
-    # without elimination or layouts; it answers as the full three-rref
-    # path does
+    # without elimination or layouts; it answers as the operators built
+    # from layouts do
     x = proj_stalk(ka2, 0)
     y = x.shift(1)
     with mock.patch("tiltlab.homotopy.rref", side_effect=AssertionError), \
@@ -271,10 +338,10 @@ def test_empty_layout_package_matches_full_elimination(ka2):
             mock.patch("tiltlab.homotopy._layout",
                        side_effect=AssertionError):
         pkg = hom_package(x, y, 0)
-    p, cs = ka2.p, pkg.cs
-    below, above = (_layout(x, cs, o) for o in (-1, 1))
-    chain = null_space(pkg._operator(pkg.layout, above, 0, -1), p)
-    bmat = pkg._operator(below, pkg.layout, -1, 1)
+    p, ys = ka2.p, y.expansion()
+    below = _layout(x, ys, -1)
+    chain = null_space(_hom_operator(x, ys, 0), p)
+    bmat = -_hom_operator(x, ys, -1) % p
     image = column_space(bmat, p)
     _, piv = rref(np.concatenate([image, chain], axis=1), p)
     assert pkg.layout[1] == 0 and below[1] == 1
@@ -450,29 +517,31 @@ def test_cone_homology_obeys_the_long_exact_sequence(alg, seed, i):
 def planted_image_raises() -> list[str]:
     """Messages of the Mismatch for a homotopy image outside the chain space.
 
-    The planted homotopy operator gains a unit column.  Hom(P(1), C) for
-    C = (P(1) -> P(1)) in degrees 0, 1 has no nonzero chain map, so the
-    column cannot lie in the chain space and the package raises without
-    eliminating.  Hom(X, cone(1_P(1))), with X the presentation of S(1),
-    has a one-dimensional chain space that misses the unit column, so the
-    elimination of [homotopy operator | chain space] finds it.
+    The planted homotopy operator gains a unit column: the package reads
+    -D^-1 off ``hom_differential``, which here hands it a widened D^-1
+    after the real entry (and its D^2 = 0 check) is built.  Hom(P(1), C)
+    for C = (P(1) -> P(1)) in degrees 0, 1 has no nonzero chain map, so
+    the column cannot lie in the chain space and the package raises
+    without eliminating.  Hom(X, cone(1_P(1))), with X the presentation of
+    S(1), has a one-dimensional chain space that misses the unit column,
+    so the elimination of [homotopy operator | chain space] finds it.
     """
     from tiltlab.errors import Mismatch
     alg = linear_an(2)
     p0 = proj_stalk(alg, 0)
     cone = proj_cone(chain_identity(p0))
-    real = HomPackage._operator
+    real = hom_differential
 
-    def planted(self, src, dst, offset, sign):
-        out = real(self, src, dst, offset, sign)
-        if offset == -1:                        # the homotopy operator
-            unit = np.zeros((out.shape[0], 1), dtype=np.int64)
+    def planted(x, target, n):
+        width, rk, mat = real(x, target, n)
+        if n == -1:                             # minus the homotopy operator
+            unit = np.zeros((mat.shape[0], 1), dtype=np.int64)
             unit[0] = 1
-            out = np.concatenate([out, unit], axis=1)
-        return out
+            mat = np.concatenate([mat, unit], axis=1)
+        return width, rk, mat
 
     messages = []
-    with mock.patch.object(HomPackage, "_operator", planted):
+    with mock.patch("tiltlab.homotopy.hom_differential", planted):
         for x, c in ((p0, cone.shift(-1)), (simple_presentation(alg, 0), cone)):
             try:
                 hom_package(x, c, 0)

@@ -207,6 +207,50 @@ def twisted(m, rng):
         for a, mat in zip(m.alg.quiver.arrows, m.mats)])
 
 
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(st.just(linear_an(3)), st.just(nakayama_rad_square_zero(3)),
+                 monomial_algebras()),
+       st.integers(0, 2**32 - 1))
+def test_module_iso_finds_a_random_automorphism(alg, seed):
+    # for indecomposable M, a basis of Hom(M, N) holds an isomorphism when
+    # M and N are isomorphic; N is M with random new vertex bases
+    rng = np.random.default_rng(seed)
+    dims = rng.integers(0, 3, alg.n)
+    draw = Representation(alg, dims, [
+        rng.integers(0, alg.p, (dims[a.tgt], dims[a.src]))
+        for a in alg.quiver.arrows])
+    parts = [f(alg, v) for f in (projective, injective, simple)
+             for v in range(alg.n)]
+    if draw.broken_relation() is None:
+        parts += [c for c, _mult in decompose(draw)]
+    for m in parts:
+        n = twisted(m, rng)
+        f = module_iso(m, n)
+        assert f is not None and f.src is m and f.tgt is n and f.is_iso()
+        f.validate()
+
+
+def kronecker_module(alg, lam):
+    """The (1, 1) Kronecker module with arrows 1 and lam (None: 0 and 1)."""
+    a, b = (0, 1) if lam is None else (1, lam)
+    return Representation(alg, [1, 1], [np.array([[a]]), np.array([[b]])])
+
+
+def test_module_iso_separates_kronecker_modules():
+    # the (1, 1) modules of the Kronecker quiver are indecomposable with
+    # equal dimension vectors, and pairwise non-isomorphic
+    alg = build_algebra(2, [(1, 1, 2), (2, 1, 2)], [])
+    rng = np.random.default_rng(0)
+    lams = [0, 1, 2, alg.p - 1, None]
+    mods = [kronecker_module(alg, lam) for lam in lams]
+    for i, m in enumerate(mods):
+        assert repcat.is_indecomposable(m)
+        f = module_iso(m, twisted(m, rng))
+        assert f is not None and f.is_iso()
+        for j, n in enumerate(mods):
+            assert (module_iso(m, n) is not None) == (i == j)
+
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(st.just(linear_an(3)), st.just(nakayama_rad_square_zero(3)),
                  monomial_algebras()),

@@ -11,7 +11,8 @@ import pytest
 from tiltlab import silting
 from tiltlab.algebra import build_algebra
 from tiltlab.catalog import linear_an, nakayama_rad_square_zero
-from tiltlab.errors import PoolConstructionUnsupported, WindowViolation
+from tiltlab.errors import (BudgetExceeded, PoolConstructionUnsupported,
+                            WindowViolation)
 from tiltlab.homotopy import (chain_identity, hom_k, proj_cone,
                               proj_direct_sum, proj_stalk)
 from tiltlab.linalg import int_det
@@ -505,3 +506,19 @@ def test_intern_goes_on_from_a_find_miss(ka2):
     # though it was looked up before x was interned
     assert reg.state([x, y]) == (1, 1)
     assert reg.find(y) == 1
+
+
+def test_node_budget_stops_the_search(ka3, monkeypatch, tmp_path):
+    # A_3 d=1 has 14 classes; a cap of 4 visited states stops the mutation
+    # search with a partial count, and the CLI reports a spent budget
+    import json
+    from tiltlab.cli import EXIT_BUDGET, main
+    monkeypatch.setattr(silting, "MAX_NODES", 4)
+    with pytest.raises(BudgetExceeded, match=r"exceeded 4 nodes") as exc:
+        enumerate_silting(ka3, 1)
+    partial = silting.enumerate_mutation(ka3, 1)
+    assert partial.budget_exceeded and 4 < partial.visited < 14
+    assert str(exc.value).endswith(f"partial count {partial.count}")
+    spec = tmp_path / "a3.json"
+    spec.write_text(json.dumps({"catalog": "linear_an", "n": 3, "d": 1}))
+    assert main(["enumerate", "--spec", str(spec)]) == EXIT_BUDGET == 2
