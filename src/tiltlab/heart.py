@@ -194,7 +194,13 @@ def projective_model(x, d: int) -> ProjComplex:
 
 def e_ext(x: RepComplex, y: RepComplex, i: int, d: int,
           depth: int | None = None) -> int:
-    """dim Hom_D(X, Y[i]) for heart objects, via a projective model of X."""
+    """dim Hom_D(X, Y[i]) for heart objects, via a projective model of X.
+
+    x or y with homology outside [-d+1, 0] raises ``HomologyOutsideWindow``
+    on entry, as in ``fac_membership``.
+    """
+    _check_homology_window(x, d)
+    _check_homology_window(y, d)
     if depth is None:
         depth = 2 * d + 3
     rx, complete = _resolution_cached(x, depth)
@@ -330,7 +336,9 @@ def t_class_membership(parts: list[ProjComplex], x: RepComplex,
     """T(S)-membership: positive shifts against the summands vanish.
 
     Shifts above d vanish for window reasons; d + 1 is checked anyway.
+    An x outside the heart raises ``HomologyOutsideWindow`` on entry.
     """
+    _check_homology_window(x, d)
     return all(hom_k(s, x, i) == 0
                for s in parts for i in range(1, d + 2))
 
@@ -340,7 +348,9 @@ def f_class_membership(parts: list[ProjComplex], x: RepComplex,
     """F(S)-membership: vanishing against shifts i <= 0.
 
     Shifts below -d+1 vanish for window reasons; -d is checked anyway.
+    An x outside the heart raises ``HomologyOutsideWindow`` on entry.
     """
+    _check_homology_window(x, d)
     return all(hom_k(s, x, i) == 0
                for s in parts for i in range(-d, 1))
 

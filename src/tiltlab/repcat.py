@@ -14,7 +14,6 @@ from .endsplit import primitive_idempotents
 from .errors import ResolutionDepthExceeded
 from .linalg import (column_space, eye, is_invertible, modmat, null_space,
                      rank, rref, solve_right, span_union, zeros)
-from .linalg import inv as linalg_inv
 from .memo import memo
 
 RESOLUTION_SIZE_BUDGET = 4096
@@ -44,8 +43,27 @@ class Representation:
         return m
 
     def act_path(self, path_idx: int) -> np.ndarray:
-        a = self.alg
-        return self.act_walk(a.paths[path_idx], int(a.path_src[path_idx]))
+        """Matrix of basis path path_idx acting out of its source vertex.
+
+        Kept in ``memo(self)`` under ``("act_path", path_idx)`` and built as
+        the last arrow's matrix times the action of the prefix.  In a
+        monomial algebra the prefix of a surviving path survives, so it is a
+        basis path with its own entry.  The result is shared: never write
+        into it.
+        """
+        store, key = memo(self), ("act_path", path_idx)
+        out = store.get(key)
+        if out is None:
+            a = self.alg
+            walk, src = a.paths[path_idx], int(a.path_src[path_idx])
+            if not walk:
+                out = eye(self.dims[src])
+            else:
+                prefix = (a.reduce_walk(walk[:-1]) if len(walk) > 1
+                          else a.e_index[src])
+                out = self.mats[walk[-1]] @ self.act_path(prefix) % a.p
+            store[key] = out
+        return out
 
     def act_elem(self, coeffs: np.ndarray, src: int, tgt: int) -> np.ndarray:
         """Matrix of an algebra element supported on paths src -> tgt."""
@@ -284,9 +302,11 @@ def sub_from_subspaces(m: Representation, bases: list[np.ndarray]):
     dims = [b.shape[1] for b in bases]
     mats = []
     for ai, a in enumerate(alg.quiver.arrows):
+        if not (dims[a.src] and dims[a.tgt]):
+            mats.append(zeros(dims[a.tgt], dims[a.src]))
+            continue
         img = m.mats[ai] @ bases[a.src] % alg.p
-        mats.append(solve_right(bases[a.tgt], img, alg.p) if dims[a.tgt] else
-                    zeros(0, dims[a.src]))
+        mats.append(solve_right(bases[a.tgt], img, alg.p))
     sub = Representation(alg, dims, mats)
     incl = ModuleMap(sub, m, bases)
     return sub, incl
@@ -297,22 +317,28 @@ def quotient_by_subspaces(m: Representation, bases: list[np.ndarray]):
 
     Returns (Q, projection, section) where section is a vertexwise right
     inverse of the projection (not a module map in general).
+
+    In vertex v the subspace gets its canonical basis b, the identity on
+    its pivot rows, and the unit vectors off those rows span a complement.
+    Every x is b x[piv] + e_free (x[free] - b[free] x[piv]), so the
+    projection is E_free - b[free] E_piv and the section is e_free.
     """
     alg = m.alg
     projs, secs = [], []
     for v in range(alg.n):
-        b = modmat(bases[v], alg.p) if bases[v] is not None else zeros(m.dims[v], 0)
+        d = m.dims[v]
+        if not d:
+            projs.append(zeros(0, 0))
+            secs.append(zeros(0, 0))
+            continue
+        b = modmat(bases[v], alg.p) if bases[v] is not None else zeros(d, 0)
         red, piv = rref(b.T, alg.p)
-        b = red[: len(piv)].T  # canonical basis of the subspace
-        r = b.shape[1]
-        free = [c for c in range(m.dims[v]) if c not in piv]
-        efree = zeros(m.dims[v], len(free))
-        for k, fc in enumerate(free):
-            efree[fc, k] = 1
-        full = np.concatenate([b, efree], axis=1)
-        finv = linalg_inv(full, alg.p) if full.size else zeros(0, 0)
-        projs.append(finv[r:, :])
-        secs.append(efree)
+        free = [c for c in range(d) if c not in piv]
+        proj = zeros(len(free), d)
+        proj[:, free] = eye(len(free))
+        proj[:, piv] = -red[: len(piv), free].T % alg.p
+        projs.append(proj)
+        secs.append(eye(d)[:, free])
     dims = [pmat.shape[0] for pmat in projs]
     mats = []
     for ai, a in enumerate(alg.quiver.arrows):
@@ -323,7 +349,8 @@ def quotient_by_subspaces(m: Representation, bases: list[np.ndarray]):
 
 
 def kernel(f: ModuleMap):
-    bases = [null_space(f.vmaps[v], f.alg.p) for v in range(f.alg.n)]
+    bases = [null_space(fv, f.alg.p) if fv.shape[1] else zeros(0, 0)
+             for fv in f.vmaps]
     return sub_from_subspaces(f.src, bases)
 
 
@@ -339,17 +366,14 @@ def cokernel(f: ModuleMap):
 
 
 def radical_subspaces(m: Representation) -> list[np.ndarray]:
+    """Canonical bases (``span_union``) of the radical, vertex by vertex."""
     alg = m.alg
     out = []
     for v in range(alg.n):
         imgs = [m.mats[ai] for ai, a in enumerate(alg.quiver.arrows) if a.tgt == v]
-        out.append(span_union(*imgs, p=alg.p) if imgs else zeros(m.dims[v], 0))
+        out.append(span_union(*imgs, p=alg.p) if imgs and m.dims[v] else
+                   zeros(m.dims[v], 0))
     return out
-
-
-def top(m: Representation):
-    """(top M, projection, section): the radical quotient."""
-    return quotient_by_subspaces(m, radical_subspaces(m))
 
 
 # -- projective sums and covers --------------------------------------------
@@ -465,12 +489,25 @@ def map_of_alg_matrix(mat: np.ndarray, src: ProjSum, tgt: ProjSum) -> ModuleMap:
 
 
 def projective_cover(m: Representation):
-    """(ProjSum P, cover map P -> M); multiplicities from top(M)."""
+    """(ProjSum P, cover map P -> M), read off the radical basis.
+
+    ``radical_subspaces`` gives each radical in canonical form: an RREF
+    basis whose column k has its first nonzero entry, a 1, on pivot row k
+    and zeros on the other pivot rows.  The unit vectors off the pivot rows
+    span a complement, so they map onto a basis of top(M)_v; they are the
+    generators, vertex by vertex in row order, and their count is the
+    multiplicity of P(v).
+    """
     alg = m.alg
-    t, pi, secs = top(m)
-    psum = ProjSum.of(alg, [v for v, k in enumerate(t.dims) for _ in range(k)])
-    # each generator goes to a preimage in M_v of a top basis vector
-    gens = [secs[v][:, k] for v in range(alg.n) for k in range(t.dims[v])]
+    summands, gens = [], []
+    for v, b in enumerate(radical_subspaces(m)):
+        piv = {int(np.flatnonzero(col)[0]) for col in b.T}
+        units = eye(m.dims[v])
+        for r in range(m.dims[v]):
+            if r not in piv:
+                summands.append(v)
+                gens.append(units[:, r])
+    psum = ProjSum.of(alg, summands)
     return psum, psum.extend(m, gens)
 
 
@@ -485,7 +522,7 @@ def minimal_resolution(m: Representation, depth: int):
     current = m
     prev_sum = None
     total = 0
-    for _ in range(depth + 1):
+    for t in range(depth + 1):
         if current.is_zero():
             break
         psum, cover = projective_cover(current)
@@ -498,6 +535,8 @@ def minimal_resolution(m: Representation, depth: int):
             comp = prev_incl.after(cover)
             diffs.append(alg_matrix_of_map(comp, psum, prev_sum))
         sums.append(psum)
+        if t == depth:
+            break   # the syzygy past the requested depth is not kept
         syz, syz_incl = kernel(cover)
         prev_sum = psum
         prev_incl = syz_incl

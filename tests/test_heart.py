@@ -441,6 +441,22 @@ def test_fac_membership_checks_the_heart_before_any_stage(ka2):
         fac_membership([proj_stalk(ka2, 1)], x, d=1)
     assert exc.value.degree == 1
 
+
+def test_heart_entry_points_refuse_an_x_outside_the_heart(ka2):
+    # the same x as above: e_ext (either argument) and the torsion-pair
+    # memberships raise instead of returning a verdict
+    s0 = simple(ka2, 0)
+    x = RepComplex(ka2, 0, [s0, s0], [zero_map(s0, s0)])
+    y = module_stalk(simple(ka2, 1))
+    parts = [proj_stalk(ka2, v) for v in range(2)]
+    calls = [lambda: e_ext(x, y, 0, d=1), lambda: e_ext(y, x, 0, d=1),
+             lambda: t_class_membership(parts, x, d=1),
+             lambda: f_class_membership(parts, x, d=1)]
+    for call in calls:
+        with pytest.raises(HomologyOutsideWindow) as exc:
+            call()
+        assert exc.value.degree == 1
+
 # -- the Fac-stage memo -------------------------------------------------------
 
 def cold_copy(c: RepComplex) -> RepComplex:

@@ -5,21 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiltlab import repcat
+from tiltlab import linalg, repcat
 from tiltlab.catalog import linear_an, nakayama_rad_square_zero
 from tiltlab.algebra import build_algebra
 from tiltlab.cli import main
 from tiltlab.endsplit import trace_radical
 from tiltlab.errors import FieldTooSmall
 from tiltlab.homotopy import ProjComplex, proj_stalk
-from tiltlab.linalg import inv, is_invertible, null_space
+from tiltlab.linalg import inv, is_invertible, null_space, rank, rref
 from tiltlab.repcat import (ModuleMap, ProjSum, Representation,
                             alg_matrix_of_map, cokernel, decompose, direct_sum,
                             end_algebra_mats, ext_dim, hom_basis, hom_dim,
                             hom_space_matrix, image, in_add, injective,
                             is_isomorphic, kernel, map_of_alg_matrix,
                             minimal_resolution, module_iso, projective,
-                            projective_cover, simple, top, zero_map, zero_rep)
+                            projective_cover, quotient_by_subspaces,
+                            radical_subspaces, simple, zero_map, zero_rep)
 from tiltlab.repcomplex import stalk_complex
 from tiltlab.silting import euler_form
 
@@ -103,8 +104,8 @@ def test_kernel_cokernel_image(ka2):
 
 def test_top_and_cover(ka2):
     p1 = projective(ka2, 0)
-    t, _, _ = top(p1)
-    assert t.dims == (1, 0)
+    psum, _ = projective_cover(p1)
+    assert list(psum.mults) == [1, 0]   # top P(1) = S(1)
     psum, cover = projective_cover(simple(ka2, 0))
     assert list(psum.mults) == [1, 0]
     cover.validate()
@@ -488,3 +489,145 @@ def test_one_proj_sum_per_algebra_and_summand_list(tmp_path, monkeypatch):
     assert x.psum_at(0) is ProjSum.of(a, [0, 1])
     assert ProjSum.of(b, [0, 1]) is not ProjSum.of(a, [0, 1])
     assert projective_cover(projective(a, 0))[0] is ProjSum.of(a, [0])
+
+
+# -- covers, resolutions and path actions -----------------------------------
+
+def random_module(alg, data):
+    """A projective, an injective, or the image, kernel or cokernel of a
+    random map from a sum of projectives into a sum of those."""
+    pick = st.integers(0, alg.n - 1)
+    kinds = st.sampled_from([projective, injective])
+    base = direct_sum([data.draw(kinds)(alg, data.draw(pick))
+                       for _ in range(data.draw(st.integers(1, 2)))])
+    how = data.draw(st.sampled_from(["base", "image", "kernel", "cokernel"]))
+    if how == "base":
+        return base
+    src = direct_sum([projective(alg, data.draw(pick))
+                      for _ in range(data.draw(st.integers(1, 2)))])
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    f = zero_map(src, base)
+    for g in hom_basis(src, base):
+        f = f.add(g.scale(int(rng.integers(0, alg.p))))
+    return {"image": image, "kernel": kernel, "cokernel": cokernel}[how](f)[0]
+
+
+def cover_by_inverse(m):
+    """Summands, generators and projections of the cover as the top quotient
+    gave them: a per-vertex inverse of [b | e_free], b the canonical radical
+    basis, and the generators the e_free columns."""
+    p = m.alg.p
+    summands, gens, projs = [], [], []
+    for v, b in enumerate(radical_subspaces(m)):
+        red, piv = rref(b.T, p)
+        b = red[: len(piv)].T
+        free = [c for c in range(m.dims[v]) if c not in piv]
+        efree = np.zeros((m.dims[v], len(free)), dtype=np.int64)
+        for k, fc in enumerate(free):
+            efree[fc, k] = 1
+        full = np.concatenate([b, efree], axis=1)
+        projs.append(inv(full, p)[len(piv):] if full.size
+                     else np.zeros((0, m.dims[v]), dtype=np.int64))
+        summands += [v] * len(free)
+        gens += [efree[:, k] for k in range(len(free))]
+    return summands, gens, projs
+
+
+@settings(max_examples=40, deadline=None)
+@given(monomial_algebras(), st.data())
+def test_cover_matches_the_inverse_built_top(alg, data):
+    m = random_module(alg, data)
+    summands, gens, projs = cover_by_inverse(m)
+    psum, cover = projective_cover(m)
+    assert psum.summands == summands
+    cover.validate()
+    for s, g in enumerate(gens):
+        v, col = psum.gen_column(s)
+        assert np.array_equal(cover.vmaps[v][:, col], g)
+    for v in range(alg.n):
+        assert rank(cover.vmaps[v], alg.p) == m.dims[v]
+    # the inverse-free projection of quotient_by_subspaces is the same
+    _, pi, _ = quotient_by_subspaces(m, radical_subspaces(m))
+    for v in range(alg.n):
+        assert np.array_equal(pi.vmaps[v], projs[v])
+
+
+@settings(max_examples=40, deadline=None)
+@given(monomial_algebras(), st.data(), st.integers(0, 2))
+def test_resolution_is_a_prefix_of_a_deeper_one(alg, data, k):
+    m = random_module(alg, data)
+    sums, diffs = minimal_resolution(m, k)
+    deep_sums, deep_diffs = minimal_resolution(m, k + 2)
+    assert len(sums) == min(k + 1, len(deep_sums))
+    assert len(diffs) == max(len(sums) - 1, 0)
+    assert [s.summands for s in sums] == \
+        [s.summands for s in deep_sums[: len(sums)]]
+    for a, b in zip(diffs, deep_diffs):
+        assert np.array_equal(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hom_test_algebras(), st.data())
+def test_act_path_matches_the_walk(alg, data):
+    mods = [projective(alg, v) for v in range(alg.n)] + \
+        [injective(alg, v) for v in range(alg.n)] + [random_module(alg, data)]
+    for m in mods:
+        for b in range(alg.dim):
+            got = m.act_path(b)
+            assert np.array_equal(
+                got, m.act_walk(alg.paths[b], int(alg.path_src[b])))
+            assert m.act_path(b) is got
+
+
+class CountingMatrix(np.ndarray):
+    """An arrow matrix that counts the products it takes part in."""
+    products = 0
+
+    def __matmul__(self, other):
+        CountingMatrix.products += 1
+        return np.asarray(self) @ np.asarray(other)
+
+
+def test_act_path_on_a_warm_memo_takes_no_product(monkeypatch):
+    alg = build_algebra(2, [(1, 1, 2), (2, 2, 1)], [[1, 2, 1], [2, 1, 2]])
+    m = direct_sum([projective(alg, 0), injective(alg, 1)])
+    m = Representation(alg, m.dims, m.mats)   # a fresh memo table
+    m.mats = [a.view(CountingMatrix) for a in m.mats]
+    monkeypatch.setattr(CountingMatrix, "products", 0)
+    cold = [m.act_path(b) for b in range(alg.dim)]
+    # one product per path of positive length: each reuses its prefix
+    assert CountingMatrix.products == sum(1 for w in alg.paths if w)
+    monkeypatch.setattr(CountingMatrix, "products", 0)
+    assert all(m.act_path(b) is c for b, c in enumerate(cold))
+    assert CountingMatrix.products == 0
+
+
+def test_resolution_builds_no_syzygy_past_its_depth(monkeypatch):
+    # over the 2-cycle with rad^2 = 0 every simple has an infinite
+    # resolution, so each requested degree takes one cover
+    alg = build_algebra(2, [(1, 1, 2), (2, 2, 1)], [[1, 2], [2, 1]])
+    calls = []
+    real = repcat.kernel
+
+    def counted(f):
+        calls.append(f)
+        return real(f)
+    monkeypatch.setattr(repcat, "kernel", counted)
+    for depth in range(4):
+        calls.clear()
+        sums, _ = minimal_resolution(simple(alg, 0), depth)
+        assert len(sums) == depth + 1
+        assert len(calls) == depth
+
+
+def test_cover_takes_no_quotient_and_no_inverse(monkeypatch, ka3, nak):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cover built a quotient or an inverse")
+    assert all(obj is not linalg.inv for obj in vars(repcat).values())
+    monkeypatch.setattr(repcat, "quotient_by_subspaces", refuse)
+    monkeypatch.setattr(linalg, "inv", refuse)
+    for alg in (ka3, nak):
+        for v in range(alg.n):
+            for m in (injective(alg, v), simple(alg, v), projective(alg, v)):
+                psum, cover = projective_cover(m)
+                cover.validate()
