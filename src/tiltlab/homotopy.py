@@ -9,13 +9,16 @@ representations is available but most computations stay in algebra
 coordinates, which keeps hom spaces, cones and Gaussian elimination small.
 
 Maps out of X are recorded by the images of X's summand generators.  In
-these coordinates ``hom_differential`` builds the differential D^n: g ->
-d_Y g - (-1)^n g d_X of the total Hom complex Hom(X, Y), once per degree,
-and keeps (dim Hom^n, rk D^n, (-1)^n D^n) in ``memo(Y)`` under
-``("hom_differential", x, n)``.  ``hom_k`` reads dim Hom(X, Y[i]) =
-dim Hom^i - rk D^i - rk D^(i-1) off those ranks.  A ``HomPackage`` takes
-its chain-map operator and homotopy operator from the same entries, and
-one pivot pass picks its class representatives.
+these coordinates the total Hom complex Hom(X, Y) has the differential
+D^n: g -> d_Y g - (-1)^n g d_X.  Each pair keeps one entry for it in
+``memo(Y)`` under ``("hom_complex", x)`` (``_HomComplex``): dim Hom^n for
+every n, and the degrees built so far, n -> (rk D^n, (-1)^n D^n).  Only
+degrees with two nonempty sides are built, each from X's nonzero
+differential entries (``_diff_entries``); ``hom_differential`` is the
+accessor.  ``hom_k`` reads dim Hom(X, Y[i]) = dim Hom^i - rk D^i -
+rk D^(i-1) off the ranks.  A ``HomPackage`` takes its chain-map operator
+and homotopy operator from the same entry, and one pivot pass picks its
+class representatives.
 """
 from __future__ import annotations
 
@@ -359,18 +362,29 @@ def _layout(x: ProjComplex, c: RepComplex, offset: int):
     return blocks, total
 
 
-def _width(x: ProjComplex, c: RepComplex, offset: int) -> int:
-    """The coordinate count of ``_layout(x, c, offset)``, without its slices."""
-    total = 0
-    for q in range(max(x.lo, c.lo - offset), min(x.hi, c.hi - offset) + 1):
-        dims = c.terms[q + offset - c.lo].dims
-        total += sum(dims[v] for v in x.summands[q - x.lo])
-    return total
-
-
 def _hom_target(target) -> RepComplex:
     """The complex of representations that maps into ``target`` land in."""
     return target.expansion() if isinstance(target, ProjComplex) else target
+
+
+def _diff_entries(x: ProjComplex) -> dict:
+    """The nonzero entries of x's differentials, kept in ``memo(x)``.
+
+    Maps (q, s) to [(r, [(b, c), ...]), ...]: the entry of d_X from summand
+    s of X^q to summand r of X^(q+1) is the algebra element sum c * b over
+    its nonzero path coefficients.  Rows and paths come in increasing order.
+    """
+    store, key = memo(x), ("diff_entries",)
+    out = store.get(key)
+    if out is None:
+        out = store[key] = {}
+        for k, m in enumerate(x.dmats):
+            for s, r, b in zip(*np.nonzero(m.transpose(1, 0, 2))):
+                at = out.setdefault((x.lo + k, int(s)), [])
+                if not at or at[-1][0] != r:
+                    at.append((int(r), []))
+                at[-1][1].append((int(b), int(m[r, s, b])))
+    return out
 
 
 def _hom_operator(x: ProjComplex, ys: RepComplex, n: int) -> np.ndarray:
@@ -378,25 +392,94 @@ def _hom_operator(x: ProjComplex, ys: RepComplex, n: int) -> np.ndarray:
 
     It takes maps X^q -> Y^(q+n) (``_layout(x, ys, n)``) to maps
     X^q -> Y^(q+n+1) (``_layout(x, ys, n + 1)``); Y[n] has differential
-    (-1)^n d_Y.
+    (-1)^n d_Y.  Each block g^(q+1) -> row block of summand s reads
+    -g o d_X off the nonzero entries of d_X (``_diff_entries``), as the sum
+    of c * (action of path b) on the target term.
     """
     sblocks, ncols = _layout(x, ys, n)
     dblocks, nrows = _layout(x, ys, n + 1)
     sign = -1 if n % 2 else 1
+    entries = _diff_entries(x)
     out = zeros(nrows, ncols)
     for (q, s), (v, rows) in dblocks.items():
         if rows.start == rows.stop:
             continue
         cols = sblocks[(q, s)][1]
         if cols.start != cols.stop:
-            out[rows, cols] += sign * ys.diff_at(q + n).vmaps[v]
-        term = ys.term_at(q + n + 1)
-        dx = x.dmat_at(q)
-        for r, vr in enumerate(x.summands_at(q + 1)):
-            cols = sblocks[(q + 1, r)][1]
-            if cols.start != cols.stop and np.any(dx[r, s]):
-                out[rows, cols] -= term.act_elem(dx[r, s], vr, v)
+            out[rows, cols] = sign * ys.diff_at(q + n).vmaps[v]
+        dx = entries.get((q, s))
+        if dx:
+            term = ys.term_at(q + n + 1)
+            for r, paths in dx:
+                cols = sblocks[(q + 1, r)][1]
+                if cols.start != cols.stop:
+                    for b, c in paths:
+                        out[rows, cols] -= c * term.act_path(b)
     return out % x.alg.p
+
+
+class _HomComplex:
+    """The total Hom complex Hom(X, target), built degree by degree.
+
+    ``widths[n]`` is dim Hom^n for every n where it is nonzero, from one
+    pass over x's summands and the target's term dimension vectors.
+    ``built[n]`` is [rk D^n or None, (-1)^n D^n] for each degree built so
+    far; only degrees with two nonempty sides are built.  The entry does
+    not hold the target, whose memo keeps it (``_hom_complex``).
+    """
+
+    __slots__ = ("x", "widths", "built")
+
+    def __init__(self, x: ProjComplex, ys: RepComplex):
+        self.x, self.built = x, {}
+        self.widths = widths = {}
+        for q, summands in zip(x.degrees(), x.summands):
+            for t, term in zip(ys.degrees(), ys.terms):
+                w = sum(map(term.dims.__getitem__, summands))
+                if w:
+                    widths[t - q] = widths.get(t - q, 0) + w
+
+    def degree(self, target, n: int):
+        """(dim Hom^n, dim Hom^(n+1), slot of D^n or None for an empty side).
+
+        A degree with two nonempty sides is built on first use, as the
+        slot [None, (-1)^n D^n]; whoever first needs its rank fills slot[0].
+        D^n D^(n-1) = 0 is checked against each built neighbour before the
+        slot is kept, so a failing degree raises ``Mismatch`` every time.
+        """
+        ncols, nrows = self.widths.get(n, 0), self.widths.get(n + 1, 0)
+        slot = self.built.get(n)
+        if slot is None and ncols and nrows:
+            x, built = self.x, self.built
+            p = x.alg.p
+            mat = _hom_operator(x, _hom_target(target), n)
+            below, above = built.get(n - 1), built.get(n + 1)
+            # a neighbour of rank 0 is zero, and so is its product with mat
+            if ((below and below[0] != 0 and np.any(mat @ below[1] % p))
+                    or (above and above[0] != 0
+                        and np.any(above[1] @ mat % p))):
+                raise Mismatch("hom differential: D^2 != 0 next to degree "
+                               f"{n}")
+            slot = built[n] = [None, mat]
+        return ncols, nrows, slot
+
+    def rank(self, target, n: int) -> int:
+        """rk D^n, computed once per built degree; 0 for an empty side."""
+        slot = self.degree(target, n)[2]
+        if slot is None:
+            return 0
+        if slot[0] is None:
+            slot[0] = rank(slot[1], self.x.alg.p)
+        return slot[0]
+
+
+def _hom_complex(x: ProjComplex, target) -> _HomComplex:
+    """The pair's one entry, kept in ``memo(target)``: ("hom_complex", x)."""
+    store, key = memo(target), ("hom_complex", x)
+    entry = store.get(key)
+    if entry is None:
+        entry = store[key] = _HomComplex(x, _hom_target(target))
+    return entry
 
 
 def hom_differential(x: ProjComplex, target, n: int):
@@ -411,38 +494,25 @@ def hom_differential(x: ProjComplex, target, n: int):
     changes neither spans nor pivots.  So dim Hom_K(X, Y[n]) = dim Hom^n -
     rk D^n - rk D^(n-1), and one entry serves both shifts that touch it.
 
-    Kept in ``memo(target)`` under ``("hom_differential", x, n)``.  D^n
-    D^(n-1) = 0 is checked once for each adjacent pair of degrees built,
-    when the second of the two is built; a failure raises ``Mismatch``.
+    Reads the pair's entry in ``memo(target)`` (``_hom_complex``).  A degree
+    with an empty side keeps no array: its zero matrix is made on request.
     """
-    store, key = memo(target), ("hom_differential", x, n)
-    if key in store:
-        return store[key]
-    ys, p = _hom_target(target), x.alg.p
-    below, above = (store.get(("hom_differential", x, m))
-                    for m in (n - 1, n + 1))
-    ncols = below[2].shape[0] if below else _width(x, ys, n)
-    nrows = above[0] if above else _width(x, ys, n + 1)
-    if ncols and nrows:
-        mat = _hom_operator(x, ys, n)
-        rk = rank(mat, p)
-    else:
-        mat, rk = zeros(nrows, ncols), 0
-    # a matrix of rank 0 is zero, and so is its product with any other
-    if rk and ((below and below[1] and np.any(mat @ below[2] % p))
-               or (above and above[1] and np.any(above[2] @ mat % p))):
-        raise Mismatch(f"hom differential: D^2 != 0 next to degree {n}")
-    store[key] = (ncols, rk, mat)
-    return store[key]
+    hc = _hom_complex(x, target)
+    ncols, nrows, slot = hc.degree(target, n)
+    if slot is None:
+        return ncols, 0, zeros(nrows, ncols)
+    return ncols, hc.rank(target, n), slot[1]
 
 
 class HomPackage:
     """Hom(X, C[i]) for X a complex of projectives.
 
     Maps out of X live in generator-image coordinates (``_layout``).  Both
-    operators come from ``hom_differential``: the chain maps are the kernel
-    of its degree-i matrix (``chain_space``), and the homotopy operator
-    ``_bmat``, h -> d_C h + h d_X, is minus its degree-(i-1) matrix.  One
+    operators come from the pair's total Hom complex: the chain maps are
+    the kernel of its degree-i matrix (``chain_space``), which also gives
+    rk D^i when the package is first to build that degree, and the
+    homotopy operator ``_bmat``, h -> d_C h + h d_X, is minus its
+    degree-(i-1) matrix (``hom_differential``).  One
     elimination of [_bmat | chain_space] picks both bases: its pivot
     columns in ``_bmat`` span the homotopy image (``homotopy_image``), and
     those past ``_bmat`` leave the span of all columns before them: they
@@ -455,7 +525,7 @@ class HomPackage:
     def __init__(self, x: ProjComplex, target, i: int):
         p = x.alg.p
         self.x, self.target, self.i = x, target, i
-        width, _, chain_op = hom_differential(x, target, i)
+        width, nrows, slot = _hom_complex(x, target).degree(target, i)
         self._bmat = (-hom_differential(x, target, i - 1)[2]) % p
         if not width:
             # no generator of X has an image in C: the hom space is zero
@@ -465,7 +535,11 @@ class HomPackage:
             self.rep_coords, self.dim = [], 0
             return
         self.layout = _layout(x, _hom_target(target), i)
+        chain_op = slot[1] if slot else zeros(nrows, width)
         z = self.chain_space = null_space(chain_op, p)
+        if slot and slot[0] is None:
+            # first to build D^i: its rank is read off this kernel
+            slot[0] = width - z.shape[1]
         nb = self._bmat.shape[1]
         if not np.any(self._bmat):
             # the columns of Z are independent: each is a pivot
@@ -566,11 +640,15 @@ def hom_package(x: ProjComplex, target, i: int = 0) -> HomPackage:
 def hom_k(x: ProjComplex, target, i: int = 0) -> int:
     """dim Hom(X, target[i]) in the homotopy (= derived) category.
 
-    Read off ranks of the total Hom complex (``hom_differential``):
-    dim Hom^i - rk D^i - rk D^(i-1); no package is built.
+    Read off ranks of the total Hom complex (``_HomComplex``):
+    dim Hom^i - rk D^i - rk D^(i-1); no package is built.  Both ranks are
+    at most dim Hom^i, so a zero width answers 0 at once.
     """
-    width, rk, _ = hom_differential(x, target, i)
-    return width - rk - hom_differential(x, target, i - 1)[1]
+    hc = _hom_complex(x, target)
+    width = hc.widths.get(i, 0)
+    if not width:
+        return 0
+    return width - hc.rank(target, i) - hc.rank(target, i - 1)
 
 
 # -- minimization (Gaussian elimination on invertible entries) --------------

@@ -12,20 +12,27 @@ import numpy as np
 from .algebra import BoundQuiverAlgebra
 from .endsplit import primitive_idempotents
 from .errors import ResolutionDepthExceeded
-from .linalg import (column_space, eye, is_invertible, modmat, null_space,
-                     rank, rref, solve_right, span_union, zeros)
+from .linalg import (column_space, eye, is_invertible, null_space, rank,
+                     solve_right, span_union, zeros)
 from .memo import memo
 
 RESOLUTION_SIZE_BUDGET = 4096
 
 
 class Representation:
-    """A representation of the bound quiver: vertex spaces plus arrow maps."""
+    """A representation of the bound quiver: vertex spaces plus arrow maps.
+
+    Each arrow matrix must already hold int64 residues in [0, p): it is
+    kept as given (reshaped to (target_dim, source_dim), which checks its
+    size), neither copied nor reduced.  Callers that build matrices reduce
+    them; ``serialize`` reduces user input.
+    """
 
     def __init__(self, alg: BoundQuiverAlgebra, dims, mats):
         self.alg = alg
         self.dims = tuple(int(d) for d in dims)
-        self.mats = [modmat(m, alg.p).reshape(self.dims[a.tgt], self.dims[a.src])
+        self.mats = [np.asarray(m, dtype=np.int64).reshape(self.dims[a.tgt],
+                                                           self.dims[a.src])
                      for a, m in zip(alg.quiver.arrows, mats)]
 
     @property
@@ -93,12 +100,18 @@ class Representation:
 
 
 class ModuleMap:
-    """A homomorphism of representations, one matrix per vertex."""
+    """A homomorphism of representations, one matrix per vertex.
+
+    As for ``Representation``, each vertex matrix must already hold int64
+    residues in [0, p); it is kept as given, reshaped to (target_dim,
+    source_dim).
+    """
 
     def __init__(self, src: Representation, tgt: Representation, vmaps):
         self.src = src
         self.tgt = tgt
-        self.vmaps = [modmat(m, src.alg.p).reshape(tgt.dims[v], src.dims[v])
+        self.vmaps = [np.asarray(m, dtype=np.int64).reshape(tgt.dims[v],
+                                                            src.dims[v])
                       for v, m in enumerate(vmaps)]
 
     @property
@@ -318,31 +331,41 @@ def quotient_by_subspaces(m: Representation, bases: list[np.ndarray]):
     Returns (Q, projection, section) where section is a vertexwise right
     inverse of the projection (not a module map in general).
 
-    In vertex v the subspace gets its canonical basis b, the identity on
-    its pivot rows, and the unit vectors off those rows span a complement.
-    Every x is b x[piv] + e_free (x[free] - b[free] x[piv]), so the
-    projection is E_free - b[free] E_piv and the section is e_free.
+    Each basis must be canonical, as ``column_space`` and ``span_union``
+    return it (or None for the zero subspace): column k has its first
+    nonzero entry, a 1, on pivot row k and zeros on the other pivot rows.
+    The pivots are read off, not eliminated again, and the unit vectors off
+    the pivot rows span a complement.  Every x is b x[piv] + e_free (x[free]
+    - b[free] x[piv]), so the projection is E_free - b[free] E_piv and the
+    section is e_free.
     """
     alg = m.alg
     projs, secs = [], []
     for v in range(alg.n):
-        d = m.dims[v]
-        if not d:
-            projs.append(zeros(0, 0))
-            secs.append(zeros(0, 0))
+        d, b = m.dims[v], bases[v]
+        if b is None or not b.shape[1]:
+            # nothing to divide out: both maps are the identity
+            projs.append(eye(d))
+            secs.append(projs[-1])
             continue
-        b = modmat(bases[v], alg.p) if bases[v] is not None else zeros(d, 0)
-        red, piv = rref(b.T, alg.p)
-        free = [c for c in range(d) if c not in piv]
+        piv = (b != 0).argmax(axis=0)
+        taken = set(piv.tolist())
+        free = [r for r in range(d) if r not in taken]
+        units = range(len(free))
         proj = zeros(len(free), d)
-        proj[:, free] = eye(len(free))
-        proj[:, piv] = -red[: len(piv), free].T % alg.p
+        proj[units, free] = 1
+        proj[:, piv] = -b[free] % alg.p
+        sec = zeros(d, len(free))
+        sec[free, units] = 1
         projs.append(proj)
-        secs.append(eye(d)[:, free])
+        secs.append(sec)
     dims = [pmat.shape[0] for pmat in projs]
     mats = []
     for ai, a in enumerate(alg.quiver.arrows):
-        mats.append(projs[a.tgt] @ m.mats[ai] @ secs[a.src] % alg.p)
+        if dims[a.src] and dims[a.tgt]:
+            mats.append(projs[a.tgt] @ m.mats[ai] @ secs[a.src] % alg.p)
+        else:
+            mats.append(zeros(dims[a.tgt], dims[a.src]))
     q = Representation(alg, dims, mats)
     pi = ModuleMap(m, q, projs)
     return q, pi, secs
@@ -370,8 +393,12 @@ def radical_subspaces(m: Representation) -> list[np.ndarray]:
     alg = m.alg
     out = []
     for v in range(alg.n):
-        imgs = [m.mats[ai] for ai, a in enumerate(alg.quiver.arrows) if a.tgt == v]
-        out.append(span_union(*imgs, p=alg.p) if imgs and m.dims[v] else
+        if not m.dims[v]:
+            out.append(zeros(0, 0))
+            continue
+        imgs = [m.mats[ai] for ai, a in enumerate(alg.quiver.arrows)
+                if a.tgt == v]
+        out.append(span_union(*imgs, p=alg.p) if imgs else
                    zeros(m.dims[v], 0))
     return out
 
@@ -501,12 +528,16 @@ def projective_cover(m: Representation):
     alg = m.alg
     summands, gens = [], []
     for v, b in enumerate(radical_subspaces(m)):
-        piv = {int(np.flatnonzero(col)[0]) for col in b.T}
-        units = eye(m.dims[v])
-        for r in range(m.dims[v]):
+        d = m.dims[v]
+        if b.shape[1] == d:
+            continue        # M_v is all radical: no generator at v
+        piv = set((b != 0).argmax(axis=0).tolist())
+        for r in range(d):
             if r not in piv:
+                unit = np.zeros(d, dtype=np.int64)
+                unit[r] = 1
                 summands.append(v)
-                gens.append(units[:, r])
+                gens.append(unit)
     psum = ProjSum.of(alg, summands)
     return psum, psum.extend(m, gens)
 

@@ -150,3 +150,22 @@ def dynkin_silting_count(kind, n, d):
     count, rest = divmod(top, bottom)
     assert rest == 0
     return count
+
+
+def order_from_vanishing(classes, vanishes):
+    """The relation T >= U on silting classes, from Hom-vanishing alone.
+
+    Classes are tuples of item ids; ``vanishes(a, b)`` says Hom(a, b[s]) = 0
+    for s = 1..d.  T >= U iff Hom(T, U[>0]) = 0 (Aihara-Iyama, *Silting
+    mutation in triangulated categories*, 2012), so it holds when it holds
+    for every item a of T and b of U.  Returns the set of pairs (T, U).
+    """
+    return {(t, u) for t in classes for u in classes
+            if all(vanishes(a, b) for a in t for b in u)}
+
+
+def covering_pairs(classes, ge):
+    """The pairs (T, U) with T > U and no class strictly between them."""
+    gt = {(t, u) for t, u in ge if t != u}
+    return {(t, u) for t, u in gt
+            if not any((t, w) in gt and (w, u) in gt for w in classes)}

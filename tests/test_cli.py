@@ -185,6 +185,27 @@ def test_zero_vertex_matrices_may_be_empty(tmp_path, ka2_spec):
     assert main(["check", "--spec", ka2_spec, "tilting", wrong]) == 3
 
 
+def test_generator_entries_are_read_mod_p(tmp_path):
+    # a module's matrices are reduced once, when the spec is read: P(1) of
+    # A_3 written with entries -1 and p + 1 gives the same report bytes as
+    # with p - 1 and 1
+    p = 1009
+    spec = tmp_path / "ka3.json"
+    spec.write_text(json.dumps({"catalog": "linear_an", "n": 3, "d": 1}))
+    reports = []
+    for a, b in ((-1, p + 1), (p - 1, 1)):
+        objects = write_objects(tmp_path, "gens.json", [
+            {"dims": [1, 1, 1], "mats": [[[a]], [[b]]]},
+            {"kind": "projective", "vertex": 2},
+            {"kind": "projective", "vertex": 3}])
+        out = tmp_path / "report.json"
+        for target in ("tilting", "quasi", "air"):
+            assert main(["check", "--spec", str(spec), target, objects,
+                         "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+    assert reports[:3] == reports[3:]
+
+
 def test_check_air_rank_deficient_fails(tmp_path, ka2_spec):
     single = write_objects(tmp_path, "s.json",
                            [{"kind": "simple", "vertex": 2}])

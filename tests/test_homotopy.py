@@ -1,5 +1,6 @@
 """Complexes of projectives: homs, minimization, decomposition, mutation."""
 import gc
+import sys
 import weakref
 from unittest import mock
 
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tiltlab import homotopy, linalg, repcat
 from tiltlab.catalog import linear_an, nakayama_rad_square_zero
-from tiltlab.heart import generator_models, resolution_of_module
+from tiltlab.heart import (generator_models, p_presentation,
+                           resolution_of_module)
 from tiltlab.homotopy import (
     ChainMap,
     HomPackage,
@@ -241,10 +244,11 @@ def test_shared_target_packages_match_fresh_ones(use_nak, seed):
     sources = [_random_proj_3step(alg, rng).shift(s) for s in (-1, 0, 1)]
     sources += [sources[0], proj_stalk(alg, 0), simple_presentation(alg, 1)]
     got = [hom_k(x, y, i) for x in sources for i in (-1, 0, 1)]
-    # shifts -1..1 read D^-2..D^1: one entry per source and degree, and
-    # no package
-    degrees = [k for k in memo(y) if k[0] == "hom_differential"]
-    assert len(degrees) == 4 * (len(sources) - 1)    # sources[3] repeats
+    # one total Hom complex entry per source, none per degree, and no
+    # package
+    assert len([k for k in memo(y) if k[0] == "hom_complex"]) == (
+        len(sources) - 1)                            # sources[3] repeats
+    assert not any(k[0] == "hom_differential" for k in memo(y))
     assert not any(k[0] == "hom_package" for k in memo(y))
     want = [hom_k(x, ProjComplex(alg, y.lo, y.summands, y.dmats), i)
             for x in sources for i in (-1, 0, 1)]
@@ -277,6 +281,116 @@ def test_rank_hom_k_matches_fresh_packages(use_nak, seed):
                 assert hom_k(src, tgt, i) == hom_package(
                     src, fresh_copy(tgt), i).dim
     assert not any(k[0] == "hom_package" for t in targets for k in memo(t))
+
+
+def dense_hom_operator(x, ys, n):
+    """(-1)^n D^n built from dense differential entries, one block at a time.
+
+    The d_Y blocks come from ``diff_at``; each -g o d_X block is the
+    ``act_elem`` of a whole coefficient vector of d_X, nonzero or not.
+    """
+    sblocks, ncols = _layout(x, ys, n)
+    dblocks, nrows = _layout(x, ys, n + 1)
+    sign = -1 if n % 2 else 1
+    out = np.zeros((nrows, ncols), dtype=np.int64)
+    for (q, s), (v, rows) in dblocks.items():
+        cols = sblocks[(q, s)][1]
+        if rows.start != rows.stop and cols.start != cols.stop:
+            out[rows, cols] += sign * ys.diff_at(q + n).vmaps[v]
+        dx = x.dmat_at(q)
+        for r, vr in enumerate(x.summands_at(q + 1)):
+            cols = sblocks[(q + 1, r)][1]
+            if rows.start != rows.stop and cols.start != cols.stop:
+                out[rows, cols] -= ys.term_at(q + n + 1).act_elem(dx[r, s],
+                                                                 vr, v)
+    return out % x.alg.p
+
+
+@st.composite
+def small_algebras(draw):
+    """A_3, Nak_3 (rad^2 = 0) or a random monomial algebra."""
+    kind = draw(st.sampled_from(["A3", "Nak3", "monomial"]))
+    if kind == "monomial":
+        return draw(monomial_algebras())
+    return linear_an(3) if kind == "A3" else nakayama_rad_square_zero(3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_algebras(), st.integers(0, 2**32 - 1), st.integers(-1, 1))
+def test_sparse_hom_operator_matches_dense_reference(alg, seed, sx):
+    # the operator read off x's nonzero differential entries equals the one
+    # built from every entry, into expanded complexes of projectives and
+    # into smart truncations, at every shift that meets both windows
+    rng = np.random.default_rng(seed)
+    x = _random_proj_3step(alg, rng).shift(sx)
+    y = _random_proj_3step(alg, rng)
+    truncated = truncate_below(truncate_above(y.expansion(), 0), -1)
+    for tgt in (y, truncated):
+        ys = tgt.expansion() if isinstance(tgt, ProjComplex) else tgt
+        for n in range(-3, 4):
+            got, want = _hom_operator(x, ys, n), dense_hom_operator(x, ys, n)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert hom_k(x, tgt, n) == hom_package(x, fresh_copy(tgt), n).dim
+
+
+def a8_presentations():
+    """Minimal presentations of the injectives and simples of A_8."""
+    alg = linear_an(8)
+    return [minimize(p_presentation(make(alg, v), 1))
+            for make in (injective, simple) for v in range(alg.n)]
+
+
+def test_a8_hom_complexes_build_only_nonempty_degrees():
+    # all pairs at shifts 0 and 1, as the large-algebra benchmark asks them
+    objs = a8_presentations()
+    built = []
+    real = homotopy._hom_operator
+
+    def counted(x, ys, n):
+        built.append((x, ys, n))
+        return real(x, ys, n)
+
+    with mock.patch("tiltlab.homotopy._hom_operator", counted):
+        total = sum(hom_k(x, y, i) for x in objs for y in objs for i in (0, 1))
+    assert total == 74
+    # each degree is built once, and only when both of its sides are nonzero
+    assert len({(id(x), id(ys), n) for x, ys, n in built}) == len(built)
+    assert all(_layout(x, ys, n)[1] and _layout(x, ys, n + 1)[1]
+               for x, ys, n in built)
+    assert len(built) == 224
+    sources = {id(x) for x in objs}
+    assert len(sources) == 16
+    for y in objs:
+        keys = [k for k in memo(y) if k[0].startswith("hom_")]
+        assert {k[0] for k in keys} == {"hom_complex"}
+        assert len(keys) == len(sources)
+        assert {id(k[1]) for k in keys} == sources
+        for k in keys:
+            hc = memo(y)[k]
+            for n, slot in hc.built.items():
+                assert hc.widths.get(n) and hc.widths.get(n + 1)
+                assert slot[1].shape == (hc.widths[n + 1], hc.widths[n])
+
+
+def test_a8_presentations_read_pivots_off_canonical_bases(monkeypatch):
+    # covers and cokernels take their pivots from canonical bases: no rref
+    # is called from projective_cover or quotient_by_subspaces themselves
+    callers = []
+    real = linalg.rref
+
+    def traced(a, p):
+        frame = sys._getframe(1)
+        while frame.f_globals.get("__name__") == "tiltlab.linalg":
+            frame = frame.f_back
+        callers.append(frame.f_code.co_name)
+        return real(a, p)
+
+    monkeypatch.setattr(linalg, "rref", traced)
+    monkeypatch.setattr(repcat, "rref", traced, raising=False)
+    a8_presentations()
+    assert callers
+    assert not {"projective_cover", "quotient_by_subspaces"} & set(callers)
 
 
 def planted_square_raises() -> list[str]:

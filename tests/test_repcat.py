@@ -1,4 +1,6 @@
+import contextlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from tiltlab.repcat import (ModuleMap, ProjSum, Representation,
                             projective_cover, quotient_by_subspaces,
                             radical_subspaces, simple, zero_map, zero_rep)
 from tiltlab.repcomplex import stalk_complex
-from tiltlab.silting import euler_form
+from tiltlab.silting import enumerate_silting, euler_form
 
 from oracles import euler_form as oracle_euler_form
 from oracles import (kron_hom_space_matrix, oracle_ext1_hereditary,
@@ -631,3 +633,61 @@ def test_cover_takes_no_quotient_and_no_inverse(monkeypatch, ka3, nak):
             for m in (injective(alg, v), simple(alg, v), projective(alg, v)):
                 psum, cover = projective_cover(m)
                 cover.validate()
+
+
+@contextlib.contextmanager
+def constructor_inputs():
+    """Record (p, array) for every matrix handed to a module constructor."""
+    seen = []
+    real_rep, real_map = Representation.__init__, ModuleMap.__init__
+
+    def rep_init(self, alg, dims, mats):
+        mats = list(mats)
+        seen.extend((alg.p, m) for m in mats)
+        real_rep(self, alg, dims, mats)
+
+    def map_init(self, src, tgt, vmaps):
+        vmaps = list(vmaps)
+        seen.extend((src.alg.p, m) for m in vmaps)
+        real_map(self, src, tgt, vmaps)
+
+    with mock.patch.object(Representation, "__init__", rep_init), \
+            mock.patch.object(ModuleMap, "__init__", map_init):
+        yield seen
+
+
+def assert_reduced(seen):
+    """Every recorded input is an int64 array of residues in [0, p)."""
+    assert seen
+    for p, m in seen:
+        assert isinstance(m, np.ndarray) and m.dtype == np.int64
+        assert not m.size or (m.min() >= 0 and m.max() < p)
+
+
+def test_constructors_get_reduced_arrays_in_bijection_and_enumeration(
+        tmp_path):
+    # the constructors keep their arrays as given, so every caller must
+    # hand them int64 residues; checked over A_3 d=1 ``verify bijection``
+    # and the Nak_3 d=2 enumeration
+    spec = tmp_path / "ka3.json"
+    spec.write_text(json.dumps({"catalog": "linear_an", "n": 3, "d": 1}))
+    with constructor_inputs() as seen:
+        assert main(["verify", "--spec", str(spec), "bijection",
+                     "--out", str(tmp_path / "report.json")]) == 0
+    assert_reduced(seen)
+    with constructor_inputs() as seen:
+        assert enumerate_silting(nakayama_rad_square_zero(3), 2).count == 49
+    assert_reduced(seen)
+
+
+@settings(max_examples=15, deadline=None)
+@given(monomial_algebras(), st.data())
+def test_constructors_get_reduced_arrays_in_resolutions(alg, data):
+    makes = st.sampled_from([projective, injective, simple])
+    parts = data.draw(st.lists(st.tuples(makes, st.integers(0, alg.n - 1)),
+                               min_size=1, max_size=2))
+    m = direct_sum([make(alg, v) for make, v in parts], alg)
+    with constructor_inputs() as seen:
+        minimal_resolution(m, 3)
+        cokernel(kernel(projective_cover(m)[1])[1])
+    assert_reduced(seen)

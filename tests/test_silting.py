@@ -27,7 +27,8 @@ from tiltlab.silting import (
     rigid_pool,
 )
 
-from oracles import dynkin_exponents, dynkin_silting_count, fuss_catalan
+from oracles import (covering_pairs, dynkin_exponents, dynkin_silting_count,
+                     fuss_catalan, order_from_vanishing)
 
 
 @pytest.fixture(scope="module")
@@ -522,3 +523,74 @@ def test_node_budget_stops_the_search(ka3, monkeypatch, tmp_path):
     spec = tmp_path / "a3.json"
     spec.write_text(json.dumps({"catalog": "linear_an", "n": 3, "d": 1}))
     assert main(["enumerate", "--spec", str(spec)]) == EXIT_BUDGET == 2
+
+
+# -- the silting order against the mutation edge table ----------------------
+
+def order_faults(enum, alg) -> list[str]:
+    """Where the order from Hom-vanishing disagrees with the edge table.
+
+    The (d+1)-term silting classes form the interval [A[d], A] of the
+    silting order, whose Hasse arrows are the irreducible left mutations
+    (Aihara-Iyama, *Silting mutation in triangulated categories*, 2012).
+    So the order on the enumerated classes needs a unique maximum, the
+    class of A, and a unique minimum, A[d]; its covering pairs are the
+    undirected pairs {state, target} of ``enum.edges``; and each edge goes
+    down for a left mutation and up for a right one.
+    """
+    items, d, reg = enum.registry.items, enum.d, enum.registry
+    table = {(a, b): all(hom_k(items[a], items[b], s) == 0
+                         for s in range(1, d + 1))
+             for a in range(len(items)) for b in range(len(items))}
+    classes = [rec.ids for rec in enum.clusters]
+    ge = order_from_vanishing(classes, lambda a, b: table[(a, b)])
+    faults = []
+    tops = [t for t in classes if all((t, u) in ge for u in classes)]
+    bottoms = [u for u in classes if all((t, u) in ge for t in classes)]
+    free = tuple(sorted(reg.find(proj_stalk(alg, v)) for v in range(alg.n)))
+    shifted = tuple(sorted(reg.find(proj_stalk(alg, v).shift(d))
+                           for v in range(alg.n)))
+    if tops != [free]:
+        faults.append(f"maximum {tops}, not the class of A {free}")
+    if bottoms != [shifted]:
+        faults.append(f"minimum {bottoms}, not the class of A[d] {shifted}")
+    hasse = covering_pairs(classes, ge)
+    pairs = set()
+    for (state, y, side), target in enum.edges.items():
+        if target is WindowViolation:
+            continue
+        pairs.add(frozenset((state, target)))
+        arrow = (state, target) if side == "left" else (target, state)
+        if arrow not in hasse:
+            faults.append(f"{side} mutation of {state} at {y} does not go "
+                          f"{'down' if side == 'left' else 'up'} one step")
+    if pairs != {frozenset(pair) for pair in hasse}:
+        faults.append(f"{len(hasse)} covering pairs, {len(pairs)} edges")
+    return faults
+
+
+@pytest.mark.parametrize("alg, d, classes, arrows", [
+    (linear_an(3), 1, 14, 21),
+    (linear_an(4), 1, 42, 84),
+    (nakayama_rad_square_zero(3), 2, 49, 97),
+    (linear_an(3), 2, 55, 110),
+], ids=["A3-d1", "A4-d1", "Nak3-d2", "A3-d2"])
+def test_hasse_diagram_of_the_order_is_the_edge_table(alg, d, classes,
+                                                      arrows):
+    enum = enumerate_silting(alg, d)
+    assert enum.count == classes
+    assert sum(t is not WindowViolation for t in enum.edges.values()) == arrows
+    assert order_faults(enum, alg) == []
+
+
+def test_planted_edge_table_faults_break_the_order():
+    alg = linear_an(3)
+    enum = enumerate_silting(alg, 1)
+    walked = [k for k, t in enum.edges.items() if t is not WindowViolation]
+    state, y, side = key = walked[len(walked) // 2]
+    flipped = {k: t for k, t in enum.edges.items() if k != key}
+    flipped[(state, y, "right" if side == "left" else "left")] = (
+        enum.edges[key])
+    dropped = {k: t for k, t in enum.edges.items() if k != key}
+    for edges in (flipped, dropped):
+        assert order_faults(replace(enum, edges=edges), alg)
