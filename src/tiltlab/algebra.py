@@ -94,7 +94,7 @@ class MonomialIdeal:
 
 
 class BoundQuiverAlgebra:
-    """A = kQ/I with its basis of surviving paths and multiplication table."""
+    """A = kQ/I with its basis of surviving paths and its nonzero products."""
 
     def __init__(self, quiver: Quiver, ideal: MonomialIdeal, p: int = DEFAULT_P):
         if p >= MAX_P:
@@ -160,38 +160,31 @@ class BoundQuiverAlgebra:
         self.e_index = [self._by_ends[(v, v)][0] for v in range(self.n)]
 
     def _build_product_table(self):
-        """mult_table[a, b] = index of paths[a] * paths[b], or -1.
+        """Keep the nonzero products as triples (mult_a, mult_b, mult_c).
 
-        The nonzero products are also kept as triples (mult_a, mult_b,
-        mult_c) sorted by c.  Every path c is the product e_tgt(c) * c, so
-        each c in range(dim) owns one nonempty run of triples, starting at
-        ``_mult_starts[c]``.
+        paths[mult_a[t]] * paths[mult_b[t]] = paths[mult_c[t]], sorted by
+        (c, a, b), one triple per nonzero product, so the table grows with
+        the number of nonzero products.  Every path c is the product
+        e_tgt(c) * c, so each c in range(dim) owns one nonempty run of
+        triples, starting at ``_mult_starts[c]``.
         """
-        d = self.dim
-        table = np.full((d, d), -1, dtype=np.int64)
         starting_at = [[] for _ in range(self.n)]
-        for a in range(d):
+        for a in range(self.dim):
             starting_at[int(self.path_src[a])].append(a)
-        for b in range(d):
+        triples = []
+        for b in range(self.dim):
             for a in starting_at[int(self.path_tgt[b])]:
                 walk = self.paths[b] + self.paths[a]
                 # an empty walk is e_v * e_v = e_v, and b is that e_v
                 c = self._index.get(walk) if walk else b
                 if c is not None:
-                    table[a, b] = c
-        self.mult_table = table
-        a_idx, b_idx = np.nonzero(table >= 0)
-        order = np.argsort(table[a_idx, b_idx], kind="stable")
-        self.mult_a, self.mult_b = a_idx[order], b_idx[order]
-        self.mult_c = table[self.mult_a, self.mult_b]
-        self._mult_starts = np.searchsorted(self.mult_c, np.arange(d))
+                    triples.append((c, a, b))
+        triples.sort()
+        self.mult_c, self.mult_a, self.mult_b = \
+            np.array(triples, dtype=np.int64).reshape(-1, 3).T.copy()
+        self._mult_starts = np.searchsorted(self.mult_c, np.arange(self.dim))
 
     # -- basic queries -----------------------------------------------------
-
-    def mult_index(self, a: int, b: int):
-        """Index of paths[a] * paths[b] (b traversed first), or None."""
-        c = self.mult_table[a, b]
-        return None if c < 0 else int(c)
 
     def reduce_walk(self, walk: tuple[int, ...]):
         """Basis index of a nonempty walk, or None if it dies in the ideal."""

@@ -18,16 +18,14 @@ from .errors import (BudgetExceeded, HomologyOutsideWindow, Mismatch,
                      NoSolution, RandomBudgetExhausted,
                      ResolutionDepthExceeded, SpecError, TiltlabError,
                      UndecidedIso, WindowViolation)
-from .heart import p_presentation
-from .homotopy import minimize
 from .repcat import simple
 from .serialize import (algebra_spec, dump_json, jsonable, load_algebra_spec,
                         load_objects, render_markdown)
 from .silting import enumerate_silting
 from .tiltcheck import (HeartStore, build_universe, check_air_tilting,
                         check_equivalence, check_quasi_tilting, check_tilting,
-                        qtilt_closure_trials, verify_bijection,
-                        verify_torsion_reports)
+                        presentation_parts, qtilt_closure_trials,
+                        verify_bijection, verify_torsion_reports)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -171,7 +169,7 @@ def cmd_check(cfg: RunConfig, target: str, object_path: str) -> tuple[int, dict]
             code = EXIT_PASS
         return code, {**base, "verdict": rep.verdict, "detail": rep}
     try:
-        parts = [minimize(p_presentation(g, d)) for g in objs]
+        parts = presentation_parts(objs, d, cfg.seed)
     except ResolutionDepthExceeded as exc:
         return EXIT_UNKNOWN, {**base, "verdict": "unknown",
                               "detail": {"error": str(exc)}}

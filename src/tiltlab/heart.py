@@ -5,7 +5,7 @@ derived-category computation routes through projective models built by
 stepwise covers, so hom and extension groups reduce to the chain-level
 solvers in :mod:`tiltlab.homotopy`.  Covers and Fac-chain approximations
 are maps out of a complex of projectives, given by the images of its
-generators; ``_map_from`` is the one place that builds them.
+generators; ``_map_from`` builds them, one ``ProjSum.extend`` per degree.
 """
 from __future__ import annotations
 

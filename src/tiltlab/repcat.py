@@ -489,30 +489,13 @@ def alg_matrix_of_map(f: ModuleMap, src: ProjSum, tgt: ProjSum) -> np.ndarray:
 
 
 def map_of_alg_matrix(mat: np.ndarray, src: ProjSum, tgt: ProjSum) -> ModuleMap:
-    """Expand an algebra-coefficient matrix to the honest module map."""
-    alg = src.alg
-    vmaps = [zeros(tgt.rep.dims[w], src.rep.dims[w]) for w in range(alg.n)]
-    for c in range(src.count):
-        v = src.summands[c]
-        for r in range(tgt.count):
-            coeffs = mat[r, c]
-            nz = np.nonzero(coeffs)[0]
-            if nz.size == 0:
-                continue
-            vr = tgt.summands[r]
-            for w in range(alg.n):
-                rows = tgt._pbasis[vr][w]
-                for k, b in enumerate(src._pbasis[v][w]):
-                    # image of basis path b of the source summand: b * u,
-                    # a path vr -> w of the target summand
-                    col = src.offsets[c][w] + k
-                    for bu in nz:
-                        prod = alg.mult_index(int(b), int(bu))
-                        if prod is not None:
-                            row = tgt.offsets[r][w] + rows.index(prod)
-                            vmaps[w][row, col] = (vmaps[w][row, col]
-                                                  + coeffs[bu]) % alg.p
-    return ModuleMap(src.rep, tgt.rep, vmaps)
+    """Expand an algebra-coefficient matrix to the honest module map.
+
+    Column c of ``mat`` is where summand c's generator goes, so this is
+    ``src.extend`` at those images.
+    """
+    return src.extend(tgt.rep, [tgt.vector(mat[:, c], v)
+                                for c, v in enumerate(src.summands)])
 
 
 def projective_cover(m: Representation):

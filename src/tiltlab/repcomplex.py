@@ -70,17 +70,11 @@ class RepComplex:
                 raise AssertionError(f"d^2 != 0 leaving degree {self.lo + k}")
 
     def shift(self, s: int) -> "RepComplex":
-        """X[s]: X^(q+s) in degree q, differentials times (-1)^s; X[0] is X.
-
-        Built once per s and kept in ``memo(self)``.
-        """
+        """X[s]: X^(q+s) in degree q, differentials times (-1)^s; X[0] is X."""
         if s == 0:
             return self
-        store, key = memo(self), ("shift", s)
-        if key not in store:
-            diffs = self.diffs if s % 2 == 0 else [d.neg() for d in self.diffs]
-            store[key] = RepComplex(self.alg, self.lo - s, self.terms, diffs)
-        return store[key]
+        diffs = self.diffs if s % 2 == 0 else [d.neg() for d in self.diffs]
+        return RepComplex(self.alg, self.lo - s, self.terms, diffs)
 
     def pad(self, lo: int, hi: int) -> "RepComplex":
         """The same complex on an enlarged window, padded with zero terms."""

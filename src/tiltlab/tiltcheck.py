@@ -44,6 +44,27 @@ def _in_window_dims(hd, d: int) -> bool:
     return all(-d + 1 <= q <= 0 for q in hd)
 
 
+def presentation_parts(gens, d: int, seed: int = 0) -> list[ProjComplex]:
+    """The indecomposable summands of each generator's d-presentation.
+
+    A decomposable generator enters every check as its summands, as it
+    does in its additive class.  ``decompose_complex`` minimizes first.
+    """
+    return [c for g in gens
+            for c, _mult in decompose_complex(p_presentation(g, d),
+                                              seed=seed)]
+
+
+def _pd_within(p: ProjComplex, d: int) -> bool:
+    """Projective dimension at most d, read off a d-presentation.
+
+    Heart objects have no homology below -d+1, so H^{-d} of the
+    presentation is the syzygy kernel, nonzero exactly when the resolution
+    did not end by depth d.
+    """
+    return -d not in homology_dims(p.expansion())
+
+
 # -- the sampling universe ---------------------------------------------------
 
 # random representations drawn per dimension vector of the universe grid
@@ -316,7 +337,7 @@ def check_quasi_tilting(m_gens, universe: Universe, sample_budget: int = 100,
     gens = [_as_heart(g) for g in m_gens]
     air = None
     try:
-        parts = [minimize(p_presentation(g, d)) for g in gens]
+        parts = presentation_parts(gens, d, seed)
     except ResolutionDepthExceeded:
         parts = None
     if parts is not None:
@@ -409,18 +430,6 @@ class TiltingReport:
         return self.verdict == "tilting"
 
 
-def _pd_within(p: ProjComplex) -> bool:
-    """Projective dimension at most d, read off a minimal d-presentation.
-
-    The truncated presentation keeps its syzygy kernel in lowest degree
-    exactly when the resolution failed to terminate by depth d.
-    """
-    t = p.trim()
-    if t.is_zero() or t.lo == t.hi:
-        return True
-    return t.lo not in homology_dims(t.expansion())
-
-
 def check_tilting(m_gens, d: int, seed: int = 0) -> TiltingReport:
     """Decide the tilting property along two independent routes.
 
@@ -438,8 +447,8 @@ def check_tilting(m_gens, d: int, seed: int = 0) -> TiltingReport:
 
     sa = None
     try:
-        parts = [minimize(p_presentation(g, d)) for g in gens]
-        pd_flags = [_pd_within(p) for p in parts]
+        parts = presentation_parts(gens, d, seed)
+        pd_flags = [_pd_within(p, d) for p in parts]
     except ResolutionDepthExceeded as exc:
         a_verdict = "unknown"
         route_a = {"error": str(exc)}
@@ -649,15 +658,29 @@ class BijectionReport:
         return self.injective and not self.failures and not self.unknowns
 
 
+def compatible_stalks(core: list[ProjComplex], stalks: dict,
+                      d: int) -> list:
+    """The sorted keys of the stalks that keep the core presilting.
+
+    Shifted projectives P_u[d], P_v[d] have no homs in nonzero shifts, so
+    core plus a set of them is presilting exactly when core plus each one
+    is; one ``is_presilting`` per stalk decides every completion.  Outside
+    the supports of a silting class this is empty, because a silting
+    object is maximal among presilting ones (Aihara-Iyama 2012).
+    """
+    return sorted(k for k, x in stalks.items()
+                  if is_presilting(core + [x], d)[0])
+
+
 def verify_bijection(alg, d: int, universe: Universe, seed: int = 0,
                      method: str = "mutation") -> BijectionReport:
     """Walk the silting-to-heart correspondence and test both directions.
 
     Every enumerated class is truncated into the heart and re-verified as
     AIR tilting with its source as presentation; images must be pairwise
-    distinct additive classes; and re-presenting each image (with an
-    exhaustive search over shifted-projective completions) must recover
-    exactly the source class.
+    distinct additive classes; and re-presenting each image (with a search
+    over the shifted-projective completions compatible with it) must
+    recover exactly the source class.
     """
     enum = enumerate_silting(alg, d, method=method, seed=seed)
     store = HeartStore(d, seed)
@@ -681,24 +704,21 @@ def verify_bijection(alg, d: int, universe: Universe, seed: int = 0,
 
         idset = set(rec.ids)
         supports = tuple(sorted(i for i in idset if i in sid))
-        # decompose_complex minimizes each presentation first
-        core = {reg.intern(c) for hid in image_ids for c, _m in
-                decompose_complex(p_presentation(store.reps[hid], d),
-                                  seed=seed)}
+        core = {reg.intern(c) for c in presentation_parts(m_gens, d, seed)}
         rederived = core == idset - set(supports)
         if not rederived:
             failures.append({"ids": rec.ids, "stage": "re-presentation",
                              "derived": tuple(sorted(core))})
         elif supports:
-            need = len(supports)
-            for combo in combinations(sorted(sid), need):
+            core_items = [reg.items[i] for i in sorted(core)]
+            others = compatible_stalks(
+                core_items, {i: reg.items[i] for i in sid
+                             if i not in supports}, d)
+            for combo in combinations(sorted(others + list(supports)),
+                                      len(supports)):
                 if set(combo) == set(supports):
                     continue
-                cand = [reg.items[i] for i in sorted(core)] + \
-                       [reg.items[i] for i in combo]
-                ok, _w = is_presilting(cand, d)
-                if not ok:
-                    continue
+                cand = core_items + [reg.items[i] for i in combo]
                 ok, _w = _k0_is_basis(cand, alg.n)
                 if not ok:
                     continue
@@ -814,8 +834,7 @@ def verify_torsion_reports(s_parts: list[ProjComplex], universe: Universe,
         fr = fac_membership(gens, jobj, d)
         inj_verdicts.append({"vertex": v, "fac": fr.verdict,
                              "detail": fr.detail})
-    tilting_case = all(-d not in homology_dims(part.expansion())
-                       for part in s_parts)
+    tilting_case = all(_pd_within(part, d) for part in s_parts)
     return TorsionReport(image_ids, [int(m.key) for m in t_members],
                          [int(m.key) for m in f_members], orth, perp, eproj,
                          inj_verdicts, tilting_case)

@@ -2,8 +2,8 @@
 
 Deliberately share no code with the library: plain Python lists and a naive
 mod-p elimination, plus the Euler-form shortcut for first extensions over
-hereditary algebras, and the hom system written with numpy's Kronecker
-product.
+hereditary algebras, the hom system written with numpy's Kronecker
+product, and path products read off the walks and relations.
 """
 
 import numpy as np
@@ -169,3 +169,59 @@ def covering_pairs(classes, ge):
     gt = {(t, u) for t, u in ge if t != u}
     return {(t, u) for t, u in gt
             if not any((t, w) in gt and (w, u) in gt for w in classes)}
+
+
+def reference_product(alg, a, b):
+    """paths[a] * paths[b] from the walks and relations alone, or None."""
+    if alg.path_src[a] != alg.path_tgt[b]:
+        return None
+    walk = alg.paths[b] + alg.paths[a]
+    for rel in alg.ideal.walks:
+        if any(walk[i:i + len(rel)] == rel
+               for i in range(len(walk) - len(rel) + 1)):
+            return None
+    return next(i for i in range(alg.dim) if alg.paths[i] == walk
+                and alg.path_src[i] == alg.path_src[b])
+
+
+def _summand_blocks(alg, summands):
+    """(start, paths v -> w) of each summand P(v) in each vertex space w."""
+    cursor = [0] * alg.n
+    blocks = []
+    for v in summands:
+        row = []
+        for w in range(alg.n):
+            paths = [i for i in range(alg.dim)
+                     if alg.path_src[i] == v and alg.path_tgt[i] == w]
+            row.append((cursor[w], paths))
+            cursor[w] += len(paths)
+        blocks.append(row)
+    return blocks, cursor
+
+
+def reference_map_of_alg_matrix(alg, mat, src, tgt):
+    """Vertex matrices of the map between sums of projectives P(v).
+
+    ``src`` and ``tgt`` list the summands' vertices; ``mat[r, c]`` holds the
+    path coefficients of where summand c's generator goes in summand r.
+    Basis path b of summand c goes to the sum of mat[r, c, u] * (b * u),
+    one path product at a time.
+    """
+    src_blocks, src_dims = _summand_blocks(alg, src)
+    tgt_blocks, tgt_dims = _summand_blocks(alg, tgt)
+    vmaps = [np.zeros((tgt_dims[w], src_dims[w]), dtype=np.int64)
+             for w in range(alg.n)]
+    for c in range(len(src)):
+        for r in range(len(tgt)):
+            for u in np.nonzero(mat[r, c])[0]:
+                for w in range(alg.n):
+                    col0, cols = src_blocks[c][w]
+                    row0, rows = tgt_blocks[r][w]
+                    for k, b in enumerate(cols):
+                        prod = reference_product(alg, b, int(u))
+                        if prod is not None:
+                            row = row0 + rows.index(prod)
+                            vmaps[w][row, col0 + k] = (
+                                vmaps[w][row, col0 + k] + mat[r, c, u]) \
+                                % alg.p
+    return vmaps

@@ -8,6 +8,8 @@ from tiltlab.catalog import linear_an, nakayama_rad_square_zero
 from tiltlab.errors import NotAdmissible, SpecError
 from tiltlab.homotopy import amul
 
+from oracles import reference_product
+
 
 def test_ka2_path_basis():
     alg = linear_an(2)
@@ -30,20 +32,33 @@ def test_nakayama_kills_long_path():
     assert lengths == [0, 0, 0, 1, 1]
 
 
+def product_index(alg, a, b):
+    """paths[a] * paths[b] through ``mult_coeffs`` on basis vectors, or None."""
+    x, y = np.zeros((2, alg.dim), dtype=np.int64)
+    x[a] = y[b] = 1
+    nz = np.flatnonzero(alg.mult_coeffs(x, y))
+    assert len(nz) <= 1
+    return int(nz[0]) if len(nz) else None
+
+
 def test_mult_composes_walks():
     alg = linear_an(3)
     a1 = alg.reduce_walk((0,))   # arrow 1->2
     a2 = alg.reduce_walk((1,))   # arrow 2->3
-    prod = alg.mult_index(a2, a1)  # traverse a1 then a2
+    prod = product_index(alg, a2, a1)  # traverse a1 then a2
     assert alg.paths[prod] == (0, 1)
-    assert alg.mult_index(a1, a2) is None  # endpoints do not match
+    assert product_index(alg, a1, a2) is None  # endpoints do not match
+    t = np.flatnonzero((alg.mult_a == a2) & (alg.mult_b == a1))
+    assert len(t) == 1 and alg.mult_c[t[0]] == prod
+    assert not np.any((alg.mult_a == a1) & (alg.mult_b == a2))
 
 
 def test_mult_respects_relations():
     alg = nakayama_rad_square_zero(3)
     a1 = alg.reduce_walk((0,))
     a2 = alg.reduce_walk((1,))
-    assert alg.mult_index(a2, a1) is None  # killed by the relation
+    assert product_index(alg, a2, a1) is None  # killed by the relation
+    assert not np.any((alg.mult_a == a2) & (alg.mult_b == a1))
 
 
 def test_units_are_idempotent():
@@ -124,31 +139,27 @@ def monomial_algebras(draw, hereditary=False):
     return build_algebra(n, arrows, relations)
 
 
-def reference_product(alg, a, b):
-    """paths[a] * paths[b] from the walks and relations alone, or None."""
-    if alg.path_src[a] != alg.path_tgt[b]:
-        return None
-    walk = alg.paths[b] + alg.paths[a]
-    for rel in alg.ideal.walks:
-        if any(walk[i:i + len(rel)] == rel
-               for i in range(len(walk) - len(rel) + 1)):
-            return None
-    return next(i for i in range(alg.dim) if alg.paths[i] == walk
-                and alg.path_src[i] == alg.path_src[b])
-
-
 @settings(max_examples=40, deadline=None)
 @given(monomial_algebras(), st.lists(st.integers(0, 3), min_size=3,
                                      max_size=3), st.integers(0, 2**32 - 1))
 def test_product_table_matches_dense_reference(alg, shape, seed):
     d, p = alg.dim, alg.p
     dense = np.zeros((d, d, d), dtype=np.int64)
+    want = []
     for a in range(d):
         for b in range(d):
             c = reference_product(alg, a, b)
-            assert alg.mult_index(a, b) == c
+            assert product_index(alg, a, b) == c
             if c is not None:
                 dense[a, b, c] = 1
+                want.append((c, a, b))
+    # one triple per nonzero product, sorted by (c, a, b), and each c's run
+    # of triples starts at _mult_starts[c]
+    want.sort()
+    assert list(zip(alg.mult_c.tolist(), alg.mult_a.tolist(),
+                    alg.mult_b.tolist())) == want
+    assert alg._mult_starts.tolist() == [
+        next(t for t, w in enumerate(want) if w[0] == c) for c in range(d)]
     for s in range(alg.n):
         for t in range(alg.n):
             assert list(alg.path_indices(s, t)) == [

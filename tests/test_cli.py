@@ -248,6 +248,19 @@ def test_decomposable_generator_gets_its_summands_verdicts(tmp_path,
             code, rep = run(tmp_path, "check", "--spec", ka2_spec, target,
                             obj)
             assert (code, rep["report"]["verdict"]) == (1, verdict)
+    # P_1 + P_2 as one generator, and as the pair [P_1, P_2]
+    free = write_objects(tmp_path, "free.json",
+                         [{"dims": [1, 2], "mats": [[[1], [0]]]}])
+    projs = write_objects(tmp_path, "projs.json",
+                          [{"kind": "projective", "vertex": 1},
+                           {"kind": "projective", "vertex": 2}])
+    for target, verdict in (("tilting", "tilting"),
+                            ("quasi", "certified_via_silting"),
+                            ("air", "yes")):
+        for obj in (free, projs):
+            code, rep = run(tmp_path, "check", "--spec", ka2_spec, target,
+                            obj)
+            assert (code, rep["report"]["verdict"]) == (0, verdict)
 
 
 def test_failed_presentation_round_trip_is_a_hard_mismatch(

@@ -28,7 +28,7 @@ from tiltlab.silting import enumerate_silting, euler_form
 
 from oracles import euler_form as oracle_euler_form
 from oracles import (kron_hom_space_matrix, oracle_ext1_hereditary,
-                     oracle_hom_dim)
+                     oracle_hom_dim, reference_map_of_alg_matrix)
 from test_algebra import monomial_algebras
 
 
@@ -440,6 +440,24 @@ def test_alg_matrix_round_trip(use_nak, src_vs, tgt_vs, seed):
     back = map_of_alg_matrix(alg_matrix_of_map(f, src, tgt), src, tgt)
     for v in range(alg.n):
         assert np.array_equal(back.vmaps[v], f.vmaps[v])
+
+
+@settings(max_examples=40, deadline=None)
+@given(monomial_algebras(), st.data(), st.integers(0, 2**32 - 1))
+def test_alg_matrix_expansion_matches_path_products(alg, data, seed):
+    # mat[r, c] lives on the paths tgt[r] -> src[c], as a map's matrix does
+    vertices = st.lists(st.integers(0, alg.n - 1), max_size=3)
+    src, tgt = data.draw(vertices), data.draw(vertices)
+    rng = np.random.default_rng(seed)
+    mat = np.zeros((len(tgt), len(src), alg.dim), dtype=np.int64)
+    for r, vr in enumerate(tgt):
+        for c, v in enumerate(src):
+            ends = list(alg.path_indices(vr, v))
+            mat[r, c, ends] = rng.integers(0, alg.p, len(ends))
+    f = map_of_alg_matrix(mat, ProjSum.of(alg, src), ProjSum.of(alg, tgt))
+    want = reference_map_of_alg_matrix(alg, mat, src, tgt)
+    for got, ref in zip(f.vmaps, want, strict=True):
+        assert got.dtype == np.int64 and np.array_equal(got, ref)
 
 
 @settings(max_examples=30, deadline=None)

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from tiltlab.catalog import linear_an, nakayama_rad_square_zero
 from tiltlab.errors import SpecError
 from tiltlab.heart import generator_models, module_stalk
+from tiltlab.homotopy import proj_stalk
 from tiltlab.repcat import decompose, projective, simple
 from tiltlab.repcomplex import homology_dims
+from tiltlab.silting import enumerate_silting
 from tiltlab.tiltcheck import (
     HeartStore,
     build_universe,
@@ -15,6 +17,7 @@ from tiltlab.tiltcheck import (
     check_equivalence,
     check_quasi_tilting,
     check_tilting,
+    compatible_stalks,
     qtilt_closure_trials,
     schanuel_trials,
     verify_bijection,
@@ -319,6 +322,31 @@ def test_tilting_detects_global_dimension(nak):
     assert not rep.route_a["pd_ok"][0]
 
 
+def test_tilting_routes_agree_on_every_nak3_d2_class():
+    # a heart object may have homology in degree -1 = -d + 1: such a
+    # generator's presentation starts above -d, and its lowest-degree
+    # homology is homology of the object, not a syzygy kernel.  The
+    # presentation route calls a class tilting exactly when it has no
+    # shifted-projective summand and every part has H^{-d} = 0.
+    alg, d = nakayama_rad_square_zero(3), 2
+    enum = enumerate_silting(alg, d)
+    reg = enum.registry
+    stalks = {reg.intern(proj_stalk(alg, v).shift(d)) for v in range(alg.n)}
+    store = HeartStore(d, 0)
+    tilting_with_two_degrees = 0
+    for rec in enum.clusters:
+        gens = [store.reps[i] for i in store.image(rec.parts)]
+        if not gens:        # A[d] has no heart image
+            continue
+        rep = check_tilting(gens, d)
+        want = not stalks & set(rec.ids) and all(
+            -d not in homology_dims(x.expansion()) for x in rec.parts)
+        assert rep.verdict == ("tilting" if want else "not_tilting"), rec.ids
+        if want and any(set(homology_dims(g)) == {-1, 0} for g in gens):
+            tilting_with_two_degrees += 1
+    assert tilting_with_two_degrees == 6
+
+
 # -- equivalence of the checkers ---------------------------------------------
 
 def test_equivalence_on_controls(ka2, uni_ka2):
@@ -381,6 +409,24 @@ def test_bijection_nak_d1(nak, uni_nak):
     rep = verify_bijection(nak, 1, uni_nak, seed=0)
     assert rep.count == 12
     assert rep.ok
+
+
+@pytest.mark.parametrize("alg,d", [
+    (linear_an(3), 1), (nakayama_rad_square_zero(3), 1), (linear_an(4), 1),
+    (linear_an(3), 2), (nakayama_rad_square_zero(3), 2)],
+    ids=["A3-d1", "Nak3-d1", "A4-d1", "A3-d2", "Nak3-d2"])
+def test_stalks_compatible_with_a_core_are_its_supports(alg, d):
+    # verify_bijection's uniqueness search runs over the subsets of this set:
+    # a silting class is maximal among presilting ones, so the stalks
+    # P_v[d] compatible with its other summands are its own
+    enum = enumerate_silting(alg, d)
+    reg = enum.registry
+    stalks = {reg.intern(proj_stalk(alg, v).shift(d)) for v in range(alg.n)}
+    for rec in enum.clusters:
+        supports = sorted(stalks & set(rec.ids))
+        core = [reg.items[i] for i in rec.ids if i not in stalks]
+        assert compatible_stalks(
+            core, {i: reg.items[i] for i in stalks}, d) == supports, rec.ids
 
 
 def test_torsion_reports_ka2_d1(ka2, uni_ka2):
