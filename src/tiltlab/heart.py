@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import HomologyOutsideWindow, Mismatch, \
     ResolutionDepthExceeded, WindowViolation
-from .homotopy import HomPackage, ProjComplex, decompose_complex, hom_k, \
-    hom_package, minimize, proj_direct_sum, proj_zero
+from .homotopy import ProjComplex, decompose_complex, hom_k, hom_package, \
+    minimize, proj_direct_sum, proj_zero
 from .linalg import solve_right
 from .memo import memo
 from .repcat import (ModuleMap, ProjSum, Representation, alg_matrix_of_map,
@@ -124,7 +124,12 @@ def resolution_of_complex(c: RepComplex, depth: int):
     Iteratively covers the degree-zero homology and passes to the smartly
     truncated cocone, at most depth + 1 times.  Returns (ProjComplex,
     complete); when the depth budget stops the process early the result is
-    the brutal truncation of a resolution and ``complete`` is False.
+    the brutal truncation of a resolution and ``complete`` is False:
+    the syzygy after the last cover is not zero.  A stalk complex gets
+    the minimal resolution of its one term (``resolution_of_module``),
+    with the same number of covers; that one raises
+    ``ResolutionDepthExceeded`` past ``repcat.RESOLUTION_SIZE_BUDGET``,
+    which the loop does not check.
     """
     alg = c.alg
     cur = c.trim()
@@ -133,6 +138,14 @@ def resolution_of_complex(c: RepComplex, depth: int):
     if cur.hi != 0:
         s, complete = resolution_of_complex(cur.shift(cur.hi), depth)
         return s.shift(-cur.hi), complete
+    if cur.lo == 0:
+        m = cur.term_at(0)
+        s = resolution_of_module(m, depth)
+        # dim Omega^(t+1) = dim P_t - dim Omega^t, from Omega^0 = m
+        syz = np.array(m.dims)
+        for q in reversed(s.degrees()):
+            syz = np.subtract(s.psum_at(q).rep.dims, syz)
+        return s, not syz.any()
     covers: list[ProjSum] = []
     dmaps: list[np.ndarray] = []
     complete = False
@@ -244,23 +257,23 @@ def generator_models(gens, d: int) -> list[ProjComplex]:
     return [projective_model(g, d) for g in gens]
 
 
-def _fac_stage(cur: RepComplex, used: list[tuple[ProjComplex, HomPackage]],
-               d: int):
+def _fac_stage(cur: RepComplex, used: tuple[ProjComplex, ...], d: int):
     """One approximation stage over cur, kept in ``memo(cur)``.
 
-    ``used`` pairs each generator model with Hom(model, cur) != 0 with its
-    hom package, in model order.  Returns the cocone of the universal
-    approximation f: E -> cur moved into the window, or None when f is not
-    onto H^0.
+    ``used`` lists the generator models with Hom(model, cur) != 0, in
+    model order; their hom packages are built only when the stage is.
+    Returns the cocone of the universal approximation f: E -> cur moved
+    into the window, or None when f is not onto H^0.
     """
     store = memo(cur)
-    key = ("fac_stage", tuple(g for g, _ in used), d)
+    key = ("fac_stage", used, d)
     if key in store:
         return store[key]
     # one copy of a model per class representative, with its images
     chosen: list[ProjComplex] = []
     images: dict[int, list[np.ndarray]] = {}
-    for g, pkg in used:
+    for g in used:
+        pkg = hom_package(g, cur, 0)
         for coords in pkg.rep_coords:
             chosen.append(g)
             for (q, _), (_, sl) in pkg.layout[0].items():
@@ -316,10 +329,10 @@ def fac_membership(gens, x: RepComplex, d: int,
     for stage in range(1, s + 1):
         if not homology_dims(cur):
             break
-        pkgs = [hom_package(g, cur, 0) for g in models]
-        middle = [(gi, pkg.dim) for gi, pkg in enumerate(pkgs) if pkg.dim]
+        dims = [hom_k(g, cur, 0) for g in models]
+        middle = [(gi, dim) for gi, dim in enumerate(dims) if dim]
         nxt = _fac_stage(
-            cur, [(g, pkg) for g, pkg in zip(models, pkgs) if pkg.dim], d)
+            cur, tuple(g for g, dim in zip(models, dims) if dim), d)
         if nxt is None:
             out_steps.append(FacStep(stage, middle, homology_dims(cur), False))
             verdict = "not_in" if stage == 1 else "not_in_approx"

@@ -28,8 +28,8 @@ from .algebra import BoundQuiverAlgebra
 from .endsplit import primitive_idempotents, trace_radical
 from .errors import (FieldTooSmall, Mismatch, NoSolution,
                      RandomBudgetExhausted, WindowViolation)
-from .linalg import (column_space, eye, in_span, inv, null_space, rank,
-                     rref, solve_right, span_union, zeros)
+from .linalg import (column_space, eye, in_span, inv, is_invertible,
+                     null_space, rank, rref, solve_right, span_union, zeros)
 from .memo import memo
 from .repcat import (
     ModuleMap,
@@ -750,11 +750,13 @@ def _decompose_minimal(xm: ProjComplex, seed: int):
     alg = xm.alg
     if xm.is_zero():
         return []
-    # the honest chain endomorphisms (no homotopy quotient) span chain_space
+    # dim Z^0 End(xm) = dim Hom^0 - rk D^0 counts the honest chain
+    # endomorphisms (no homotopy quotient); 1 means End = k: indecomposable
+    hc = _hom_complex(xm, xm)
+    if hc.widths.get(0, 0) - hc.rank(xm, 0) == 1:
+        return [(xm, 1)]
     pkg = hom_package(xm, xm, 0)
     endos = pkg.chain_space
-    if endos.shape[1] == 1:
-        return [(xm, 1)]
     rng = np.random.default_rng(seed)
     mats = [_total_matrix(pkg.chainmap_of(c)) for c in endos.T]
     idems = primitive_idempotents(mats, alg.p, rng)
@@ -893,12 +895,54 @@ class IsoResult:
         return f"IsoResult({self.verdict!r}, {self.reason!r})"
 
 
+def _degreewise_iso(x: ProjComplex, y: ProjComplex, seed: int) -> bool:
+    """One-sided certificate that x and y are isomorphic; False proves nothing.
+
+    Draws one seeded random chain map f: X -> Y from Z^0 Hom(X, Y), the
+    kernel of the pair's degree-0 operator (``_hom_complex(x, y)``), in
+    generator-image coordinates.  It accepts when, in every degree q and at
+    every vertex v, the scalar-part matrix of f^q is invertible: the e_v
+    coefficients, read at ``ProjSum.offsets[r][v]``, of the images of
+    X^q's generators at v on the summands r of Y^q at v.  That matrix is
+    top(f^q) at v, so by Nakayama's lemma every f^q is an isomorphism, and
+    so is f.  For minimal X and Y every homotopy equivalence is such an f,
+    so when they are isomorphic a draw fails with probability at most
+    (number of summands) / p.  The only entry built is Hom(X -> Y), which
+    lives in ``memo(y)``.  x and y are nonzero with equal graded
+    multiplicities, as ``iso_k`` checks first.
+    """
+    p = x.alg.p
+    rng = np.random.default_rng(seed)
+    width, _, slot = _hom_complex(x, y).degree(y, 0)
+    if slot is None:        # D^0 has an empty side: every g is a chain map
+        f = rng.integers(0, p, size=width)
+    else:
+        z = null_space(slot[1], p)
+        if slot[0] is None:
+            slot[0] = width - z.shape[1]
+        f = z @ rng.integers(0, p, size=z.shape[1]) % p
+    blocks = _layout(x, _hom_target(y), 0)[0]
+    for q in x.degrees():
+        src, tgt = x.summands_at(q), y.summands_at(q)
+        offsets = y.psum_at(q).offsets
+        for v in set(src):
+            starts = [blocks[(q, s)][1].start
+                      for s, u in enumerate(src) if u == v]
+            rows = [offsets[r][v] for r, u in enumerate(tgt) if u == v]
+            if not is_invertible(f[np.add.outer(rows, starts)], p):
+                return False
+    return True
+
+
 def iso_k(x: ProjComplex, y: ProjComplex, seed: int = 0,
           want_witness: bool = False) -> IsoResult:
     """Decide isomorphism in the homotopy category.
 
-    Minimizes both sides, splits them into indecomposables, and matches
-    the summand multisets.
+    Minimizes both sides and compares graded multiplicities.  Then one
+    random chain map X -> Y that is an isomorphism in every degree
+    (``_degreewise_iso``) answers "yes"; witnesses are not built from it.
+    Otherwise both sides are split into indecomposables and the summand
+    multisets matched, which gives every "no" and "unknown".
     """
     xm, ym = minimize(x), minimize(y)
     gx, gy = xm.graded_mults(), ym.graded_mults()
@@ -906,6 +950,8 @@ def iso_k(x: ProjComplex, y: ProjComplex, seed: int = 0,
         return IsoResult("no", f"graded multiplicities differ: {gx} vs {gy}")
     if xm.is_zero():
         return IsoResult("yes", "both zero")
+    if not want_witness and _degreewise_iso(xm, ym, seed):
+        return IsoResult("yes", "degreewise isomorphism")
     try:
         dx = decompose_complex(xm, seed=seed)
         dy = decompose_complex(ym, seed=seed)

@@ -236,6 +236,12 @@ def is_silting(parts: list[ProjComplex], d: int,
 class ComplexRegistry:
     """Stable integer ids for homotopy classes of complexes.
 
+    A new object is minimized and compared by ``iso_k`` with the items
+    that share its fingerprint (shape and homology dimensions).  A match
+    is usually settled by ``iso_k``'s degreewise certificate, which builds
+    only Hom(item -> object), in the object's memo table, and leaves the
+    item's as it was.
+
     ``_by_obj`` remembers, by the object itself, every object the registry
     has resolved: each stored representative, each interned input and each
     input that ``find`` matched (a miss is never remembered).  Looking such

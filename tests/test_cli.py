@@ -484,3 +484,32 @@ def test_k0_refutation_classes_are_integers(tmp_path, ka2_spec):
     assert code == 1
     refut = rep["report"]["detail"]["route_a"]["silting"]["refutation"]
     assert refut["kind"] == "k0" and refut["classes"] == [[1, 0]]
+
+
+@pytest.mark.parametrize("spec", [
+    {"catalog": "linear_an", "n": 4, "d": 2},
+    {"catalog": "nakayama_rad_square_zero", "n": 4, "d": 2}],
+    ids=["A4-d2", "Nak4-d2"])
+def test_enumerate_report_does_not_depend_on_the_iso_certificate(
+        tmp_path, monkeypatch, spec):
+    # the degreewise certificate only answers "yes" early: with it off,
+    # every registry confirmation takes the exact path to the same report
+    from tiltlab import homotopy
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "report.json"
+    argv = ["enumerate", "--spec", str(path), "--out", str(out)]
+    certified = []
+    real = homotopy._degreewise_iso
+
+    def counted(*args):
+        certified.append(real(*args))
+        return certified[-1]
+
+    monkeypatch.setattr(homotopy, "_degreewise_iso", counted)
+    assert main(argv) == 0
+    with_certificate = out.read_bytes()
+    assert any(certified)
+    monkeypatch.setattr(homotopy, "_degreewise_iso", lambda *args: False)
+    assert main(argv) == 0
+    assert out.read_bytes() == with_certificate

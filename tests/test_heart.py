@@ -26,8 +26,8 @@ from tiltlab.heart import (
 from tiltlab.homotopy import (hom_k, hom_package, iso_k, proj_direct_sum,
                               proj_stalk)
 from tiltlab.repcat import (ModuleMap, Representation, direct_sum, ext_dim,
-                            hom_dim, injective, is_isomorphic, module_iso,
-                            projective, simple, zero_map)
+                            hom_dim, identity_map, injective, is_isomorphic,
+                            module_iso, projective, simple, zero_map)
 from tiltlab.repcomplex import RepComplex, homology_dims, stalk_complex
 from tiltlab.silting import enumerate_silting
 from tiltlab.tiltcheck import HeartStore, _random_proj_3step
@@ -77,12 +77,28 @@ def all_modules(alg):
 
 # -- resolving complexes -----------------------------------------------------
 
+def contractible(n: Representation) -> RepComplex:
+    """N -> N in degrees -1..0 along the identity: zero in the derived
+    category, but not a stalk."""
+    return RepComplex(n.alg, -1, [n, n], [identity_map(n)])
+
+
 def test_resolution_of_stalk_matches_module_resolution(ka2, nak):
     for alg in (ka2, nak):
         for m in all_modules(alg):
+            want = resolution_of_module(m, depth=6)
             r, complete = resolution_of_complex(module_stalk(m), depth=6)
             assert complete
-            assert iso_k(r, resolution_of_module(m, depth=6))
+            assert (r.lo, r.summands) == (want.lo, want.summands)
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(r.dmats, want.dmats))
+            # the cover loop, on complexes quasi-isomorphic to the stalk
+            # that are not stalks
+            for n in all_modules(alg):
+                c = complex_direct_sum(module_stalk(m), contractible(n))
+                r, complete = resolution_of_complex(c, depth=6)
+                assert complete
+                assert iso_k(r, want)
 
 
 def test_resolution_shapes_nakayama(nak):
@@ -521,6 +537,24 @@ def test_fac_stage_is_shared_by_lists_differing_by_a_zero_hom_generator(
     # the steps are per call: the middle names each list's own indices
     assert (a[1], b[1]) == ([(0, 1)], [(1, 1)])
     assert (a[0], a[2:]) == (b[0], b[2:])
+
+
+def test_a_kept_stage_asks_for_no_package(monkeypatch):
+    # the middle and the models used come from hom_k; the hom packages
+    # are asked for only when a stage is built
+    x = module_stalk(simple(A3, 0))
+    gens = [module_stalk(projective(A3, 0)), module_stalk(simple(A3, 1)),
+            module_stalk(injective(A3, 2))]
+    first = fac_summary(fac_membership(gens, x, d=2))
+    asked = []
+    real = heart.hom_package
+
+    def spy(*args):
+        asked.append(args)
+        return real(*args)
+    monkeypatch.setattr(heart, "hom_package", spy)
+    assert fac_summary(fac_membership(gens, x, d=2)) == first
+    assert asked == []
 
 
 def test_p_presentation_of_window_complex(nak):

@@ -1,4 +1,5 @@
 """Complexes of projectives: homs, minimization, decomposition, mutation."""
+import functools
 import gc
 import sys
 import weakref
@@ -6,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tiltlab import homotopy, linalg, repcat
@@ -821,6 +822,24 @@ def test_k0_vectors(ka2):
 
 # -- decomposition and isomorphism ------------------------------------------
 
+def test_indecomposable_is_read_off_a_rank(ka3, monkeypatch):
+    # dim Z^0 End = 1 answers without a hom package; a sum builds one
+    built = []
+    init = HomPackage.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(HomPackage, "__init__", counting)
+    x = simple_presentation(ka3, 0)
+    assert decompose_complex(x) == ((x, 1),)
+    assert built == []
+    two = proj_direct_sum([x, proj_stalk(ka3, 1)])
+    assert len(decompose_complex(two)) == 2
+    assert [args[:2] for args in built] == [(two, two)]
+
+
 def test_decompose_complex_two_parts(ka2):
     x = simple_presentation(ka2, 0)
     s = proj_direct_sum([x, proj_stalk(ka2, 1), proj_stalk(ka2, 1)])
@@ -856,6 +875,8 @@ def test_iso_k_unknown_only_for_budget_and_field(ka2, monkeypatch):
         return decompose
 
     x = proj_direct_sum([proj_stalk(ka2, 0), proj_stalk(ka2, 1)])
+    # the degreewise certificate must not decide first
+    monkeypatch.setattr(homotopy, "_degreewise_iso", lambda *args: False)
     monkeypatch.setattr(homotopy, "decompose_complex",
                         fail_with(RandomBudgetExhausted("budget")))
     assert iso_k(x, x).verdict == "unknown"
@@ -928,6 +949,232 @@ def test_iso_k_distinguishes_sum_from_twist(ka3):
     x = proj_direct_sum([proj_stalk(ka3, 0), simple_presentation(ka3, 0)])
     y = proj_direct_sum([proj_stalk(ka3, 1), simple_presentation(ka3, 1)])
     assert iso_k(x, y).verdict == "no"
+
+
+# -- the degreewise isomorphism certificate ---------------------------------
+
+def _certified(x, y, seeds=range(3)) -> bool:
+    """Does one of a few draws certify x ~ y?  One draw of an isomorphic
+    pair fails with probability at most (number of summands) / p."""
+    return any(homotopy._degreewise_iso(x, y, s) for s in seeds)
+
+
+def _rebased(x: ProjComplex, rng) -> ProjComplex:
+    """u d u^-1 for a random automorphism u of every term of x.
+
+    u^q has random entries on every path its support allows, and a random
+    invertible scalar part at each vertex, so it may permute summands.  Its
+    inverse is taken vertexwise on the expansion.
+    """
+    alg, p = x.alg, x.alg.p
+    autos, invs = {}, {}
+    for q in x.degrees():
+        s = x.summands_at(q)
+        u = homotopy.azeros(alg, len(s), len(s))
+        for r, vr in enumerate(s):
+            for c, vc in enumerate(s):
+                paths = list(alg.path_indices(vr, vc))
+                u[r, c, paths] = rng.integers(0, p, size=len(paths))
+        for v in set(s):
+            at = [k for k, w in enumerate(s) if w == v]
+            while True:
+                scalar = rng.integers(0, p, size=(len(at), len(at)))
+                if rank(scalar, p) == len(at):
+                    break
+            u[np.ix_(at, at, [alg.e_index[v]])] = scalar[:, :, None]
+        ps = x.psum_at(q)
+        big = repcat.map_of_alg_matrix(u, ps, ps)
+        back = repcat.ModuleMap(ps.rep, ps.rep, [
+            linalg.inv(m, p) if m.size else m for m in big.vmaps])
+        autos[q], invs[q] = u, repcat.alg_matrix_of_map(back, ps, ps)
+    dmats = [homotopy.amul(alg, autos[q + 1],
+                           homotopy.amul(alg, x.dmat_at(q), invs[q]))
+             for q in range(x.lo, x.hi)]
+    y = ProjComplex(alg, x.lo, x.summands, dmats)
+    y.validate()
+    return y
+
+
+def _zeroed(x: ProjComplex, k: int) -> ProjComplex:
+    """x with its k-th differential replaced by zero."""
+    dmats = list(x.dmats)
+    dmats[k] = np.zeros_like(dmats[k])
+    return ProjComplex(x.alg, x.lo, x.summands, dmats)
+
+
+@functools.lru_cache(maxsize=None)
+def _registry_items(family, d: int):
+    """The classes enumerated over family(3) at d: indecomposable and
+    pairwise non-isomorphic."""
+    from tiltlab.silting import enumerate_silting
+    return tuple(enumerate_silting(family(3), d).registry.items)
+
+
+@functools.lru_cache(maxsize=None)
+def _equal_mult_sums(family, d: int):
+    """Groups of at least two sums of one or two registry items that have
+    equal graded multiplicities.  By Krull-Schmidt, different multisets of
+    items give non-isomorphic sums."""
+    items = _registry_items(family, d)
+    groups: dict = {}
+    for i in range(len(items)):
+        for j in range(i, len(items)):
+            picks = (i,) if i == j else (i, j)
+            s = proj_direct_sum([items[k] for k in picks])
+            key = tuple(sorted(s.graded_mults().items()))
+            groups.setdefault(key, []).append(s)
+    return [g for g in groups.values() if len(g) > 1]
+
+
+@st.composite
+def rebased_pairs(draw):
+    """(x, re-based copy of x): x is a sum of one to three registry items
+    over A_3 or Nak_3 at d = 1 or 2, or a minimized random complex over a
+    random monomial algebra."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        items = _registry_items(
+            draw(st.sampled_from([linear_an, nakayama_rad_square_zero])),
+            draw(st.integers(1, 2)))
+        picks = draw(st.lists(st.integers(0, len(items) - 1), min_size=1,
+                              max_size=3))
+        x = proj_direct_sum([items[k] for k in picks])
+    else:
+        x = minimize(_random_proj_3step(draw(monomial_algebras()), rng))
+        assume(not x.is_zero())
+    return x, _rebased(x, rng)
+
+
+@st.composite
+def non_isomorphic_pairs(draw):
+    """Pairs with equal graded multiplicities that are not isomorphic:
+    sums of different registry items (re-based), or a minimized random
+    complex against itself with one nonzero differential zeroed, which
+    changes its homology."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        groups = _equal_mult_sums(
+            draw(st.sampled_from([linear_an, nakayama_rad_square_zero])),
+            draw(st.integers(1, 2)))
+        group = groups[draw(st.integers(0, len(groups) - 1))]
+        i, j = draw(st.lists(st.integers(0, len(group) - 1), min_size=2,
+                             max_size=2, unique=True))
+        return group[i], _rebased(group[j], rng)
+    alg = draw(st.sampled_from([linear_an(3), nakayama_rad_square_zero(3)])
+               if draw(st.booleans()) else monomial_algebras())
+    x = minimize(_random_proj_3step(alg, rng))
+    nonzero = [k for k, m in enumerate(x.dmats) if np.any(m)]
+    assume(nonzero)
+    y = _zeroed(x, draw(st.sampled_from(nonzero)))
+    assert homology_dims(x.expansion()) != homology_dims(y.expansion())
+    return x, y
+
+
+@settings(max_examples=30, deadline=None)
+@given(rebased_pairs())
+def test_rebased_copies_are_certified(case):
+    x, y = case
+    assert x.graded_mults() == y.graded_mults()
+    assert _certified(x, y)
+    assert iso_k(x, y).verdict == "yes"
+
+
+@settings(max_examples=30, deadline=None)
+@given(non_isomorphic_pairs())
+def test_non_isomorphic_pairs_are_never_certified(case):
+    x, y = case
+    assert x.graded_mults() == y.graded_mults()
+    assert not _certified(x, y, seeds=range(5))
+    assert iso_k(x, y).verdict == "no"
+
+
+def _kronecker_arrows():
+    """P(1) -> P(0) along each of the two Kronecker arrows, in degrees -1..0.
+
+    They have equal graded multiplicities and homology dimensions, and are
+    not isomorphic: End P(v) = k, so an isomorphism would scale one arrow
+    onto the other.
+    """
+    from tiltlab.algebra import build_algebra
+    kron = build_algebra(2, [(1, 1, 2), (2, 1, 2)], [])
+    out = []
+    for a in kron.path_indices(0, 1):
+        d = np.zeros((1, 1, kron.dim), dtype=np.int64)
+        d[0, 0, a] = 1
+        out.append(ProjComplex(kron, -1, [[1], [0]], [d]))
+    return tuple(out)
+
+
+def certificate_refusals() -> int:
+    """Check that the certificate refuses fixed non-isomorphic pairs.
+
+    The Kronecker pair (``_kronecker_arrows``) differs only in the scalar
+    parts of Z^0 Hom; the A_3 presentation of S(0) is compared with its
+    zero-differential copy.  Raises RuntimeError on a certificate;
+    returns the number of pairs checked.
+    """
+    s0 = simple_presentation(linear_an(3), 0)
+    pairs = [_kronecker_arrows(), (s0, _zeroed(s0, 0))]
+    for x, y in pairs:
+        for seed in range(5):
+            if homotopy._degreewise_iso(x, y, seed):
+                raise RuntimeError(f"certified a non-isomorphic pair {x}, "
+                                   f"{y} with seed {seed}")
+    return len(pairs)
+
+
+def planted_certificate_is_caught() -> str:
+    """Message of ``certificate_refusals`` once the certificate skips its
+    scalar-part rank check (``is_invertible`` accepts everything)."""
+    with mock.patch.object(homotopy, "is_invertible", lambda a, p: True):
+        try:
+            certificate_refusals()
+        except RuntimeError as exc:
+            return str(exc)
+    raise RuntimeError("a certificate with no rank check went unnoticed")
+
+
+def test_certificate_refuses_without_assert():
+    assert certificate_refusals() == 2
+    run_optimized("test_homotopy", "certificate_refusals")
+
+
+def test_planted_certificate_fault_is_caught():
+    assert "certified a non-isomorphic pair" in planted_certificate_is_caught()
+    run_optimized("test_homotopy", "planted_certificate_is_caught")
+
+
+class _ZeroRng:
+    def integers(self, low, high=None, size=None):
+        return np.zeros(size, dtype=np.int64)
+
+
+def test_failed_draw_falls_back_to_the_exact_verdict(monkeypatch):
+    # indecomposable pairs: the exact path splits nothing, so only the
+    # certificate draws from the patched generator
+    rng = np.random.default_rng(7)
+    pairs = [_kronecker_arrows()]
+    for family in (linear_an, nakayama_rad_square_zero):
+        pairs += [(x, _rebased(x, rng))
+                  for x in _registry_items(family, 2)[:4]]
+    exact = {}
+    with monkeypatch.context() as m:
+        m.setattr(homotopy, "_degreewise_iso", lambda *args: False)
+        for k, (x, y) in enumerate(pairs):
+            exact[k] = iso_k(x, y).verdict
+    assert set(exact.values()) == {"yes", "no"}
+    tried = []
+    real = homotopy._degreewise_iso
+
+    def recorded(*args):
+        tried.append(real(*args))
+        return tried[-1]
+
+    monkeypatch.setattr(homotopy, "_degreewise_iso", recorded)
+    monkeypatch.setattr(np.random, "default_rng", lambda *a, **k: _ZeroRng())
+    for k, (x, y) in enumerate(pairs):
+        assert iso_k(x, y).verdict == exact[k]
+    assert tried and not any(tried)
 
 
 # -- approximations ---------------------------------------------------------
