@@ -158,6 +158,15 @@ class BoundQuiverAlgebra:
         self._by_ends = {k: tuple(v) for k, v in by_ends.items()}
         # paths are sorted by length, so e_v comes first among v -> v
         self.e_index = [self._by_ends[(v, v)][0] for v in range(self.n)]
+        # path b = last arrow o prefix; in a monomial algebra the prefix of
+        # a surviving path survives and, being shorter, comes before b.
+        # Trivial paths have neither (-1).  Tuples of ints: they are read
+        # one entry at a time.
+        self.path_prefix = tuple(
+            -1 if not walk else self.e_index[src] if len(walk) == 1
+            else self._index[walk[:-1]] for walk, src, _ in paths)
+        self.path_arrow = tuple(walk[-1] if walk else -1
+                                for walk, _, _ in paths)
 
     def _build_product_table(self):
         """Keep the nonzero products as triples (mult_a, mult_b, mult_c).

@@ -18,7 +18,7 @@ from .errors import HomologyOutsideWindow, Mismatch, \
     ResolutionDepthExceeded, WindowViolation
 from .homotopy import ProjComplex, decompose_complex, hom_k, hom_package, \
     minimize, proj_direct_sum, proj_zero
-from .linalg import solve_right
+from .linalg import rank, solve_right
 from .memo import memo
 from .repcat import (ModuleMap, ProjSum, Representation, alg_matrix_of_map,
                      cokernel, is_isomorphic, kernel, minimal_resolution,
@@ -232,10 +232,43 @@ def heart_hom(x: RepComplex, y: RepComplex, d: int) -> int:
 
 @dataclass
 class FacStep:
+    """One stage of a Fac-chain.
+
+    ``kernel_dims`` is ``homology_dims`` of the stage's cocone in the
+    window (the next C) for a surjective stage, and of C itself for the
+    stage that is not.  The last step of a chain that ends "in" reads it
+    from ``_fac_stage`` on first access, so the cocone is built only if
+    someone asks.
+    """
     stage: int
     middle: list[tuple[int, int]]       # (generator index, multiplicity)
     kernel_dims: Mapping[int, tuple]    # homology_dims, read-only
     surjective: bool
+
+
+class _NextDims(Mapping):
+    """homology_dims of ``_fac_stage(cur, used, d)``, built on first read."""
+
+    def __init__(self, cur: RepComplex, used: tuple, d: int):
+        self._stage = (cur, used, d)
+        self._dims = None
+
+    def _read(self) -> Mapping[int, tuple]:
+        if self._dims is None:
+            self._dims = homology_dims(_fac_stage(*self._stage))
+        return self._dims
+
+    def __getitem__(self, q):
+        return self._read()[q]
+
+    def __iter__(self):
+        return iter(self._read())
+
+    def __len__(self):
+        return len(self._read())
+
+    def __repr__(self):
+        return repr(dict(self._read()))
 
 
 @dataclass
@@ -257,19 +290,13 @@ def generator_models(gens, d: int) -> list[ProjComplex]:
     return [projective_model(g, d) for g in gens]
 
 
-def _fac_stage(cur: RepComplex, used: tuple[ProjComplex, ...], d: int):
-    """One approximation stage over cur, kept in ``memo(cur)``.
+def _approximation_images(cur: RepComplex, used: tuple[ProjComplex, ...]):
+    """The source and generator images of the universal approximation.
 
-    ``used`` lists the generator models with Hom(model, cur) != 0, in
-    model order; their hom packages are built only when the stage is.
-    Returns the cocone of the universal approximation f: E -> cur moved
-    into the window, or None when f is not onto H^0.
+    Returns (chosen, images): one copy of a model per class
+    representative of Hom(model, cur), in order, and per degree q the
+    images in cur^q of the generators of their direct sum (``_map_from``).
     """
-    store = memo(cur)
-    key = ("fac_stage", used, d)
-    if key in store:
-        return store[key]
-    # one copy of a model per class representative, with its images
     chosen: list[ProjComplex] = []
     images: dict[int, list[np.ndarray]] = {}
     for g in used:
@@ -278,10 +305,65 @@ def _fac_stage(cur: RepComplex, used: tuple[ProjComplex, ...], d: int):
             chosen.append(g)
             for (q, _), (_, sl) in pkg.layout[0].items():
                 images.setdefault(q, []).append(coords[sl])
+    return chosen, images
+
+
+def _fac_onto(cur: RepComplex, used: tuple[ProjComplex, ...]) -> bool:
+    """Is the universal approximation f: E -> cur onto H^0(cur)?
+
+    Kept in ``memo(cur)`` under ``("fac_onto", used)``.  The models have
+    no term above degree 0, so E^1 = 0, and the cocone k of f has
+    k^1 = C^0 with d_k^0 = (f^0, d_C^(-1)) up to sign and d_k^1 = d_C^0.
+    So f is onto H^0 exactly when, at every vertex v,
+    rank [d_C^(-1) | f^0]_v = dim Z^0(C)_v = dim C^0_v - rank (d_C^0)_v;
+    the last rank is 0 unless C has a term above degree 0.  f^0 is one
+    ``ProjSum.extend`` of the class representatives' degree-0 generator
+    images; null-homotopic maps would only add columns inside the image
+    of d_C^(-1).  With H^0(C) = 0 (always so for an empty ``used``) f is
+    onto and nothing is built.
+    """
+    store, key = memo(cur), ("fac_onto", used)
+    out = store.get(key)
+    if out is None:
+        out = 0 not in homology_dims(cur)
+        if not out and used:
+            chosen, images = _approximation_images(cur, used)
+            summands = [v for g in chosen for v in g.summands_at(0)]
+            c0, p = cur.term_at(0), cur.alg.p
+            f0 = ProjSum.of(cur.alg, summands).extend(
+                c0, images.get(0, [])).vmaps
+            # H^0 != 0, so cur.hi >= 0 and d_C^(-1) exists when cur.lo < 0
+            into = cur.diff_at(-1).vmaps if cur.lo < 0 else None
+            out_of = cur.diff_at(0).vmaps if cur.hi > 0 else None
+            out = all(
+                rank(f0[v] if into is None
+                     else np.concatenate([into[v], f0[v]], axis=1), p)
+                == dim - (rank(out_of[v], p) if out_of else 0)
+                for v, dim in enumerate(c0.dims) if dim)
+        store[key] = out
+    return out
+
+
+def _fac_stage(cur: RepComplex, used: tuple[ProjComplex, ...], d: int):
+    """The next C after an onto stage over cur, kept in ``memo(cur)``.
+
+    ``used`` lists the generator models with Hom(model, cur) != 0, in
+    model order.  Builds the universal approximation f: E -> cur and
+    returns its cocone moved into the window.  It is asked for only once
+    ``_fac_onto`` has passed, so a cocone with H^1 = coker H^0(f) raises
+    ``Mismatch``.
+    """
+    store = memo(cur)
+    key = ("fac_stage", used, d)
+    if key in store:
+        return store[key]
+    chosen, images = _approximation_images(cur, used)
     f = _map_from(proj_direct_sum(chosen, cur.alg), cur, images)
     k = complex_cone(f).shift(-1)
-    out = None if 1 in homology_dims(k) else to_window(k, d)
-    store[key] = out
+    if 1 in homology_dims(k):
+        raise Mismatch("Fac stage: the rank test passed an approximation "
+                       "that is not onto H^0")
+    out = store[key] = to_window(k, d)
     return out
 
 
@@ -297,23 +379,27 @@ def fac_membership(gens, x: RepComplex, d: int,
     and the generator P(1), f = 0 is not onto H^0, and the stage stops
     before any truncation sees the cocone's H^2.
 
-    Builds the chain of universal right approximations f: E -> C; at every
+    Walks the chain of universal right approximations f: E -> C; at every
     stage f must be onto H^0(C).  The long exact sequence of the cocone
     k -> E -> C puts H^q(k) in [-d+1, 1] when E and C lie in the heart,
-    with H^1(k) = coker H^0(f): f is onto exactly when H^1(k) vanishes,
-    and then ``to_window(k, d)`` is the next C and cannot raise.  A
-    first-stage failure certifies non-membership (every quotient
-    extriangle factors through the universal approximation); failures on
-    deeper cocones are only approximate evidence.
+    with H^1(k) = coker H^0(f); ``_fac_onto`` decides it with one rank
+    test per vertex in degree 0, and then ``to_window(k, d)`` is the next
+    C and cannot raise.  A first-stage failure certifies non-membership
+    (every quotient extriangle factors through the universal
+    approximation); failures on deeper cocones are only approximate
+    evidence.
 
-    A stage is kept in ``memo(C)`` under ``("fac_stage", used, d)``, with
-    ``used`` the generator models g with Hom(g, C) != 0, in model order.
-    A model with Hom(g, C) = 0 adds no column to f, and the hom packages
-    are deterministic and kept in ``memo(C)`` by model, so f, its cocone
-    and the truncation depend on (C, used, d) alone: generator lists that
-    differ only by models with no map into C share the stage.  The memo
-    value is the next C, or None when f is not onto H^0; f and its source
-    are not kept.  The steps, verdict and detail are built per call.
+    Only an onto stage with a later stage builds f and its cocone
+    (``_fac_stage``); the last step of an "in" chain reads its
+    ``kernel_dims`` from that stage on first access.  Both are kept in
+    ``memo(C)``, under ``("fac_onto", used)`` and ``("fac_stage", used,
+    d)``, with ``used`` the generator models g with Hom(g, C) != 0, in
+    model order.  A model with Hom(g, C) = 0 adds no column to f, and the
+    hom packages are deterministic and kept in ``memo(C)`` by model, so
+    the test, f, its cocone and the truncation depend on (C, used, d)
+    alone: generator lists that differ only by models with no map into C
+    share the stage.  f and its source are not kept.  The steps, verdict
+    and detail are built per call.
     """
     if s is None:
         s = d
@@ -331,16 +417,19 @@ def fac_membership(gens, x: RepComplex, d: int,
             break
         dims = [hom_k(g, cur, 0) for g in models]
         middle = [(gi, dim) for gi, dim in enumerate(dims) if dim]
-        nxt = _fac_stage(
-            cur, tuple(g for g, dim in zip(models, dims) if dim), d)
-        if nxt is None:
+        used = tuple(g for g, dim in zip(models, dims) if dim)
+        if not _fac_onto(cur, used):
             out_steps.append(FacStep(stage, middle, homology_dims(cur), False))
             verdict = "not_in" if stage == 1 else "not_in_approx"
             return FacResult(
                 verdict, out_steps,
                 detail=f"approximation not surjective on H^0 at stage {stage}")
-        out_steps.append(FacStep(stage, middle, homology_dims(nxt), True))
-        cur = nxt
+        if stage == s:
+            out_steps.append(FacStep(stage, middle, _NextDims(cur, used, d),
+                                     True))
+            break
+        cur = _fac_stage(cur, used, d)
+        out_steps.append(FacStep(stage, middle, homology_dims(cur), True))
     return FacResult("in", out_steps)
 
 

@@ -53,22 +53,20 @@ class Representation:
         """Matrix of basis path path_idx acting out of its source vertex.
 
         Kept in ``memo(self)`` under ``("act_path", path_idx)`` and built as
-        the last arrow's matrix times the action of the prefix.  In a
-        monomial algebra the prefix of a surviving path survives, so it is a
-        basis path with its own entry.  The result is shared: never write
-        into it.
+        the last arrow's matrix times the action of the prefix
+        (``alg.path_prefix``), a basis path with its own entry.  The result
+        is shared: never write into it.
         """
         store, key = memo(self), ("act_path", path_idx)
         out = store.get(key)
         if out is None:
             a = self.alg
-            walk, src = a.paths[path_idx], int(a.path_src[path_idx])
-            if not walk:
-                out = eye(self.dims[src])
+            prefix = a.path_prefix[path_idx]
+            if prefix < 0:
+                out = eye(self.dims[int(a.path_src[path_idx])])
             else:
-                prefix = (a.reduce_walk(walk[:-1]) if len(walk) > 1
-                          else a.e_index[src])
-                out = self.mats[walk[-1]] @ self.act_path(prefix) % a.p
+                out = (self.mats[a.path_arrow[path_idx]]
+                       @ self.act_path(prefix) % a.p)
             store[key] = out
         return out
 
@@ -428,6 +426,7 @@ class ProjSum:
             for w, basis in enumerate(self._pbasis[v]):
                 cursor[w] += len(basis)
         self.rep = direct_sum([projective(alg, v) for v in self.summands], alg)
+        self._plan = None
 
     @classmethod
     def of(cls, alg: BoundQuiverAlgebra, summands) -> "ProjSum":
@@ -467,15 +466,46 @@ class ProjSum:
             out[s, paths] = vec[start:start + len(paths)]
         return out % self.alg.p
 
+    def _extend_plan(self):
+        """Per vertex v of a summand: (v, summands at v, walk) in path order.
+
+        ``walk`` lists (b, w, cols) for every path b out of v: its basis
+        vector sits at vertex w, in column cols[i] for the i-th summand at
+        v.  Paths are sorted by length, so a prefix comes before its path.
+        """
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = []
+            for v in dict.fromkeys(self.summands):
+                rows = [s for s, u in enumerate(self.summands) if u == v]
+                walk = [(b, w, [self.offsets[s][w] + k for s in rows])
+                        for w, basis in enumerate(self._pbasis[v])
+                        for k, b in enumerate(basis)]
+                walk.sort()
+                plan.append((v, rows, walk))
+        return plan
+
     def extend(self, m: Representation, gens) -> ModuleMap:
-        """The map P -> M sending summand s's generator to vector gens[s]."""
+        """The map P -> M sending summand s's generator to vector gens[s].
+
+        An empty ``gens`` gives the zero map.  The image of path b applied
+        to the generators at v is M(last arrow of b) times the image of
+        b's prefix (``alg.path_prefix``), one product per path out of v for
+        all summands at v together; no ``act_path`` matrix is built.
+        """
         alg = self.alg
         vmaps = [zeros(m.dims[w], self.rep.dims[w]) for w in range(alg.n)]
-        for s, (v, g) in enumerate(zip(self.summands, gens)):
-            for w in range(alg.n):
-                for k, b in enumerate(self._pbasis[v][w]):
-                    vmaps[w][:, self.offsets[s][w] + k] = \
-                        m.act_path(int(b)) @ g % alg.p
+        if not len(gens):
+            return ModuleMap(self.rep, m, vmaps)
+        prefix, arrow = alg.path_prefix, alg.path_arrow
+        for v, rows, walk in self._extend_plan():
+            images = {}
+            for b, w, cols in walk:
+                if prefix[b] < 0:
+                    img = np.array([gens[s] for s in rows]).T % alg.p
+                else:
+                    img = m.mats[arrow[b]] @ images[prefix[b]] % alg.p
+                images[b] = vmaps[w][:, cols] = img
         return ModuleMap(self.rep, m, vmaps)
 
 
@@ -687,6 +717,31 @@ def _add_endomorphism(m: Representation, parts: list[Representation],
                 s[v] = (s[v] + np.einsum("aif,ibf->ab", f_v, g_v)) % p
             at += size
     return s
+
+
+def certify_isomorphic(m: Representation, n: Representation, rng) -> bool:
+    """One-sided certificate that M and N are isomorphic; False proves nothing.
+
+    Draws one random element f of Hom(M, N), a combination of the kernel
+    columns of ``hom_space_matrix``, and accepts when every vertex matrix
+    f_v is invertible: f is then an isomorphism.  When M and N are
+    isomorphic, prod_v det f_v is a nonzero polynomial of degree dim M on
+    Hom(M, N), so a random f fails with probability at most dim M / p
+    (Schwartz-Zippel).
+    """
+    if m.dims != n.dims:
+        return False
+    p = m.alg.p
+    k = null_space(hom_space_matrix(m, n), p)
+    if not k.shape[1]:
+        return m.is_zero()
+    f = k @ rng.integers(0, p, size=k.shape[1]) % p
+    at = 0
+    for d in m.dims:
+        if d and not is_invertible(f[at:at + d * d].reshape(d, d), p):
+            return False
+        at += d * d
+    return True
 
 
 def is_indecomposable(m: Representation, seed: int = 0) -> bool:

@@ -25,8 +25,8 @@ from .homotopy import (ProjComplex, decompose_complex, hom_k, hom_package,
                        proj_direct_sum, proj_stalk, right_approximation)
 from .linalg import zeros
 from .repcat import (ModuleMap, ProjSum, Representation, alg_matrix_of_map,
-                     decompose, hom_basis, in_add, injective, kernel,
-                     module_iso, simple)
+                     certify_isomorphic, decompose, hom_basis, in_add,
+                     injective, kernel, module_iso, simple)
 from .repcomplex import (RepComplex, homology_dims, truncate_above,
                          truncate_below)
 from .silting import (ComplexRegistry, SiltingResult, _k0_is_basis,
@@ -138,11 +138,12 @@ def build_universe(alg, d: int, seed: int = 0, dim_bound: int = 3,
     representations over the dimension-vector grid (draws that break a
     relation are not modules and are skipped); each gets its window
     shifts.  Each module isoclass is resolved once: a draw that
-    ``repcat.in_add`` certifies to lie in add(parts found so far) is not
-    decomposed, and a part isomorphic to one found earlier is dropped.
-    Neither skip changes the members.  Random three-step projective
-    complexes are truncated into the window, and the whole family is
-    closed under direct summands.
+    ``repcat.certify_isomorphic`` certifies isomorphic to the previous
+    settled draw of the same dimension vector, or that ``repcat.in_add``
+    certifies to lie in add(parts found so far), is not decomposed, and a
+    part isomorphic to one found earlier is dropped.  No skip changes the
+    members.  Random three-step projective complexes are truncated into
+    the window, and the whole family is closed under direct summands.
     """
     rng = np.random.default_rng(seed)
     registry = ComplexRegistry(seed)
@@ -167,19 +168,24 @@ def build_universe(alg, d: int, seed: int = 0, dim_bound: int = 3,
 
     # every indecomposable part tried so far: a part isomorphic to one of
     # them has the same resolution and registry class, so admitting it
-    # could only return None.  A draw that in_add places in add(tried) has
-    # only such parts and is not decomposed; in_add draws from a generator
-    # of its own, so the draws and their parts never depend on its answers.
+    # could only return None.  A draw that in_add places in add(tried), or
+    # that is isomorphic to a settled draw, has only such parts and is not
+    # decomposed; both certificates draw from a generator of their own, so
+    # the draws and their parts never depend on their answers.
     tried: list[Representation] = []
     cert_rng = np.random.default_rng([seed, 1])
     modules: list[Representation] = []
     for dims in product(range(dim_bound + 1), repeat=alg.n):
         if not any(dims):
             continue
+        ref = None      # the previous settled draw of these dims
         for _ in range(REPS_PER_DIMS):
             draw = _random_rep(alg, dims, rng)
             if draw.broken_relation() is not None:
                 continue
+            if ref is not None and certify_isomorphic(ref, draw, cert_rng):
+                continue
+            ref = draw
             if in_add(draw, tried, cert_rng):
                 continue
             for m, _mult in decompose(draw, seed=seed):

@@ -3,7 +3,9 @@
 Deliberately share no code with the library: plain Python lists and a naive
 mod-p elimination, plus the Euler-form shortcut for first extensions over
 hereditary algebras, the hom system written with numpy's Kronecker
-product, and path products read off the walks and relations.
+product, and path products read off the walks and relations.  The one
+exception is ``eager_fac_membership``, which builds every Fac stage from
+library pieces but decides surjectivity another way than the library.
 """
 
 import numpy as np
@@ -225,3 +227,46 @@ def reference_map_of_alg_matrix(alg, mat, src, tgt):
                                 vmaps[w][row, col0 + k] + mat[r, c, u]) \
                                 % alg.p
     return vmaps
+
+
+def eager_fac_membership(gens, x, d, s=None):
+    """``heart.fac_membership`` with every stage built in full, kept nowhere.
+
+    Each stage builds the universal approximation f: E -> C from fresh
+    hom packages, its cocone k and the window truncation, and reads
+    surjectivity on H^0 off H^1(k) = coker H^0(f) (the models have no term
+    above degree 0).  The middle comes from the packages' dimensions.
+    """
+    from tiltlab.heart import (FacResult, FacStep, _check_homology_window,
+                               _map_from, generator_models, to_window)
+    from tiltlab.homotopy import HomPackage, proj_direct_sum
+    from tiltlab.repcomplex import complex_cone, homology_dims
+
+    if s is None:
+        s = d
+    _check_homology_window(x, d)
+    models = generator_models(gens, d)
+    cur = x.trim()
+    steps = []
+    for stage in range(1, s + 1):
+        if not homology_dims(cur):
+            break
+        chosen, images, middle = [], {}, []
+        for gi, g in enumerate(models):
+            pkg = HomPackage(g, cur, 0)
+            if pkg.dim:
+                middle.append((gi, pkg.dim))
+            for coords in pkg.rep_coords:
+                chosen.append(g)
+                for (q, _), (_, sl) in pkg.layout[0].items():
+                    images.setdefault(q, []).append(coords[sl])
+        f = _map_from(proj_direct_sum(chosen, cur.alg), cur, images)
+        k = complex_cone(f).shift(-1)
+        if 1 in homology_dims(k):
+            steps.append(FacStep(stage, middle, homology_dims(cur), False))
+            return FacResult(
+                "not_in" if stage == 1 else "not_in_approx", steps,
+                detail=f"approximation not surjective on H^0 at stage {stage}")
+        cur = to_window(k, d)
+        steps.append(FacStep(stage, middle, homology_dims(cur), True))
+    return FacResult("in", steps)

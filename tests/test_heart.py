@@ -32,6 +32,8 @@ from tiltlab.repcomplex import RepComplex, homology_dims, stalk_complex
 from tiltlab.silting import enumerate_silting
 from tiltlab.tiltcheck import HeartStore, _random_proj_3step
 
+from oracles import eager_fac_membership
+from run_optimized import run_optimized
 from test_homotopy import simple_presentation
 
 
@@ -353,6 +355,8 @@ def test_fac_stage_map_is_the_models_maps_side_by_side(monkeypatch):
     real = heart._map_from
     monkeypatch.setattr(heart, "_map_from", spy)
     res = fac_membership(gens, x, d=2)
+    # the last stage builds its map only when its kernel_dims is read
+    dict(res.steps[-1].kernel_dims)
     assert res.verdict == "in" and len(calls) == len(res.steps) == 2
     assert res.steps[0].middle == [(0, 2), (1, 2)]
     for f in calls:
@@ -428,6 +432,21 @@ def test_fac_not_in_certified_at_stage_one(ka2):
                          module_stalk(projective(ka2, 0)), d=1)
     assert res.verdict == "not_in"
     assert res.steps[0].stage == 1 and not res.steps[0].surjective
+
+
+def test_fac_rank_test_reads_cycles_when_x_has_a_term_above_degree_zero(ka2):
+    # P(0) -> S(0) in degrees 0 and 1 is S(1) in the heart, but C^1 != 0:
+    # f is onto H^0 when its image and d_C^(-1) span Z^0(C), not C^0
+    p0, s0 = projective(ka2, 0), simple(ka2, 0)
+    x = RepComplex(ka2, 0, [p0, s0], [ModuleMap(p0, s0, [
+        np.eye(1, dtype=np.int64), np.zeros((0, 1), dtype=np.int64)])])
+    assert dict(homology_dims(x)) == {0: (0, 1)}
+    assert fac_membership([proj_stalk(ka2, 1)], x, d=1).verdict == "in"
+    for gens in ([proj_stalk(ka2, 1)], [proj_stalk(ka2, 0)],
+                 [module_stalk(simple(ka2, 1))]):
+        for d, s in ((1, 1), (1, 2), (2, 2)):
+            assert fac_summary(fac_membership(gens, x, d, s=s)) == \
+                fac_summary(eager_fac_membership(gens, x, d, s=s))
 
 
 def test_fac_membership_rejects_a_generator_above_degree_zero(ka2):
@@ -514,7 +533,71 @@ def test_fac_stage_memo_matches_cold_runs(heart_reps, data):
         warm = fac_membership([reps[i] for i in gens], reps[x], d, s=s)
         cold = fac_membership([cold_copy(reps[i]) for i in gens],
                               cold_copy(reps[x]), d, s=s)
-        assert fac_summary(warm) == fac_summary(cold)
+        eager = eager_fac_membership([cold_copy(reps[i]) for i in gens],
+                                     cold_copy(reps[x]), d, s=s)
+        assert fac_summary(warm) == fac_summary(cold) == fac_summary(eager)
+
+
+def test_a_pass_over_the_universe_builds_no_cocone_until_read(monkeypatch):
+    # A_3 d=1: every chain has one stage, so the rank test decides it and
+    # only reading the last step's kernel_dims builds a cocone
+    from tiltlab.tiltcheck import build_universe
+    uni = build_universe(A3, 1, seed=0)
+    store = HeartStore(1)
+    gen_lists = []
+    for rec in enumerate_silting(A3, 1).clusters:
+        ids = sorted(store.image(rec.parts))
+        gen_lists.append([store.reps[i] for i in ids])
+    cones = []
+    real = heart.complex_cone
+
+    def spy(f):
+        cones.append(f)
+        return real(f)
+    monkeypatch.setattr(heart, "complex_cone", spy)
+    runs = [(gens, mem.obj, fac_membership(gens, mem.obj, 1))
+            for gens in gen_lists for mem in uni]
+    assert cones == []
+    assert {res.verdict for *_, res in runs} == {"in", "not_in"}
+    gens, x, res = next(run for run in runs if run[2] and run[2].steps)
+    summary = fac_summary(res)
+    assert len(cones) == 1
+    assert summary == fac_summary(eager_fac_membership(gens, x, 1))
+
+
+def planted_onto_raises() -> list[str]:
+    """Messages of the Mismatch for a stage the rank test passed wrongly.
+
+    With ``_fac_onto`` patched to pass every stage, P(1) -> S(0) over A_2
+    (zero, so not onto H^0) is taken as onto: a later stage builds its
+    cocone and finds H^1, at once for s = 2 and on reading the last
+    step's kernel_dims for s = 1.
+    """
+    from unittest import mock
+
+    from tiltlab.errors import Mismatch
+    alg = linear_an(2)
+    gens, x = [proj_stalk(alg, 1)], module_stalk(simple(alg, 0))
+    messages = []
+    with mock.patch("tiltlab.heart._fac_onto", lambda cur, used: True):
+        for read in (lambda: fac_membership(gens, x, d=1, s=2),
+                     lambda: dict(fac_membership(gens, x, d=1, s=1)
+                                  .steps[-1].kernel_dims)):
+            try:
+                read()
+            except Mismatch as exc:
+                messages.append(str(exc))
+            else:
+                raise AssertionError("a stage that is not onto H^0 raised "
+                                     "no Mismatch")
+    return messages
+
+
+def test_planted_onto_stage_raises_under_optimize():
+    messages = planted_onto_raises()
+    assert len(messages) == 2
+    assert all("not onto H^0" in m for m in messages)
+    run_optimized("test_heart", "planted_onto_raises")
 
 
 def test_fac_stage_is_shared_by_lists_differing_by_a_zero_hom_generator(

@@ -16,13 +16,14 @@ from tiltlab.errors import FieldTooSmall
 from tiltlab.homotopy import ProjComplex, proj_stalk
 from tiltlab.linalg import inv, is_invertible, null_space, rank, rref
 from tiltlab.repcat import (ModuleMap, ProjSum, Representation,
-                            alg_matrix_of_map, cokernel, decompose, direct_sum,
-                            end_algebra_mats, ext_dim, hom_basis, hom_dim,
-                            hom_space_matrix, image, in_add, injective,
-                            is_isomorphic, kernel, map_of_alg_matrix,
-                            minimal_resolution, module_iso, projective,
-                            projective_cover, quotient_by_subspaces,
-                            radical_subspaces, simple, zero_map, zero_rep)
+                            alg_matrix_of_map, certify_isomorphic, cokernel,
+                            decompose, direct_sum, end_algebra_mats, ext_dim,
+                            hom_basis, hom_dim, hom_space_matrix, image,
+                            in_add, injective, is_isomorphic, kernel,
+                            map_of_alg_matrix, minimal_resolution, module_iso,
+                            projective, projective_cover,
+                            quotient_by_subspaces, radical_subspaces, simple,
+                            zero_map, zero_rep)
 from tiltlab.repcomplex import stalk_complex
 from tiltlab.silting import enumerate_silting, euler_form
 
@@ -530,6 +531,45 @@ def random_module(alg, data):
     for g in hom_basis(src, base):
         f = f.add(g.scale(int(rng.integers(0, alg.p))))
     return {"image": image, "kernel": kernel, "cokernel": cokernel}[how](f)[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(hom_test_algebras(), st.data(), st.integers(0, 2**32 - 1))
+def test_rebased_copies_are_certified_isomorphic(alg, data, seed):
+    m = random_module(alg, data)
+    rng = np.random.default_rng(seed)
+    n = twisted(m, rng)
+    assert any(certify_isomorphic(m, n, rng) for _ in range(3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.just(linear_an(3)), st.just(nakayama_rad_square_zero(3)),
+                 monomial_algebras()),
+       st.integers(0, 2**32 - 1))
+def test_certified_draws_are_isomorphic(alg, seed):
+    # two random draws of one dimension vector, as build_universe meets them
+    rng = np.random.default_rng(seed)
+    dims = rng.integers(0, 3, alg.n)
+    m, n = (Representation(alg, dims, [
+        rng.integers(0, alg.p, (dims[a.tgt], dims[a.src]))
+        for a in alg.quiver.arrows]) for _ in range(2))
+    if certify_isomorphic(m, n, rng):
+        assert is_isomorphic(m, n)
+
+
+def test_sum_of_simples_is_never_certified_as_the_projective(ka2):
+    # P(0) and S(0) + S(1) share the dimension vector (1, 1), and every map
+    # between them, either way, is zero at one vertex
+    ss = direct_sum([simple(ka2, 0), simple(ka2, 1)])
+    p0 = projective(ka2, 0)
+    assert p0.dims == ss.dims == (1, 1)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        for m, n in ((ss, p0), (p0, ss), (twisted(ss, rng), p0),
+                     (p0, twisted(ss, rng))):
+            assert hom_dim(m, n) and not certify_isomorphic(m, n, rng)
+    assert certify_isomorphic(p0, twisted(p0, rng), rng)
+    assert not certify_isomorphic(p0, simple(ka2, 0), rng)
 
 
 def cover_by_inverse(m):

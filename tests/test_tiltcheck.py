@@ -167,6 +167,7 @@ def test_universe_resolves_each_module_isoclass_once(alg, d, monkeypatch):
     # part is resolved again, and the universe is the same
     plain = module_stage(alg, d, monkeypatch,
                          in_add=lambda m, parts, rng: False,
+                         certify_isomorphic=lambda m, n, rng: False,
                          module_iso=lambda m, n: None)
     assert plain.members == stage.members
     assert len(plain.resolved) > len(stage.classes)
@@ -176,7 +177,8 @@ def test_universe_resolves_each_module_isoclass_once(alg, d, monkeypatch):
 def test_universe_does_not_depend_on_the_add_certificate(alg, d, monkeypatch):
     stage = module_stage(alg, d, monkeypatch)
     plain = module_stage(alg, d, monkeypatch,
-                         in_add=lambda m, parts, rng: False)
+                         in_add=lambda m, parts, rng: False,
+                         certify_isomorphic=lambda m, n, rng: False)
     assert plain.members == stage.members
     assert plain.items == stage.items
     assert stage.splits < plain.splits
@@ -187,7 +189,8 @@ def test_universe_decomposes_only_draws_with_new_parts(monkeypatch):
     # hold a part that no earlier draw had
     stage = module_stage(linear_an(3), 1, monkeypatch)
     plain = module_stage(linear_an(3), 1, monkeypatch,
-                         in_add=lambda m, parts, rng: False)
+                         in_add=lambda m, parts, rng: False,
+                         certify_isomorphic=lambda m, n, rng: False)
     assert (stage.splits, plain.splits) == (6, 126)
 
 
