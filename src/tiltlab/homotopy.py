@@ -30,7 +30,7 @@ from .errors import (FieldTooSmall, Mismatch, NoSolution,
                      RandomBudgetExhausted, WindowViolation)
 from .linalg import (column_space, eye, in_span, inv, is_invertible,
                      null_space, rank, rref, solve_right, span_union, zeros)
-from .memo import memo
+from .memo import canon, memo
 from .repcat import (
     ModuleMap,
     ProjSum,
@@ -165,6 +165,16 @@ class ProjComplex:
 
     def psum_at(self, q: int) -> ProjSum:
         return ProjSum.of(self.alg, self.summands_at(q))
+
+    def content_key(self) -> tuple:
+        """lo, the summand vertices and the differentials' bytes.
+
+        Exact: the shapes follow from the summands and ``alg.dim``, and the
+        entries are int64 residues, so equal keys mean equal complexes.
+        ``memo`` shares one table per key.
+        """
+        return (self.lo, tuple(map(tuple, self.summands)),
+                tuple(m.tobytes() for m in self.dmats))
 
     def expansion(self) -> RepComplex:
         store, key = memo(self), ("expansion",)
@@ -474,7 +484,12 @@ class _HomComplex:
 
 
 def _hom_complex(x: ProjComplex, target) -> _HomComplex:
-    """The pair's one entry, kept in ``memo(target)``: ("hom_complex", x)."""
+    """The pair's one entry, kept in ``memo(target)``: ("hom_complex", x).
+
+    x is keyed by its representative (``canon``), so content-equal
+    sources share the entry.
+    """
+    x = canon(x)
     store, key = memo(target), ("hom_complex", x)
     entry = store.get(key)
     if entry is None:
@@ -626,14 +641,16 @@ class HomPackage:
 
 
 def hom_package(x: ProjComplex, target, i: int = 0) -> HomPackage:
-    """Hom(X, target[i]), built once per live (x, target, i).
+    """Hom(X, target[i]), built once per i and live contents of x and target.
 
-    Kept in ``memo(target)`` keyed by x itself (the package holds x), so a
-    short-lived target takes its packages with it.
+    Kept in ``memo(target)`` keyed by x's representative (``canon``; the
+    package holds it and the target's), so a target whose content no
+    longer lives takes its packages with it.
     """
+    x = canon(x)
     store, key = memo(target), ("hom_package", x, i)
     if key not in store:
-        store[key] = HomPackage(x, target, i)
+        store[key] = HomPackage(x, canon(target), i)
     return store[key]
 
 
@@ -673,8 +690,9 @@ def minimize(x: ProjComplex) -> ProjComplex:
 
     Repeatedly cancels differential entries that are invertible algebra
     elements (nonzero scalar part on a matching vertex), then trims empty
-    degrees.  A minimal x comes back as ``x.trim()``, which is x itself
-    when x has no empty end degree.
+    degrees.  The result is the representative of its content
+    (``canon``): a minimal x with no empty end degree comes back as itself
+    or as the live complex it equals.
     """
     alg = x.alg
     summands, dmats = list(x.summands), list(x.dmats)
@@ -698,8 +716,8 @@ def minimize(x: ProjComplex) -> ProjComplex:
         summands[k + 1] = [vv for i, vv in enumerate(summands[k + 1])
                            if i != r]
     if summands == x.summands:      # nothing cancelled
-        return x.trim()
-    return ProjComplex(alg, x.lo, summands, dmats).trim()
+        return canon(x.trim())
+    return canon(ProjComplex(alg, x.lo, summands, dmats).trim())
 
 
 # -- Grothendieck-group data ------------------------------------------------

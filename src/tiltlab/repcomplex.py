@@ -45,6 +45,19 @@ class RepComplex:
     def is_zero(self) -> bool:
         return all(t.is_zero() for t in self.terms)
 
+    def content_key(self) -> tuple:
+        """lo, the term dims and arrow matrices, and the differentials.
+
+        Matrices enter as bytes: their shapes follow from the dims and they
+        hold int64 residues, so equal keys mean equal complexes.  ``memo``
+        shares one table per key.
+        """
+        return (self.lo,
+                tuple((t.dims, tuple(m.tobytes() for m in t.mats))
+                      for t in self.terms),
+                tuple(tuple(m.tobytes() for m in d.vmaps)
+                      for d in self.diffs))
+
     def degrees(self) -> range:
         return range(self.lo, self.lo + len(self.terms))
 

@@ -245,7 +245,10 @@ class ComplexRegistry:
     ``_by_obj`` remembers, by the object itself, every object the registry
     has resolved: each stored representative, each interned input and each
     input that ``find`` matched (a miss is never remembered).  Looking such
-    an object up again is one dict lookup, so an object the registry has
+    an object up again is one dict lookup.  So is a new object whose
+    minimized form is remembered: ``minimize`` returns the live
+    representative of its content (``memo.canon``), and ``_scan`` returns
+    at once when that is in ``_by_obj``.  An object the registry has
     resolved must not be mutated in place afterwards -- the invariant that
     ``ProjSum.of`` relies on too.  The dict keeps these objects alive.
     It stays on the registry rather than in ``memo``: ``is_silting``
@@ -266,8 +269,14 @@ class ComplexRegistry:
         return (xm.shape_key(), hdd)
 
     def _scan(self, x: ProjComplex):
-        """(minimized x, its fingerprint, id of its class or None)."""
+        """(minimized x, its fingerprint, id of its class or None).
+
+        The fingerprint is None when the minimized x is already resolved.
+        """
         xm = minimize(x)
+        idx = self._by_obj.get(xm)
+        if idx is not None:     # xm is the representative of a resolved one
+            return xm, None, idx
         fp = self.fingerprint(xm)
         for idx in self._by_fp.get(fp, ()):
             r = iso_k(self.items[idx], xm, seed=self.seed)

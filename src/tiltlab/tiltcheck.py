@@ -143,7 +143,8 @@ def build_universe(alg, d: int, seed: int = 0, dim_bound: int = 3,
     certifies to lie in add(parts found so far), is not decomposed, and a
     part isomorphic to one found earlier is dropped.  No skip changes the
     members.  Random three-step projective complexes are truncated into
-    the window, and the whole family is closed under direct summands.
+    the window, and their heart summands are added; that closes the family
+    under direct summands, since the module members are indecomposable.
     """
     rng = np.random.default_rng(seed)
     registry = ComplexRegistry(seed)
@@ -201,7 +202,9 @@ def build_universe(alg, d: int, seed: int = 0, dim_bound: int = 3,
     for _ in range(n_complexes):
         x = _random_proj_3step(alg, rng).expansion()
         admit(truncate_below(truncate_above(x, 0), -d + 1), "complex")
-    for member in list(uni.members):
+    # a module part has local End, so it and its shifts are indecomposable
+    # and admitting their own summands could only return None
+    for member in [m for m in uni.members if m.tag == "complex"]:
         for s, _mult in decompose_window(member.obj, d, seed=seed):
             admit(s, "summand")
     return uni

@@ -25,6 +25,7 @@ from tiltlab.heart import (
 )
 from tiltlab.homotopy import (hom_k, hom_package, iso_k, proj_direct_sum,
                               proj_stalk)
+from tiltlab.memo import memo
 from tiltlab.repcat import (ModuleMap, Representation, direct_sum, ext_dim,
                             hom_dim, identity_map, injective, is_isomorphic,
                             module_iso, projective, simple, zero_map)
@@ -34,7 +35,7 @@ from tiltlab.tiltcheck import HeartStore, _random_proj_3step
 
 from oracles import eager_fac_membership
 from run_optimized import run_optimized
-from test_homotopy import simple_presentation
+from test_homotopy import simple_presentation, unshared
 
 
 def complex_direct_sum(x: RepComplex, y: RepComplex) -> RepComplex:
@@ -343,8 +344,12 @@ def test_class_combinations_are_made_in_coordinates(case, seed):
 
 
 def test_fac_stage_map_is_the_models_maps_side_by_side(monkeypatch):
-    gens = [module_stalk(projective(A3, 0)), module_stalk(injective(A3, 2))]
-    x = module_stalk(direct_sum([projective(A3, 0), injective(A3, 2)], A3))
+    # a fresh algebra, and an x whose two stages differ in content, so that
+    # each stage builds its own map (P(0) + I(2) would make a stage whose
+    # next C equals it)
+    alg = linear_an(3)
+    gens = [module_stalk(projective(alg, 0)), module_stalk(injective(alg, 0))]
+    x = module_stalk(direct_sum([projective(alg, 0), injective(alg, 0)], alg))
     models = generator_models(gens, 2)      # resolved before the spy is on
     calls = []
 
@@ -358,7 +363,7 @@ def test_fac_stage_map_is_the_models_maps_side_by_side(monkeypatch):
     # the last stage builds its map only when its kernel_dims is read
     dict(res.steps[-1].kernel_dims)
     assert res.verdict == "in" and len(calls) == len(res.steps) == 2
-    assert res.steps[0].middle == [(0, 2), (1, 2)]
+    assert res.steps[0].middle == [(0, 2), (1, 1)]
     for f in calls:
         f.validate()
         own, middle = [], []
@@ -495,11 +500,17 @@ def test_heart_entry_points_refuse_an_x_outside_the_heart(ka2):
 # -- the Fac-stage memo -------------------------------------------------------
 
 def cold_copy(c: RepComplex) -> RepComplex:
-    """c rebuilt from its matrices, so no memo table is shared with c."""
+    """c rebuilt from its matrices, so no memo table is shared with c.
+
+    The copy's table is made with content sharing off (``unshared``).
+    """
     terms = [Representation(c.alg, t.dims, t.mats) for t in c.terms]
     diffs = [ModuleMap(terms[k], terms[k + 1], f.vmaps)
              for k, f in enumerate(c.diffs)]
-    return RepComplex(c.alg, c.lo, terms, diffs)
+    out = RepComplex(c.alg, c.lo, terms, diffs)
+    with unshared():
+        memo(out)
+    return out
 
 
 def fac_summary(res):
@@ -540,12 +551,14 @@ def test_fac_stage_memo_matches_cold_runs(heart_reps, data):
 
 def test_a_pass_over_the_universe_builds_no_cocone_until_read(monkeypatch):
     # A_3 d=1: every chain has one stage, so the rank test decides it and
-    # only reading the last step's kernel_dims builds a cocone
+    # only reading the last step's kernel_dims builds a cocone.  A fresh
+    # algebra, so that no live complex lends that stage from another test
     from tiltlab.tiltcheck import build_universe
-    uni = build_universe(A3, 1, seed=0)
+    alg = linear_an(3)
+    uni = build_universe(alg, 1, seed=0)
     store = HeartStore(1)
     gen_lists = []
-    for rec in enumerate_silting(A3, 1).clusters:
+    for rec in enumerate_silting(alg, 1).clusters:
         ids = sorted(store.image(rec.parts))
         gen_lists.append([store.reps[i] for i in ids])
     cones = []

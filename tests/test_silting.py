@@ -13,9 +13,11 @@ from tiltlab.algebra import build_algebra
 from tiltlab.catalog import linear_an, nakayama_rad_square_zero
 from tiltlab.errors import (BudgetExceeded, PoolConstructionUnsupported,
                             WindowViolation)
-from tiltlab.homotopy import (chain_identity, hom_k, proj_cone,
+from tiltlab.heart import resolution_of_module
+from tiltlab.homotopy import (ProjComplex, chain_identity, hom_k, proj_cone,
                               proj_direct_sum, proj_stalk)
 from tiltlab.linalg import int_det
+from tiltlab.repcat import simple
 from tiltlab.silting import (
     ComplexRegistry,
     enumerate_silting,
@@ -489,10 +491,17 @@ def test_registry_interning(ka2, monkeypatch):
     fresh = len(reg.items)
     assert reg.intern(y) == fresh
     assert reg.find(y) == fresh
-    # an isomorphic but distinct object still resolves through iso_k
+    # x plus a contractible summand minimizes to x itself, the item: no
+    # iso test
     monkeypatch.setattr(silting, "iso_k", counted_iso)
     assert reg.find(proj_direct_sum([proj_stalk(ka2, 1).shift(1),
                                      proj_cone(chain_identity(p0))])) == i
+    assert not iso_calls
+    # an isomorphic object with other content still resolves through iso_k
+    s0 = resolution_of_module(simple(ka2, 0), 1)
+    j = reg.intern(s0)
+    twice = ProjComplex(ka2, s0.lo, s0.summands, [2 * m for m in s0.dmats])
+    assert reg.find(twice) == j
     assert iso_calls
 
 

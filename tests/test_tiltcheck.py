@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from tiltlab.catalog import linear_an, nakayama_rad_square_zero
 from tiltlab.errors import SpecError
-from tiltlab.heart import generator_models, module_stalk
+from tiltlab.heart import generator_models, module_stalk, projective_model
 from tiltlab.homotopy import proj_stalk
 from tiltlab.repcat import decompose, projective, simple
 from tiltlab.repcomplex import homology_dims
@@ -99,6 +99,23 @@ def test_universe_closed_under_summands(uni_nak, nak):
             r, complete = _resolution_cached(s, 5)
             assert complete
             assert uni_nak.registry.intern(r) in keys
+
+
+@pytest.mark.parametrize("alg", [linear_an(3), nakayama_rad_square_zero(3)],
+                         ids=["A3", "Nak3"])
+def test_module_members_are_their_own_only_summand(alg):
+    # build_universe splits only "complex" members: a module part has local
+    # End, so it and its shifts are indecomposable in the heart
+    from tiltlab.heart import decompose_window
+
+    uni = build_universe(alg, 2, seed=0)
+    shifted = [m for m in uni if m.tag == "module-shift"]
+    assert shifted
+    for mem in uni:
+        if mem.tag in ("module", "module-shift"):
+            [(s, mult)] = decompose_window(mem.obj, 2, seed=0)
+            assert mult == 1
+            assert uni.registry.intern(projective_model(s, 2)) == mem.key
 
 
 def module_stage(alg, d, monkeypatch, **patches):
@@ -379,11 +396,13 @@ def test_equivalence_projective_nongenerator(ka2, uni_ka2):
     assert rep.legs["quasi_plus_injectives"] is None
 
 
-def test_equivalence_presents_each_generator_once(ka2, uni_ka2,
-                                                  monkeypatch):
+def test_equivalence_presents_each_generator_once(monkeypatch):
     # p_presentation keeps its result in memo(g), so count the round-trip
-    # checks it makes while building one (one per window degree, d = 1)
+    # checks it makes while building one (one per window degree, d = 1).
+    # A fresh algebra: memo(g) is shared with every live content-equal g
     from tiltlab import heart
+    ka2 = linear_an(2)
+    uni_ka2 = build_universe(ka2, 1, seed=0)
     check_iso = heart.is_isomorphic
     calls = []
 
