@@ -203,10 +203,6 @@ class BoundQuiverAlgebra:
         """Basis indices of paths src -> tgt, i.e. a basis of e_tgt A e_src."""
         return self._by_ends.get((src, tgt), ())
 
-    def hom_proj_dim(self, i: int, j: int) -> int:
-        """dim Hom(P(i), P(j)) = dim e_i A e_j = #paths j -> i."""
-        return len(self.path_indices(j, i))
-
     def unit_coeffs(self, v: int) -> np.ndarray:
         c = np.zeros(self.dim, dtype=np.int64)
         c[self.e_index[v]] = 1

@@ -33,11 +33,6 @@ def module_stalk(m: Representation) -> RepComplex:
     return stalk_complex(m, 0)
 
 
-def in_window(c: RepComplex, d: int) -> bool:
-    t = c.trim()
-    return t.is_zero() or (t.lo >= -d + 1 and t.hi <= 0)
-
-
 def _check_homology_window(c: RepComplex, d: int) -> None:
     """Raise ``HomologyOutsideWindow`` unless H^q(c) = 0 off [-d+1, 0]."""
     for q in homology_dims(c):
@@ -222,10 +217,6 @@ def e_ext(x: RepComplex, y: RepComplex, i: int, d: int,
         raise ResolutionDepthExceeded(
             f"resolution depth {depth} insufficient for ext degree {i}")
     return hom_k(rx, y, i)
-
-
-def heart_hom(x: RepComplex, y: RepComplex, d: int) -> int:
-    return e_ext(x, y, 0, d)
 
 
 # -- Fac-chains and torsion-pair membership ---------------------------------

@@ -12,13 +12,14 @@ Maps out of X are recorded by the images of X's summand generators.  In
 these coordinates the total Hom complex Hom(X, Y) has the differential
 D^n: g -> d_Y g - (-1)^n g d_X.  Each pair keeps one entry for it in
 ``memo(Y)`` under ``("hom_complex", x)`` (``_HomComplex``): dim Hom^n for
-every n, and the degrees built so far, n -> (rk D^n, (-1)^n D^n).  Only
+every n, the degrees built so far, n -> (rk D^n, (-1)^n D^n), and the
+cycle bases asked for, n -> the canonical basis of Z^n = ker D^n.  Only
 degrees with two nonempty sides are built, each from X's nonzero
 differential entries (``_diff_entries``); ``hom_differential`` is the
 accessor.  ``hom_k`` reads dim Hom(X, Y[i]) = dim Hom^i - rk D^i -
-rk D^(i-1) off the ranks.  A ``HomPackage`` takes its chain-map operator
-and homotopy operator from the same entry, and one pivot pass picks its
-class representatives.
+rk D^(i-1) off the ranks.  A ``HomPackage`` takes its chain maps and
+homotopy operator from the same entry, and one pivot pass picks its
+class representatives.  ``iso_k`` reads Z^0 Hom(X, Y) there too.
 """
 from __future__ import annotations
 
@@ -317,11 +318,6 @@ class ChainMap:
         return ComplexMap(self.src.expansion(), self.tgt.expansion(), maps)
 
 
-def chain_identity(x: ProjComplex) -> ChainMap:
-    return ChainMap(x, x, {q: aidentity(x.alg, x.summands_at(q))
-                           for q in x.degrees()})
-
-
 def proj_cone(f: ChainMap) -> ProjComplex:
     """cone(f)^q = X^(q+1) + Y^q with d(x, y) = (-dx, f(x) + dy)."""
     alg = f.alg
@@ -434,14 +430,16 @@ class _HomComplex:
     ``widths[n]`` is dim Hom^n for every n where it is nonzero, from one
     pass over x's summands and the target's term dimension vectors.
     ``built[n]`` is [rk D^n or None, (-1)^n D^n] for each degree built so
-    far; only degrees with two nonempty sides are built.  The entry does
-    not hold the target, whose memo keeps it (``_hom_complex``).
+    far; only degrees with two nonempty sides are built.  ``cycles[n]`` is
+    the canonical basis of Z^n for each degree asked for
+    (``cycle_basis``).  The entry does not hold the target, whose memo
+    keeps it (``_hom_complex``).
     """
 
-    __slots__ = ("x", "widths", "built")
+    __slots__ = ("x", "widths", "built", "cycles")
 
     def __init__(self, x: ProjComplex, ys: RepComplex):
-        self.x, self.built = x, {}
+        self.x, self.built, self.cycles = x, {}, {}
         self.widths = widths = {}
         for q, summands in zip(x.degrees(), x.summands):
             for t, term in zip(ys.degrees(), ys.terms):
@@ -482,6 +480,27 @@ class _HomComplex:
             slot[0] = rank(slot[1], self.x.alg.p)
         return slot[0]
 
+    def cycle_basis(self, target, n: int) -> np.ndarray:
+        """The canonical basis of Z^n = ker D^n, as columns; computed once.
+
+        It is ``null_space`` of (-1)^n D^n, which also fills rk D^n if no
+        one has.  A degree with an empty side has every cochain as a
+        cycle, and its basis is the identity, the same ``null_space``
+        gives for a zero operator.  The isomorphism tests, decomposition
+        and the hom package all read this one array.
+        """
+        z = self.cycles.get(n)
+        if z is None:
+            width, _, slot = self.degree(target, n)
+            if slot is None:
+                z = eye(width)
+            else:
+                z = null_space(slot[1], self.x.alg.p)
+                if slot[0] is None:
+                    slot[0] = width - z.shape[1]
+            self.cycles[n] = z
+        return z
+
 
 def _hom_complex(x: ProjComplex, target) -> _HomComplex:
     """The pair's one entry, kept in ``memo(target)``: ("hom_complex", x).
@@ -519,15 +538,30 @@ def hom_differential(x: ProjComplex, target, n: int):
     return ncols, hc.rank(target, n), slot[1]
 
 
+def _chain_map(x: ProjComplex, target, i: int, blocks: dict,
+               coords: np.ndarray) -> ChainMap:
+    """The chain map X -> target[i] with generator-image coordinates
+    ``coords``, laid out by ``blocks`` (``_layout(x, ., i)[0]``)."""
+    ts = target.shift(i)
+    mats: dict[int, np.ndarray] = {}
+    for (q, s), (v, sl) in blocks.items():
+        if sl.start == sl.stop:
+            continue
+        if q not in mats:
+            mats[q] = azeros(x.alg, ts.count(q), x.count(q))
+        mats[q][:, s] = target.psum_at(q + i).coeffs(coords[sl], v)
+    return ChainMap(x, ts, mats)
+
+
 class HomPackage:
     """Hom(X, C[i]) for X a complex of projectives.
 
     Maps out of X live in generator-image coordinates (``_layout``).  Both
-    operators come from the pair's total Hom complex: the chain maps are
-    the kernel of its degree-i matrix (``chain_space``), which also gives
-    rk D^i when the package is first to build that degree, and the
-    homotopy operator ``_bmat``, h -> d_C h + h d_X, is minus its
-    degree-(i-1) matrix (``hom_differential``).  One
+    come from the pair's total Hom complex: the chain maps are its cycle
+    basis in degree i (``chain_space`` is ``_HomComplex.cycle_basis``, the
+    entry's own array), and the homotopy operator ``_bmat``,
+    h -> d_C h + h d_X, is minus its degree-(i-1) matrix
+    (``hom_differential``).  One
     elimination of [_bmat | chain_space] picks both bases: its pivot
     columns in ``_bmat`` span the homotopy image (``homotopy_image``), and
     those past ``_bmat`` leave the span of all columns before them: they
@@ -540,21 +574,16 @@ class HomPackage:
     def __init__(self, x: ProjComplex, target, i: int):
         p = x.alg.p
         self.x, self.target, self.i = x, target, i
-        width, nrows, slot = _hom_complex(x, target).degree(target, i)
+        z = self.chain_space = _hom_complex(x, target).cycle_basis(target, i)
         self._bmat = (-hom_differential(x, target, i - 1)[2]) % p
-        if not width:
+        if not z.shape[0]:
             # no generator of X has an image in C: the hom space is zero
             # and nothing needs eliminating
             self.layout = ({}, 0)
-            self.chain_space = self.homotopy_image = self._basis = zeros(0, 0)
+            self.homotopy_image = self._basis = zeros(0, 0)
             self.rep_coords, self.dim = [], 0
             return
         self.layout = _layout(x, _hom_target(target), i)
-        chain_op = slot[1] if slot else zeros(nrows, width)
-        z = self.chain_space = null_space(chain_op, p)
-        if slot and slot[0] is None:
-            # first to build D^i: its rank is read off this kernel
-            slot[0] = width - z.shape[1]
         nb = self._bmat.shape[1]
         if not np.any(self._bmat):
             # the columns of Z are independent: each is a pivot
@@ -597,16 +626,7 @@ class HomPackage:
 
     def chainmap_of(self, coords: np.ndarray) -> ChainMap:
         """Assemble an algebra-coordinate chain map from solver coordinates."""
-        ts = self.target.shift(self.i)
-        mats: dict[int, np.ndarray] = {}
-        for (q, s), (v, sl) in self.layout[0].items():
-            if sl.start == sl.stop:
-                continue
-            if q not in mats:
-                mats[q] = azeros(self.x.alg, ts.count(q), self.x.count(q))
-            ps = self.target.psum_at(q + self.i)
-            mats[q][:, s] = ps.coeffs(coords[sl], v)
-        return ChainMap(self.x, ts, mats)
+        return _chain_map(self.x, self.target, self.i, self.layout[0], coords)
 
     def combine(self, coeffs, cols: np.ndarray | None = None) -> ChainMap:
         """The chain map sum_k coeffs[k] * cols[:, k], summed in coordinates.
@@ -679,10 +699,6 @@ def _find_unit(alg: BoundQuiverAlgebra, summands: list[list[int]],
                 if vr == vc and m[r, c, alg.e_index[vr]] % alg.p:
                     return k, r, c
     return None
-
-
-def is_minimal(x: ProjComplex) -> bool:
-    return _find_unit(x.alg, x.summands, x.dmats) is None
 
 
 def minimize(x: ProjComplex) -> ProjComplex:
@@ -773,19 +789,20 @@ def _decompose_minimal(xm: ProjComplex, seed: int):
     hc = _hom_complex(xm, xm)
     if hc.widths.get(0, 0) - hc.rank(xm, 0) == 1:
         return [(xm, 1)]
-    pkg = hom_package(xm, xm, 0)
-    endos = pkg.chain_space
+    # splitting needs chain endomorphisms only, not a hom package
+    endos = hc.cycle_basis(xm, 0)
+    blocks = _layout(xm, _hom_target(xm), 0)[0]
     rng = np.random.default_rng(seed)
-    mats = [_total_matrix(pkg.chainmap_of(c)) for c in endos.T]
+    mats = [_total_matrix(_chain_map(xm, xm, 0, blocks, c)) for c in endos.T]
     idems = primitive_idempotents(mats, alg.p, rng)
     coords = solve_right(np.column_stack([m.reshape(-1) for m in mats]),
                          np.column_stack([e.reshape(-1) for e in idems]), alg.p)
-    parts = [_split_off(xm, pkg.combine(c, endos)) for c in coords.T]
+    parts = [_split_off(xm, _chain_map(xm, xm, 0, blocks, endos @ c % alg.p))
+             for c in coords.T]
     groups: list[list] = []
     for part in parts:
         for g in groups:
-            ok, _, _ = _indec_iso_k(g[0], part)
-            if ok:
+            if _indec_iso_k(g[0], part):
                 g.append(part)
                 break
         else:
@@ -827,84 +844,72 @@ def _split_off(x: ProjComplex, e: ChainMap) -> ProjComplex:
     return ProjComplex(alg, x.lo, summands, dmats).trim()
 
 
-def _end_radical(pkg: HomPackage):
-    """Radical of End_K(X) in the package's class coordinates.
-
-    Returns (rad_basis, left_mult) where rad_basis has radical classes as
-    columns and left_mult maps a class vector to its regular-representation
-    matrix.
-    """
+def _end_radical(pkg: HomPackage) -> np.ndarray:
+    """Radical of End_K(X), as columns in the package's class coordinates."""
     store, key = memo(pkg), ("end_radical",)
-    if key in store:
-        return store[key]
-    alg = pkg.x.alg
-    reps = pkg.chain_reps()
-    m = len(reps)
-    lmats = []
-    for f in reps:
-        cols = [pkg.class_coords(f.compose(g)) for g in reps]
-        lmats.append(np.column_stack(cols) if cols else zeros(0, 0))
-    rad = trace_radical(lmats, alg.p)
-
-    def left_mult(vec: np.ndarray) -> np.ndarray:
-        out = zeros(m, m)
-        for i in range(m):
-            if vec[i] % alg.p:
-                out = (out + int(vec[i]) * lmats[i]) % alg.p
-        return out
-
-    store[key] = (rad, left_mult)
-    return rad, left_mult
+    if key not in store:
+        reps = pkg.chain_reps()
+        lmats = [np.column_stack([pkg.class_coords(f.compose(g))
+                                  for g in reps]) for f in reps]
+        store[key] = trace_radical(lmats, pkg.x.alg.p)
+    return store[key]
 
 
-def _indec_iso_k(x: ProjComplex, y: ProjComplex, want_witness: bool = False):
-    """Isomorphism test for minimal complexes with indecomposable x.
+def _scalar_parts_invertible(x: ProjComplex, y: ProjComplex,
+                             cols: np.ndarray) -> bool:
+    """Does some column of ``cols``, a chain map f: X -> Y in
+    generator-image coordinates, have invertible scalar parts?
 
-    Returns (isomorphic, fwd, bwd); the witnesses are chain maps whose
-    composites are homotopic to the identities (computed only on request).
+    The scalar part of f^q at vertex v is the matrix of e_v coefficients,
+    read at ``ProjSum.offsets[r][v]``, of the images of X^q's generators
+    at v on the summands r of Y^q at v.  It is top(f^q) at v, so when it is
+    invertible in every degree q and at every vertex v, every f^q is an
+    isomorphism by Nakayama's lemma, and so is f.  x and y are nonzero
+    with equal graded multiplicities.
+    """
+    p = x.alg.p
+    blocks = _layout(x, _hom_target(y), 0)[0]
+    grids = []
+    for q in x.degrees():
+        src, tgt = x.summands_at(q), y.summands_at(q)
+        offsets = y.psum_at(q).offsets
+        for v in set(src):
+            starts = [blocks[(q, s)][1].start
+                      for s, u in enumerate(src) if u == v]
+            rows = [offsets[r][v] for r, u in enumerate(tgt) if u == v]
+            grids.append(np.add.outer(rows, starts))
+    return any(all(is_invertible(f[g], p) for g in grids) for f in cols.T)
+
+
+def _indec_iso_k(x: ProjComplex, y: ProjComplex) -> bool:
+    """Exact isomorphism test for minimal x and y with x indecomposable.
+
+    True exactly when some column of the canonical basis of Z^0 Hom(X, Y)
+    (``_HomComplex.cycle_basis``) has invertible scalar parts
+    (``_scalar_parts_invertible``).  Such a column is an isomorphism of
+    complexes.  Conversely, a homotopy equivalence between minimal
+    complexes is an isomorphism of complexes, so let u: X -> Y be one.  A
+    null-homotopic endomorphism of a minimal complex is radical in every
+    degree (its components dh + hd have radical d), so the null-homotopic
+    maps form a nilpotent ideal of End_C(X), and End_C(X) is local because
+    its quotient End_K(X) is.  The chain maps X -> Y that are not
+    isomorphisms are then u o rad End_C(X), a proper subspace of
+    Z^0 Hom(X, Y), and no basis lies in a proper subspace.  The argument
+    is ``repcat.module_iso``'s, and it needs x indecomposable: the
+    elementary matrices of End(P + P) are all singular.
     """
     if x.graded_mults() != y.graded_mults():
-        return False, None, None
-    pxy = hom_package(x, y, 0)
-    pyx = hom_package(y, x, 0)
-    if pxy.dim == 0 or pyx.dim == 0:
-        return False, None, None
-    pe = hom_package(x, x, 0)
-    rad, left_mult = _end_radical(pe)
-    alg = x.alg
-    for f in pxy.chain_reps():
-        for g in pyx.chain_reps():
-            u = pe.class_coords(g.compose(f))
-            if not np.any(u) or in_span(u, rad, alg.p):
-                continue
-            if not want_witness:
-                return True, None, None
-            # invert u in End_K(x) and correct g
-            ident = pe.class_coords(chain_identity(x))
-            uinv = solve_right(left_mult(u), ident.reshape(-1, 1),
-                               alg.p)[:, 0]
-            gc = pe.combine(uinv).compose(g)
-            # each composite minus the identity, in layout coordinates
-            for name, pkg, loop in (
-                    ("bwd o fwd", pe, gc.compose(f)),
-                    ("fwd o bwd", hom_package(y, y, 0), f.compose(gc))):
-                diff = pkg.coords_of(loop) - pkg.coords_of(
-                    chain_identity(pkg.x))
-                if not pkg.is_nullhomotopic(diff % alg.p):
-                    raise Mismatch(f"iso witness: {name} is not homotopic "
-                                   "to the identity")
-            return True, f, gc
-    return False, None, None
+        return False
+    z = _hom_complex(x, y).cycle_basis(y, 0)
+    return _scalar_parts_invertible(x, y, z)
 
 
 class IsoResult:
-    def __init__(self, verdict: str, reason: str = "", fwd=None, bwd=None):
+    def __init__(self, verdict: str, reason: str = ""):
         if verdict not in ("yes", "no", "unknown"):
             raise ValueError(f"unknown iso verdict {verdict!r}")
         self.verdict = verdict
         self.reason = reason
-        self.fwd = fwd
-        self.bwd = bwd
 
     def __bool__(self):
         return self.verdict == "yes"
@@ -916,51 +921,30 @@ class IsoResult:
 def _degreewise_iso(x: ProjComplex, y: ProjComplex, seed: int) -> bool:
     """One-sided certificate that x and y are isomorphic; False proves nothing.
 
-    Draws one seeded random chain map f: X -> Y from Z^0 Hom(X, Y), the
-    kernel of the pair's degree-0 operator (``_hom_complex(x, y)``), in
-    generator-image coordinates.  It accepts when, in every degree q and at
-    every vertex v, the scalar-part matrix of f^q is invertible: the e_v
-    coefficients, read at ``ProjSum.offsets[r][v]``, of the images of
-    X^q's generators at v on the summands r of Y^q at v.  That matrix is
-    top(f^q) at v, so by Nakayama's lemma every f^q is an isomorphism, and
-    so is f.  For minimal X and Y every homotopy equivalence is such an f,
-    so when they are isomorphic a draw fails with probability at most
-    (number of summands) / p.  The only entry built is Hom(X -> Y), which
-    lives in ``memo(y)``.  x and y are nonzero with equal graded
-    multiplicities, as ``iso_k`` checks first.
+    Draws one seeded random chain map f: X -> Y from the canonical basis
+    of Z^0 Hom(X, Y) (``_HomComplex.cycle_basis`` of ``_hom_complex(x,
+    y)``) and accepts when its scalar parts are invertible
+    (``_scalar_parts_invertible``): then f is an isomorphism.  For minimal
+    X and Y every homotopy equivalence is such an f, so when they are
+    isomorphic a draw fails with probability at most (number of summands)
+    / p.  The only entry built is Hom(X -> Y), which lives in
+    ``memo(y)``.  x and y are nonzero with equal graded multiplicities, as
+    ``iso_k`` checks first.
     """
     p = x.alg.p
-    rng = np.random.default_rng(seed)
-    width, _, slot = _hom_complex(x, y).degree(y, 0)
-    if slot is None:        # D^0 has an empty side: every g is a chain map
-        f = rng.integers(0, p, size=width)
-    else:
-        z = null_space(slot[1], p)
-        if slot[0] is None:
-            slot[0] = width - z.shape[1]
-        f = z @ rng.integers(0, p, size=z.shape[1]) % p
-    blocks = _layout(x, _hom_target(y), 0)[0]
-    for q in x.degrees():
-        src, tgt = x.summands_at(q), y.summands_at(q)
-        offsets = y.psum_at(q).offsets
-        for v in set(src):
-            starts = [blocks[(q, s)][1].start
-                      for s, u in enumerate(src) if u == v]
-            rows = [offsets[r][v] for r, u in enumerate(tgt) if u == v]
-            if not is_invertible(f[np.add.outer(rows, starts)], p):
-                return False
-    return True
+    z = _hom_complex(x, y).cycle_basis(y, 0)
+    f = z @ np.random.default_rng(seed).integers(0, p, size=z.shape[1]) % p
+    return _scalar_parts_invertible(x, y, f[:, None])
 
 
-def iso_k(x: ProjComplex, y: ProjComplex, seed: int = 0,
-          want_witness: bool = False) -> IsoResult:
+def iso_k(x: ProjComplex, y: ProjComplex, seed: int = 0) -> IsoResult:
     """Decide isomorphism in the homotopy category.
 
     Minimizes both sides and compares graded multiplicities.  Then one
     random chain map X -> Y that is an isomorphism in every degree
-    (``_degreewise_iso``) answers "yes"; witnesses are not built from it.
-    Otherwise both sides are split into indecomposables and the summand
-    multisets matched, which gives every "no" and "unknown".
+    (``_degreewise_iso``) answers "yes".  Otherwise both sides are split
+    into indecomposables, and the summand multisets are matched with the
+    exact test ``_indec_iso_k``; every "no" and "unknown" comes from there.
     """
     xm, ym = minimize(x), minimize(y)
     gx, gy = xm.graded_mults(), ym.graded_mults()
@@ -968,7 +952,7 @@ def iso_k(x: ProjComplex, y: ProjComplex, seed: int = 0,
         return IsoResult("no", f"graded multiplicities differ: {gx} vs {gy}")
     if xm.is_zero():
         return IsoResult("yes", "both zero")
-    if not want_witness and _degreewise_iso(xm, ym, seed):
+    if _degreewise_iso(xm, ym, seed):
         return IsoResult("yes", "degreewise isomorphism")
     try:
         dx = decompose_complex(xm, seed=seed)
@@ -977,18 +961,13 @@ def iso_k(x: ProjComplex, y: ProjComplex, seed: int = 0,
         # endomorphism splitting is randomized and needs p > dim End
         return IsoResult("unknown", f"decomposition failed: {exc}")
     if len(dx) == 1 and dx[0][1] == 1 and len(dy) == 1 and dy[0][1] == 1:
-        ok, fwd, bwd = _indec_iso_k(dx[0][0], dy[0][0], want_witness)
-        if ok:
-            return IsoResult("yes", "indecomposable match", fwd, bwd)
+        if _indec_iso_k(dx[0][0], dy[0][0]):
+            return IsoResult("yes", "indecomposable match")
         return IsoResult("no", "non-isomorphic indecomposables")
-    remaining = [(c, m) for (c, m) in dy]
+    remaining = list(dy)
     for (cx, mx) in dx:
-        hit = None
-        for idx, (cy, my) in enumerate(remaining):
-            ok, _, _ = _indec_iso_k(cx, cy)
-            if ok:
-                hit = idx
-                break
+        hit = next((idx for idx, (cy, _) in enumerate(remaining)
+                    if _indec_iso_k(cx, cy)), None)
         if hit is None or remaining[hit][1] != mx:
             return IsoResult("no", "summand multisets differ")
         remaining.pop(hit)
@@ -1028,8 +1007,7 @@ def _approximation(parts: list[ProjComplex], z: ProjComplex, minimal: bool,
             w_cols = []
             for l in range(len(parts)):
                 if l == j:
-                    rad, _ = end_rads[j]
-                    us = [end_pkgs[j].combine(c) for c in rad.T]
+                    us = [end_pkgs[j].combine(c) for c in end_rads[j].T]
                 else:
                     us = hom(parts[j], parts[l]).chain_reps()
                 fs = packages[l].chain_reps()

@@ -744,11 +744,6 @@ def certify_isomorphic(m: Representation, n: Representation, rng) -> bool:
     return True
 
 
-def is_indecomposable(m: Representation, seed: int = 0) -> bool:
-    parts = decompose(m, seed=seed)
-    return len(parts) == 1 and parts[0][1] == 1
-
-
 def module_iso(m: Representation, n: Representation):
     """An isomorphism M -> N, or None (certified), for indecomposables.
 

@@ -15,8 +15,9 @@ def test_ka2_path_basis():
     alg = linear_an(2)
     # e_1, e_2 and the single arrow path
     assert alg.dim == 3
-    assert alg.hom_proj_dim(2 - 1, 1 - 1) == 1  # dim Hom(P(2), P(1)) = 1
-    assert alg.hom_proj_dim(1 - 1, 2 - 1) == 0
+    # dim Hom(P(i), P(j)) = dim e_i A e_j = #paths j -> i
+    assert len(alg.path_indices(1 - 1, 2 - 1)) == 1  # Hom(P(2), P(1))
+    assert len(alg.path_indices(2 - 1, 1 - 1)) == 0
 
 
 def test_ka3_dimension():

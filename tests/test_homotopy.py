@@ -21,13 +21,11 @@ from tiltlab.homotopy import (
     HomPackage,
     ProjComplex,
     aidentity,
-    chain_identity,
     decompose_complex,
     hom_differential,
     hom_k,
     hom_package,
     iso_k,
-    is_minimal,
     k0_vector,
     left_approximation,
     left_mutation,
@@ -67,6 +65,11 @@ def ka3():
 @pytest.fixture(scope="module")
 def nak():
     return nakayama_rad_square_zero(3)
+
+
+def chain_identity(x: ProjComplex) -> ChainMap:
+    return ChainMap(x, x, {q: aidentity(x.alg, x.summands_at(q))
+                           for q in x.degrees()})
 
 
 def simple_presentation(alg, v):
@@ -722,7 +725,7 @@ def test_chain_map_validation_survives_optimize():
 
 def test_minimize_contractible(ka2):
     c = proj_cone(chain_identity(proj_stalk(ka2, 0)))
-    assert not is_minimal(c)
+    assert homotopy._find_unit(c.alg, c.summands, c.dmats) is not None
     assert minimize(c).is_zero()
 
 
@@ -730,7 +733,7 @@ def test_minimize_returns_a_minimal_trimmed_input():
     # a fresh algebra: minimize returns the live representative of x's
     # content, which another test's complex could be
     x = simple_presentation(linear_an(3), 0)
-    assert is_minimal(x)
+    assert homotopy._find_unit(x.alg, x.summands, x.dmats) is None
     assert minimize(x) is x
     # empty end degrees are trimmed off into a new complex
     padded = x.pad(x.lo - 1, x.hi + 1)
@@ -845,7 +848,8 @@ def test_k0_vectors(ka2):
 # -- decomposition and isomorphism ------------------------------------------
 
 def test_indecomposable_is_read_off_a_rank(monkeypatch):
-    # dim Z^0 End = 1 answers without a hom package; a sum builds one.  A
+    # dim Z^0 End = 1 answers without a hom package or a kernel; a sum is
+    # split from the kernel, Z^0 End, and builds no package either.  A
     # fresh algebra, so that x is the representative of its content
     ka3 = linear_an(3)
     built = []
@@ -859,9 +863,11 @@ def test_indecomposable_is_read_off_a_rank(monkeypatch):
     x = simple_presentation(ka3, 0)
     assert decompose_complex(x) == ((x, 1),)
     assert built == []
+    assert 0 not in homotopy._hom_complex(x, x).cycles
     two = proj_direct_sum([x, proj_stalk(ka3, 1)])
     assert len(decompose_complex(two)) == 2
-    assert [args[:2] for args in built] == [(two, two)]
+    assert built == []
+    assert 0 in homotopy._hom_complex(two, two).cycles
 
 
 def test_decompose_complex_two_parts(ka2):
@@ -880,11 +886,7 @@ def test_iso_k_scaling_and_refutation(ka2):
     x = ProjComplex(ka2, -1, [[1], [0]], [d])
     d2 = (5 * d) % ka2.p
     y = ProjComplex(ka2, -1, [[1], [0]], [d2])
-    res = iso_k(x, y, want_witness=True)
-    assert res.verdict == "yes"
-    assert res.fwd is not None and res.bwd is not None
-    res.fwd.validate()
-    res.bwd.validate()
+    assert iso_k(x, y).verdict == "yes"
     assert iso_k(x, proj_stalk(ka2, 0)).verdict == "no"
     assert iso_k(x, x.shift(1)).verdict == "no"
 
@@ -908,33 +910,6 @@ def test_iso_k_unknown_only_for_budget_and_field(ka2, monkeypatch):
                         fail_with(ValueError("a bug")))
     with pytest.raises(ValueError, match="a bug"):
         iso_k(x, x)
-
-
-def witness_checks_raise() -> str:
-    """Message of the Mismatch that iso_k raises for a failed witness.
-
-    Every homotopy check is patched to fail, so the certificate for the
-    isomorphic pair d and 5d must be rejected.
-    """
-    from tiltlab import homotopy
-    from tiltlab.errors import Mismatch
-    alg = linear_an(2)
-    d = np.zeros((1, 1, alg.dim), dtype=np.int64)
-    d[0, 0, alg.path_indices(0, 1)[0]] = 1
-    x = ProjComplex(alg, -1, [[1], [0]], [d])
-    y = ProjComplex(alg, -1, [[1], [0]], [(5 * d) % alg.p])
-    with mock.patch.object(homotopy.HomPackage, "is_nullhomotopic",
-                           return_value=False):
-        try:
-            iso_k(x, y, want_witness=True)
-        except Mismatch as exc:
-            return str(exc)
-    raise AssertionError("a failed witness check raised no Mismatch")
-
-
-def test_iso_witness_checks_survive_optimize():
-    assert "not homotopic to the identity" in witness_checks_raise()
-    run_optimized("test_homotopy", "witness_checks_raise")
 
 
 def split_off_check_raises() -> str:
@@ -1199,6 +1174,118 @@ def test_failed_draw_falls_back_to_the_exact_verdict(monkeypatch):
     for k, (x, y) in enumerate(pairs):
         assert iso_k(x, y).verdict == exact[k]
     assert tried and not any(tried)
+
+
+# -- the exact test -----------------------------------------------------------
+
+def _loop_pair():
+    """A -x-> A and A -x^2-> A over k[x]/(x^3), in degrees -1..0.
+
+    Both are minimal and indecomposable (End is local), with equal graded
+    multiplicities, and not isomorphic: their H^0 have dimensions 1 and 2.
+    (1, x) is a chain map from the first to the second, so Z^0 Hom has
+    columns, and none is invertible in degree 0.  The Kronecker pair has
+    Z^0 Hom = 0, so no scan of a basis could certify it.
+    """
+    from tiltlab.algebra import build_algebra
+    alg = build_algebra(1, [(1, 1, 1)], [[1, 1, 1]])
+    out = []
+    for b in alg.path_indices(0, 0):
+        if b != alg.e_index[0]:
+            d = np.zeros((1, 1, alg.dim), dtype=np.int64)
+            d[0, 0, b] = 1
+            out.append(ProjComplex(alg, -1, [[0], [0]], [d]))
+    return tuple(out)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rebased_pairs(), non_isomorphic_pairs())
+def test_exact_path_decides_without_the_certificate(same, different):
+    with mock.patch.object(homotopy, "_degreewise_iso", lambda *args: False):
+        assert iso_k(*same).verdict == "yes"
+        assert iso_k(*different).verdict == "no"
+
+
+def test_basis_scan_needs_an_indecomposable_source(ka2):
+    # Z^0 End(P(0) + P(0)) has the elementary matrices as its basis, and
+    # each is singular; the decomposition still matches the summands
+    x = proj_direct_sum([proj_stalk(ka2, 0), proj_stalk(ka2, 0)])
+    assert not homotopy._indec_iso_k(x, x)
+    with mock.patch.object(homotopy, "_degreewise_iso", lambda *args: False):
+        assert iso_k(x, x).verdict == "yes"
+
+
+def exact_refusals() -> int:
+    """Check that the exact path refuses fixed non-isomorphic pairs.
+
+    The certificate is off, so every verdict comes from the decomposition
+    and ``_indec_iso_k``.  The pairs are the Kronecker arrows
+    (``_kronecker_arrows``) and ``_loop_pair`` both ways.  Raises
+    RuntimeError on a "yes"; returns the number of pairs checked.
+    """
+    kx, ky = _kronecker_arrows()
+    lx, ly = _loop_pair()
+    pairs = [(kx, ky), (lx, ly), (ly, lx)]
+    with mock.patch.object(homotopy, "_degreewise_iso", lambda *args: False):
+        for x, y in pairs:
+            verdict = iso_k(x, y).verdict
+            if verdict != "no":
+                raise RuntimeError(f"the exact path answered {verdict!r} "
+                                   f"for {x}, {y}")
+    return len(pairs)
+
+
+def planted_exact_fault_is_caught() -> str:
+    """Message of ``exact_refusals`` once the scalar-part rank check
+    accepts everything (``is_invertible`` patched)."""
+    with mock.patch.object(homotopy, "is_invertible", lambda a, p: True):
+        try:
+            exact_refusals()
+        except RuntimeError as exc:
+            return str(exc)
+    raise RuntimeError("an exact test with no rank check went unnoticed")
+
+
+def test_exact_path_refuses_without_assert():
+    assert exact_refusals() == 3
+    run_optimized("test_homotopy", "exact_refusals")
+
+
+def test_planted_exact_fault_is_caught():
+    assert "the exact path answered 'yes'" in planted_exact_fault_is_caught()
+    run_optimized("test_homotopy", "planted_exact_fault_is_caught")
+
+
+def test_d0_is_eliminated_once_per_pair(monkeypatch):
+    # a fresh algebra, so that x and y are the representatives of their
+    # content; the certificate runs and fails, so the exact test runs too
+    ka3 = linear_an(3)
+    x = simple_presentation(ka3, 0)
+    y = _rebased(x, np.random.default_rng(5))
+    eliminated, built = [], []
+    real_null_space, init = homotopy.null_space, HomPackage.__init__
+    certificate = homotopy._degreewise_iso
+
+    def spy(a, p):
+        eliminated.append(a)
+        return real_null_space(a, p)
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(homotopy, "null_space", spy)
+    monkeypatch.setattr(HomPackage, "__init__", counting)
+    monkeypatch.setattr(homotopy, "_degreewise_iso",
+                        lambda *args: certificate(*args) and False)
+    assert iso_k(x, y).verdict == "yes"
+    assert built == []      # neither decomposition nor _indec_iso_k
+    entry = homotopy._hom_complex(x, y)
+    d0 = entry.built[0][1]
+    assert [a is d0 for a in eliminated].count(True) == 1
+    assert hom_package(x, y, 0).chain_space is entry.cycle_basis(y, 0)
+    assert [a is d0 for a in eliminated].count(True) == 1
+    assert [args[:2] for args in built] == [(x, y)]
 
 
 # -- approximations ---------------------------------------------------------

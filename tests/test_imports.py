@@ -1,9 +1,10 @@
-"""Every module-level import and every parameter in the library is used,
-and importing the library loads no symbolic-algebra package."""
+"""Every module-level import, definition and parameter in the library is
+used, and importing the library loads no symbolic-algebra package."""
 import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -79,6 +80,65 @@ def test_checker_flags_an_unused_parameter():
            "def f(x, *rest, key):\n    def g():\n        return x, rest\n"
            "    return g, key, lambda t, u: t\n")
     assert unused_parameters(src) == ["m(b)", "lambda(u)"]
+
+
+# Tests replay these certificates; no program path calls them.
+REPLAYED = {"GeneratorTower.replay", "MutationLineage.replay"}
+
+
+def _names(node: ast.AST):
+    """Every name and attribute name read or written under ``node``."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+
+
+def dead_definitions(sources: dict[str, str], public: set[str]) -> list[str]:
+    """Module-level functions and classes, and non-dunder methods, that no
+    module refers to outside their own body and ``public`` does not name.
+
+    ``sources`` maps module names to their text; entries read
+    ``module.name`` or ``module.Class.method``.  References are by name,
+    so a method counts as used when any attribute of that name is read.
+    """
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    refs = Counter(name for tree in trees.values() for name in _names(tree))
+    out = []
+    for mod, tree in trees.items():
+        defs = []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{node.name}.{m.name}", m) for m in node.body
+                         if isinstance(m, ast.FunctionDef)
+                         and not (m.name.startswith("__")
+                                  and m.name.endswith("__"))]
+        for qual, node in defs:
+            own = Counter(_names(node))[node.name]
+            if (refs[node.name] - own <= 0 and node.name not in public
+                    and qual not in REPLAYED):
+                out.append(f"{mod}.{qual}")
+    return out
+
+
+def test_no_dead_definitions():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    public = exported(ast.parse(sources["__init__"]))
+    assert dead_definitions(sources, public) == []
+
+
+def test_checker_flags_a_dead_definition():
+    src = ("__all__ = ['api']\n\ndef api():\n    return _used(), C()\n\n"
+           "def _used():\n    return 1\n\ndef _unused(n):\n"
+           "    return _unused(n - 1)\n\nclass C:\n"
+           "    def __init__(self):\n        self.go()\n\n"
+           "    def go(self):\n        pass\n\n    def stop(self):\n"
+           "        pass\n")
+    assert dead_definitions({"m": src}, {"api"}) == ["m._unused",
+                                                      "m.C.stop"]
 
 
 def test_import_leaves_sympy_unloaded():

@@ -14,8 +14,8 @@ from tiltlab.catalog import linear_an, nakayama_rad_square_zero
 from tiltlab.errors import (BudgetExceeded, PoolConstructionUnsupported,
                             WindowViolation)
 from tiltlab.heart import resolution_of_module
-from tiltlab.homotopy import (ProjComplex, chain_identity, hom_k, proj_cone,
-                              proj_direct_sum, proj_stalk)
+from tiltlab.homotopy import (ProjComplex, hom_k, proj_cone, proj_direct_sum,
+                              proj_stalk)
 from tiltlab.linalg import int_det
 from tiltlab.repcat import simple
 from tiltlab.silting import (
@@ -31,6 +31,7 @@ from tiltlab.silting import (
 
 from oracles import (covering_pairs, dynkin_exponents, dynkin_silting_count,
                      fuss_catalan, order_from_vanishing)
+from test_homotopy import chain_identity
 
 
 @pytest.fixture(scope="module")
